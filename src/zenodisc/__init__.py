@@ -34,18 +34,16 @@ from .qcore import (
     DegenerateBranchError,
     DegenerateVectorError,
     HamiltonianSpec,
-    HermitianOperator,
     MeasurementDirection,
     MeasurementOutcome,
     PureState,
     ValidationError,
-    build_hamiltonian,
     density,
-    eigendecompose,
     evolve,
     inner_product,
     measure_binary,
     normalize,
+    propagator,
 )
 from .series import (
     EXPRESSIONS,
@@ -74,9 +72,8 @@ __all__ = [
     "initial_states", "rescale_delta", "run", "solve_orthogonality", "step",
     "total_cost_paper_mode",
     "DegenerateBranchError", "DegenerateVectorError", "HamiltonianSpec",
-    "HermitianOperator", "MeasurementDirection", "MeasurementOutcome", "PureState",
-    "ValidationError", "build_hamiltonian", "density", "eigendecompose", "evolve",
-    "inner_product", "measure_binary", "normalize",
+    "MeasurementDirection", "MeasurementOutcome", "PureState", "ValidationError",
+    "density", "evolve", "inner_product", "measure_binary", "normalize", "propagator",
     "EXPRESSIONS", "SUSPECT_FLAGS", "ScalingFit", "SeriesPrediction",
     "baseline_paper_convention", "fit_power_law", "fit_scaling", "k_step_state",
     "one_step_state", "one_step_survival", "original_cost", "overlap_k_paper",

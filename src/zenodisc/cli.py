@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import protocol, series
 from .helstrom import guess_only_cost, helstrom_cost
-from .protocol import Mode, ProtocolParams
+from .protocol import Mode, ProtocolParams, ProtocolReport
 from .qcore import DegenerateBranchError, DegenerateVectorError, ValidationError
 
 DEFAULT_DIGITS = 17
@@ -116,11 +116,18 @@ def _parse_floats(raw: str, key: str, lineno: int) -> tuple[float, ...]:
         piece = piece.strip()
         if not piece:
             raise ValidationError(f"{_where(lineno)}empty entry in grid for '{key}'")
-        try:
-            vals.append(float(piece))
-        except ValueError:
-            raise ValidationError(f"{_where(lineno)}'{piece}' is not a number for '{key}'") from None
+        vals.append(_parse_float(piece, key, lineno))
     return tuple(vals)
+
+
+def _parse_float(raw: str, key: str, lineno: int) -> float:
+    try:
+        val = float(raw)
+    except ValueError:
+        raise ValidationError(f"{_where(lineno)}'{raw}' is not a number for '{key}'") from None
+    if not math.isfinite(val):
+        raise ValidationError(f"{_where(lineno)}'{raw}' is not a finite number for '{key}'")
+    return val
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -213,12 +220,7 @@ def _build_config(seen: dict[str, tuple[str, int]]) -> SweepConfig:
 
     def scalar_float(key, default):
         entry = take(key)
-        if entry is None:
-            return default
-        try:
-            return float(entry[0])
-        except ValueError:
-            raise ValidationError(f"{_where(entry[1])}'{entry[0]}' is not a number for '{key}'") from None
+        return default if entry is None else _parse_float(entry[0], key, entry[1])
 
     e0 = scalar_float("e0", 1.0)
     e1 = scalar_float("e1", 2.0)
@@ -303,9 +305,14 @@ def _evaluate_point(config: SweepConfig, cache: _ExponentCache, ab: float,
     except (ValidationError, DegenerateBranchError, DegenerateVectorError) as exc:
         return ReportRow(a=params.a, b=params.b, delta=delta, dt=params.dt,
                          k=k, xi=xi, mode=mode.value, error=str(exc))
+    return _report_row(cache, params, report)
+
+
+def _report_row(cache: _ExponentCache, params: ProtocolParams,
+                report: ProtocolReport) -> ReportRow:
     return ReportRow(
-        a=params.a, b=params.b, delta=delta, dt=params.dt, k=k, xi=xi,
-        mode=mode.value,
+        a=params.a, b=params.b, delta=params.delta, dt=params.dt, k=params.k,
+        xi=params.prior, mode=params.mode.value,
         total_cost=report.total_cost,
         baseline_exact=report.baseline_exact,
         baseline_paper=report.baseline_paper,
@@ -518,10 +525,16 @@ def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow
         if len(grid) != 1:
             raise ValidationError(f"optimize requires a single value for {name}, got {len(grid)}")
     ab, delta, xi = ab_grid[0], config.delta[0], config.xi[0]
+    # Every (k, dt) is walked once: golden-section revisits its bracket ends,
+    # which are seed points, and the optimum's row reuses its walk.
+    walks: dict[tuple[int, float], tuple[ProtocolParams, ProtocolReport]] = {}
 
     def objective(k: int, dt: float | None) -> float:
         params = _point_params(config, ab, delta, dt, k, xi, mode)
-        return protocol.run(params).total_cost
+        key = (k, params.dt)
+        if key not in walks:
+            walks[key] = params, protocol.run(params)
+        return walks[key][1].total_cost
 
     best: tuple[float, int, float] | None = None
     for k in sorted(config.k):
@@ -540,10 +553,8 @@ def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow
                 best = cand
     assert best is not None
     _, k_best, dt_best = best
-    params = _point_params(config, ab, delta, dt_best, k_best, xi, mode)
-    cache = _ExponentCache(config.auto_dt)
-    row = _evaluate_point(config, cache, ab, delta, dt_best, k_best, xi, mode)
-    return params, row
+    params, report = walks[(k_best, dt_best)]
+    return params, _report_row(_ExponentCache(config.auto_dt), params, report)
 
 
 def _baseline_lines(xi: float, b: float, delta: float, digits: int) -> list[str]:

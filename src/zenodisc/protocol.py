@@ -163,9 +163,10 @@ class LeafRecord:
     kind is "click" (with step in 1..k) or "survived" (step is None).
     p_given_h0 / p_given_h1 are the leaf probabilities conditioned on each
     hypothesis; marginal mixes them with the prior; posterior is the
-    Bayes-updated weight of hypothesis 0 at this leaf. state0/state1 are the
-    hypothesis-conditioned states at the leaf and leaf_cost is the expected
-    0-1 cost charged there under the active ledger.
+    Bayes-updated weight of hypothesis 0 at this leaf and leaf_cost is the
+    expected 0-1 cost charged there under the active ledger. Click leaves
+    hold no states: a click leaves either hypothesis on the probe direction
+    up to a phase.
     """
 
     kind: str
@@ -174,8 +175,6 @@ class LeafRecord:
     p_given_h1: float
     marginal: float
     posterior: float
-    state0: PureState
-    state1: PureState
     leaf_cost: float
 
 
@@ -188,11 +187,13 @@ class ProtocolReport:
     worse than that baseline). overlap_trajectory[i] is |<s0|s1>| of the
     conditioned survival states after i steps, so entry 0 is the initial
     overlap b^2 delta^2; survival_trajectory[i] is the pair of cumulative
-    survival probabilities after i steps.
+    survival probabilities after i steps. survived_pair holds the two
+    hypothesis-conditioned states of the survived leaf.
     """
 
     params: ProtocolParams
     leaves: tuple[LeafRecord, ...]
+    survived_pair: tuple[PureState, PureState]
     total_cost: float
     baseline_exact: float
     baseline_paper: float
@@ -260,17 +261,23 @@ def run(params: ProtocolParams,
         initial_pair: tuple[PureState, PureState] | None = None) -> ProtocolReport:
     """Evaluate the full outcome tree exactly and adjudicate the totals.
 
-    The tree is walked depth-first and deterministically: for each step the
-    click leaf is recorded and the null branch continues, and after step k
-    the survived leaf receives the terminal Helstrom measurement. Survival
-    branches whose probability underflows the pruning floor are recorded as
-    zero-probability leaves and the walk stops early.
+    Both hypotheses are walked together as the two unit columns of one 5x2
+    array: each step evolves them, records the click leaf, and projects the
+    columns onto the null outcome and renormalizes them. After step k the
+    survived leaf receives the terminal Helstrom measurement. A hypothesis
+    whose survival underflows the pruning floor clicks with all its
+    remaining weight and is no longer measured; once both have, the walk
+    stops early.
+
+    Cumulative survival is exp(sum of log1p(-click)) rather than a running
+    product of (1 - click): the product rounds each tiny click away against
+    1, which at k = 10^4 moves 1 - P(survive) by about 1e-13.
 
     initial_pair overrides the default candidate states, e.g. to check
     hypothesis-relabeling symmetry; both states must be 5-dimensional.
     """
     spec = HamiltonianSpec(e0=params.e0, e1=params.e1, delta=params.delta)
-    m = params.direction
+    m = params.direction.vector
     if initial_pair is None:
         s0, s1 = initial_states(params)
     else:
@@ -284,75 +291,63 @@ def run(params: ProtocolParams,
     initial_overlap = abs(qcore.inner_product(s0, s1))
     baseline_paper = helstrom_cost(prior, initial_overlap)
 
+    u = qcore.propagator(spec, params.dt)
+    m_conj, m_col = m.conj(), m[:, None]
+    cols = np.column_stack([s0.amplitudes, s1.amplitudes])
+    alive = np.ones(2, dtype=bool)
+    log_survival = np.zeros(2)
+    cum = np.ones(2)
     leaves: list[LeafRecord] = []
     overlap_traj = [initial_overlap]
     survival_traj = [(1.0, 1.0)]
-    cum0, cum1 = 1.0, 1.0
-    state0, state1 = s0, s1
-    alive0 = alive1 = True
 
     for i in range(1, params.k + 1):
-        ev0 = qcore.evolve(spec, params.dt, state0)
-        ev1 = qcore.evolve(spec, params.dt, state1)
-        click0 = click1 = 0.0
-        next0, next1 = ev0, ev1
-        surv0 = surv1 = 0.0
-        if alive0:
-            try:
-                out0 = qcore.measure_binary(m, ev0)
-                click0, surv0, next0 = out0.click_prob, out0.survive_prob, out0.post_survive_state
-                click_state0 = out0.post_click_state
-            except DegenerateBranchError:
-                # Null branch dead for h0: all remaining h0 weight clicks here.
-                click0, surv0, alive0 = 1.0, 0.0, False
-                click_state0 = PureState(m.vector.copy())
-        else:
-            click_state0 = PureState(m.vector.copy())
-        if alive1:
-            try:
-                out1 = qcore.measure_binary(m, ev1)
-                click1, surv1, next1 = out1.click_prob, out1.survive_prob, out1.post_survive_state
-                click_state1 = out1.post_click_state
-            except DegenerateBranchError:
-                click1, surv1, alive1 = 1.0, 0.0, False
-                click_state1 = PureState(m.vector.copy())
-        else:
-            click_state1 = PureState(m.vector.copy())
+        cols = u @ cols
+        amp = m_conj @ cols
+        click = np.minimum(amp.real**2 + amp.imag**2, 1.0)
+        residual = cols - m_col * amp
+        norm2 = np.sum(residual.real**2 + residual.imag**2, axis=0)
+        # The null branch is numerically dead on either signal: survival
+        # below the floor, or a residual too short to renormalize.
+        dying = alive & ((1.0 - click < qcore.PRUNE_FLOOR) | (norm2 < qcore.PRUNE_FLOOR))
+        alive &= ~dying
+        # A dying column clicks with all its remaining weight, a dead one
+        # never clicks; both survive with probability 0 from here on.
+        measured = np.where(alive, click, 0.0)
+        click = np.where(dying, 1.0, measured)
+        # Dead columns keep evolving unmeasured, as the overlap trajectory
+        # and the survived leaf read them.
+        cols = np.where(alive, residual / np.sqrt(np.where(alive, norm2, 1.0)), cols)
 
-        p0 = cum0 * click0
-        p1 = cum1 * click1
+        p0, p1 = (cum * click).tolist()
         marginal = prior * p0 + (1.0 - prior) * p1
         post = _safe_posterior(prior, p0, p1)
         cost = 0.5 if paper_ledger else guess_only_cost(post)
-        leaves.append(LeafRecord(
-            kind="click", step=i, p_given_h0=p0, p_given_h1=p1,
-            marginal=marginal, posterior=post,
-            state0=click_state0, state1=click_state1, leaf_cost=cost,
-        ))
-        cum0 *= surv0
-        cum1 *= surv1
-        state0, state1 = next0, next1
-        overlap_traj.append(abs(qcore.inner_product(state0, state1)))
-        survival_traj.append((cum0, cum1))
-        if not (alive0 or alive1):
+        leaves.append(LeafRecord(kind="click", step=i, p_given_h0=p0, p_given_h1=p1,
+                                 marginal=marginal, posterior=post, leaf_cost=cost))
+        log_survival = np.where(alive, log_survival + np.log1p(-measured), -np.inf)
+        cum = np.exp(log_survival)
+        overlap_traj.append(abs(complex(np.vdot(cols[:, 0], cols[:, 1]))))
+        survival_traj.append(tuple(cum.tolist()))
+        if not alive.any():
             break
 
+    cum0, cum1 = cum.tolist()
+    survived_pair = (PureState(cols[:, 0].copy()), PureState(cols[:, 1].copy()))
     marginal = prior * cum0 + (1.0 - prior) * cum1
     post = _safe_posterior(prior, cum0, cum1)
     if paper_ledger:
         survived_cost = 0.0
     else:
-        survived_cost = helstrom_pure(DiscriminationInstance(state0, state1, post))
-    leaves.append(LeafRecord(
-        kind="survived", step=None, p_given_h0=cum0, p_given_h1=cum1,
-        marginal=marginal, posterior=post,
-        state0=state0, state1=state1, leaf_cost=survived_cost,
-    ))
+        survived_cost = helstrom_pure(DiscriminationInstance(*survived_pair, post))
+    leaves.append(LeafRecord(kind="survived", step=None, p_given_h0=cum0, p_given_h1=cum1,
+                             marginal=marginal, posterior=post, leaf_cost=survived_cost))
 
     total = math.fsum(leaf.marginal * leaf.leaf_cost for leaf in leaves)
     return ProtocolReport(
         params=params,
         leaves=tuple(leaves),
+        survived_pair=survived_pair,
         total_cost=total,
         baseline_exact=baseline_exact,
         baseline_paper=baseline_paper,

@@ -1,9 +1,9 @@
 """Exact finite-dimensional quantum mechanics on small dense vectors.
 
-State vectors, Hermitian operators, unitary evolution under the two-coupled-
-pairs Hamiltonian, and binary projective measurement that keeps both outcome
-branches. Everything is double precision, immutable after construction, and
-pure, so any of it can be called concurrently without locking.
+State vectors, unitary evolution under the two-coupled-pairs Hamiltonian,
+and binary projective measurement that keeps both outcome branches.
+Everything is double precision, immutable after construction, and pure, so
+any of it can be called concurrently without locking.
 
 The Hamiltonian family used throughout is the 5-level real symmetric matrix
 
@@ -13,21 +13,22 @@ The Hamiltonian family used throughout is the 5-level real symmetric matrix
      [0,     0,  delta, e0,    0 ],
      [0,     0,  0,     0,     e1]]
 
-whose spectrum is known in closed form: e0 + delta and e0 - delta (each
-doubly degenerate) and e1. Time evolution is computed through that closed
-eigensystem rather than a generic matrix exponential; a dense exponential is
-used only as an independent oracle in the test suite.
+whose two identical 2x2 blocks and lone level make exp(-i H t) a closed form
+(see :func:`propagator`). Time evolution is computed through that closed
+form rather than a generic matrix exponential; a dense exponential is used
+only as an independent oracle in the test suite.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# Absolute tolerance for unit-norm and hermiticity checks: comfortable
-# double-precision headroom at d = 5.
+# Absolute tolerance for unit-norm checks: comfortable double-precision
+# headroom at d = 5.
 ATOL = 1e-12
 # Branch probabilities below this floor cannot be renormalized meaningfully.
 PRUNE_FLOOR = 1e-30
@@ -101,30 +102,6 @@ class HamiltonianSpec:
 
 
 @dataclass(frozen=True)
-class HermitianOperator:
-    """A dense d x d matrix validated to equal its own conjugate transpose."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
-        if mat.shape[0] > MAX_DIM:
-            raise ValidationError(f"dimension {mat.shape[0]} exceeds guard {MAX_DIM}")
-        if not np.all(np.isfinite(mat.view(np.float64))):
-            raise ValidationError("matrix entries must be finite")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
-            raise ValidationError("matrix is not Hermitian within tolerance")
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class MeasurementDirection:
     """A unit vector defining a rank-one projective (yes/no) measurement."""
 
@@ -158,59 +135,32 @@ class MeasurementOutcome:
     post_survive_state: PureState
 
 
-def build_hamiltonian(spec: HamiltonianSpec) -> HermitianOperator:
-    """Assemble the 5x5 two-coupled-pairs Hamiltonian for ``spec``.
+def propagator(spec: HamiltonianSpec, t: float) -> np.ndarray:
+    """exp(-i H t) for the 5-level Hamiltonian, as a 5x5 array in closed form.
 
-    Levels (1,2) and (3,4) form identical 2x2 blocks with diagonal e0 and
-    off-diagonal delta; level 5 sits alone at energy e1.
-    """
-    mat = np.zeros((5, 5), dtype=np.complex128)
-    mat[0, 0] = mat[1, 1] = mat[2, 2] = mat[3, 3] = spec.e0
-    mat[4, 4] = spec.e1
-    mat[0, 1] = mat[1, 0] = mat[2, 3] = mat[3, 2] = spec.delta
-    return HermitianOperator(mat)
-
-
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
-
-
-def eigendecompose(spec: HamiltonianSpec) -> list[tuple[float, np.ndarray]]:
-    """Closed-form eigensystem of the 5-level Hamiltonian.
-
-    Returns five (eigenvalue, eigenvector) pairs in a fixed order:
-    e0 + delta with (1,1,0,0,0)/sqrt(2) and (0,0,1,1,0)/sqrt(2), then
-    e0 - delta with (1,-1,0,0,0)/sqrt(2) and (0,0,1,-1,0)/sqrt(2), then
-    e1 with (0,0,0,0,1). The basis is orthonormal for every spec, including
-    the fourfold-degenerate delta = 0 limit.
-    """
-    plus_a = np.array([_SQRT1_2, _SQRT1_2, 0, 0, 0], dtype=np.complex128)
-    plus_b = np.array([0, 0, _SQRT1_2, _SQRT1_2, 0], dtype=np.complex128)
-    minus_a = np.array([_SQRT1_2, -_SQRT1_2, 0, 0, 0], dtype=np.complex128)
-    minus_b = np.array([0, 0, _SQRT1_2, -_SQRT1_2, 0], dtype=np.complex128)
-    top = np.array([0, 0, 0, 0, 1], dtype=np.complex128)
-    return [
-        (spec.e0 + spec.delta, plus_a),
-        (spec.e0 + spec.delta, plus_b),
-        (spec.e0 - spec.delta, minus_a),
-        (spec.e0 - spec.delta, minus_b),
-        (spec.e1, top),
-    ]
-
-
-def evolve(spec: HamiltonianSpec, t: float, psi: PureState) -> PureState:
-    """Apply exp(-i H t) to ``psi`` through the closed-form eigensystem.
-
-    The forward sign convention is -i; every quantity reported by this
-    package (probabilities, overlap magnitudes) is insensitive to it.
+    Each coupled pair, levels (1,2) and (3,4), rotates by the same 2x2 block
+    e^{-i e0 t}(cos(delta t) I - i sin(delta t) X); level 5 picks up the
+    phase e^{-i e1 t}. The forward sign convention is -i; every quantity
+    reported by this package (probabilities, overlap magnitudes) is
+    insensitive to it.
     """
     if not math.isfinite(t):
         raise ValidationError("evolution time must be finite")
+    phase = cmath.exp(-1j * spec.e0 * t)
+    diag = phase * math.cos(spec.delta * t)
+    off = -1j * phase * math.sin(spec.delta * t)
+    u = np.zeros((5, 5), dtype=np.complex128)
+    u[0, 0] = u[1, 1] = u[2, 2] = u[3, 3] = diag
+    u[0, 1] = u[1, 0] = u[2, 3] = u[3, 2] = off
+    u[4, 4] = cmath.exp(-1j * spec.e1 * t)
+    return u
+
+
+def evolve(spec: HamiltonianSpec, t: float, psi: PureState) -> PureState:
+    """Apply exp(-i H t) to ``psi`` through the closed-form :func:`propagator`."""
     if psi.dim != 5:
         raise ValidationError(f"evolution is defined on dimension 5, got {psi.dim}")
-    out = np.zeros(5, dtype=np.complex128)
-    for lam, vec in eigendecompose(spec):
-        out += np.exp(-1j * lam * t) * np.vdot(vec, psi.amplitudes) * vec
-    return PureState(out)
+    return PureState(propagator(spec, t) @ psi.amplitudes)
 
 
 def inner_product(phi: PureState, psi: PureState) -> complex:

@@ -271,7 +271,7 @@ def _residual_one_step_state(params: ProtocolParams) -> float:
 
 def _residual_k_step_state(params: ProtocolParams) -> float:
     report = protocol.run(params)
-    exact = report.leaves[-1].state0.amplitudes
+    exact = report.survived_pair[0].amplitudes
     return _magnitude_gap(exact, k_step_state(params, 0))
 
 

@@ -1,4 +1,5 @@
 import math
+import types
 
 import pytest
 
@@ -48,6 +49,13 @@ def test_parse_config_errors_carry_line_numbers():
         parse_config("b=10\nb=11\ndelta=0.01")
     with pytest.raises(ValidationError, match="empty value"):
         parse_config("b=10\ndelta=\nxi=0.5")
+    for key, text in (("b", "delta=0.01\nxi=0.5\nb=nan"),
+                      ("delta", "b=10\nxi=0.5\ndelta=0.01,inf"),
+                      ("dt", "b=10\ndelta=0.01\ndt=0.5,inf"),
+                      ("e0", "b=10\ndelta=0.01\ne0=nan"),
+                      ("e1", "b=10\ndelta=0.01\ne1=-inf")):
+        with pytest.raises(ValidationError, match=f"line 3.*finite.*'{key}'"):
+            parse_config(text)
 
 
 def test_parse_config_parameterization_rules():
@@ -151,11 +159,23 @@ def test_optimize_single_point_returns_it():
     assert row.total_cost >= row.baseline_exact - 1e-10
 
 
-def test_optimize_refines_dt_on_a_bracket():
+def test_optimize_refines_dt_on_a_bracket(monkeypatch):
     # Idealized cost grows with both k and dt here, so the smallest corner
     # of the search region is optimal and golden refinement must not lose it.
     cfg = parse_config("b=10\ndelta=0.001\ndt=0.2,5.0\nk=1,2\nxi=0.5\nmode=paper")
+    # Count the walks optimize makes itself; the overlap-exponent fit walks
+    # its own delta grid through series.
+    walked = []
+
+    def counting_run(params, initial_pair=None):
+        walked.append((params.k, params.dt))
+        return protocol.run(params, initial_pair)
+
+    monkeypatch.setattr(cli, "protocol", types.SimpleNamespace(run=counting_run))
     params, row = cli.optimize(cfg, Mode.PAPER)
+    monkeypatch.undo()
+    assert len(walked) == len(set(walked))  # each (k, dt) walked once
+    assert (params.k, params.dt) in walked
     assert params.k == 1
     assert params.dt == pytest.approx(0.2, abs=1e-6)
     grid_costs = [protocol.run(cli._point_params(cfg, 10.0, 0.001, dt, k, 0.5, Mode.PAPER)).total_cost

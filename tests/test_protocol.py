@@ -240,6 +240,22 @@ def test_run_prunes_dead_branches():
     assert report.baseline_exact == pytest.approx(0.5, abs=1e-12)
 
 
+def test_run_zeno_regime_keeps_leaf_mass_and_meets_the_limit():
+    # Many close probes at fixed total time T = k dt (Misra and Sudarshan):
+    # k (1 - P(survive)) -> a^2 delta^2 T^2 / 2 up to O((delta T)^2). The
+    # click probabilities are 1e-14 to 1e-13 here, so survival must not be carried
+    # as a product of rounded (1 - click) factors.
+    k, total_time = 10**4, 2.0
+    for delta in (1e-3, 3e-3):
+        p = ProtocolParams.from_b(10.0, delta, k, dt=total_time / k)
+        report = protocol.run(p)
+        mass = math.fsum(leaf.marginal for leaf in report.leaves)
+        assert abs(mass - 1.0) <= 1e-14
+        limit = p.a**2 * delta**2 * total_time**2 / 2.0
+        got = k * (1.0 - report.leaves[-1].marginal)
+        assert abs(got - limit) <= (delta * total_time) ** 2 * limit
+
+
 def test_run_sanity_bounds_across_random_sets():
     rng = np.random.default_rng(4242)
     for _ in range(60):

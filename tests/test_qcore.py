@@ -59,73 +59,9 @@ def test_hamiltonian_spec_rejects_nonfinite():
         HamiltonianSpec(e0=0.0, e1=math.inf, delta=0.0)
 
 
-def test_hermitian_operator_rejects_non_hermitian():
-    mat = np.eye(3, dtype=np.complex128)
-    mat[0, 1] = 1e-6
-    with pytest.raises(ValidationError):
-        qcore.HermitianOperator(mat)
-
-
 def test_measurement_direction_requires_unit_norm():
     with pytest.raises(ValidationError):
         MeasurementDirection(np.array([0, 1, 1, 0, 0], dtype=np.complex128))
-
-
-# ------------------------------------------------------ build_hamiltonian
-
-def test_build_hamiltonian_delta_zero_is_diagonal():
-    op = qcore.build_hamiltonian(HamiltonianSpec(1.0, 2.0, 0.0))
-    assert np.array_equal(op.entries, np.diag([1, 1, 1, 1, 2]).astype(np.complex128))
-
-
-def test_build_hamiltonian_coupling_pattern():
-    op = qcore.build_hamiltonian(HamiltonianSpec(0.0, 0.0, 0.01))
-    expected = np.zeros((5, 5), dtype=np.complex128)
-    expected[0, 1] = expected[1, 0] = expected[2, 3] = expected[3, 2] = 0.01
-    assert np.array_equal(op.entries, expected)
-
-
-def test_build_hamiltonian_matches_independent_construction():
-    for _ in range(50):
-        e0, e1, d = RNG.normal(size=3)
-        op = qcore.build_hamiltonian(HamiltonianSpec(e0, e1, d))
-        assert np.max(np.abs(op.entries - oracles.ham5(e0, e1, d))) == 0.0
-
-
-def test_build_hamiltonian_eigenvalues():
-    spec = HamiltonianSpec(1.3, -0.4, 0.07)
-    eigs = np.linalg.eigvalsh(qcore.build_hamiltonian(spec).entries)
-    expected = sorted([spec.e0 + spec.delta, spec.e0 + spec.delta,
-                       spec.e0 - spec.delta, spec.e0 - spec.delta, spec.e1])
-    assert np.allclose(sorted(eigs), expected, atol=1e-12)
-
-
-# -------------------------------------------------------- eigendecompose
-
-def test_eigendecompose_closed_form_values():
-    pairs = qcore.eigendecompose(HamiltonianSpec(5.0, 7.0, 0.1))
-    values = sorted(lam for lam, _ in pairs)
-    assert values == pytest.approx([4.9, 4.9, 5.1, 5.1, 7.0], abs=1e-15)
-
-
-def test_eigendecompose_orthonormal_even_when_degenerate():
-    for delta in (0.0, 0.3):
-        pairs = qcore.eigendecompose(HamiltonianSpec(2.0, 2.0, delta))
-        basis = np.column_stack([v for _, v in pairs])
-        gram = basis.conj().T @ basis
-        assert np.max(np.abs(gram - np.eye(5))) <= 1e-12
-
-
-def test_eigendecompose_reconstructs_hamiltonian_bulk():
-    # Spectral-correctness invariant over 1000 random parameter triples.
-    worst = 0.0
-    for _ in range(1000):
-        e0, e1, d = RNG.normal(size=3) * 3.0
-        spec = HamiltonianSpec(e0, e1, d)
-        recon = sum(lam * np.outer(v, v.conj()) for lam, v in qcore.eigendecompose(spec))
-        gap = np.max(np.abs(recon - qcore.build_hamiltonian(spec).entries))
-        worst = max(worst, gap)
-    assert worst <= 1e-12
 
 
 # ---------------------------------------------------------------- evolve
@@ -163,6 +99,8 @@ def test_evolve_matches_dense_exponential():
         ours = qcore.evolve(HamiltonianSpec(e0, e1, d), t, PureState(vec))
         ref = oracles.expm_evolve(e0, e1, d, t, vec)
         assert np.max(np.abs(ours.amplitudes - ref)) <= 1e-12
+        dense = oracles.expm_evolve(e0, e1, d, t, np.eye(5))
+        assert np.max(np.abs(qcore.propagator(HamiltonianSpec(e0, e1, d), t) - dense)) <= 1e-12
 
 
 def test_evolve_validates_dimension_and_time():
