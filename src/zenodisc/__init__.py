@@ -24,6 +24,7 @@ from .protocol import (
     ProtocolReport,
     default_direction,
     initial_states,
+    price,
     rescale_delta,
     run,
     solve_orthogonality,
@@ -59,6 +60,8 @@ from .series import (
     original_cost,
     overlap_k_paper,
     predict,
+    quantity_flag,
+    report_residual,
     scaling_residual,
     survival_k_paper,
 )
@@ -69,7 +72,7 @@ __all__ = [
     "DiscriminationInstance", "guess_only_cost", "helstrom_cost", "helstrom_mixed",
     "helstrom_pure", "posterior_update",
     "LeafRecord", "Mode", "ProtocolParams", "ProtocolReport", "default_direction",
-    "initial_states", "rescale_delta", "run", "solve_orthogonality", "step",
+    "initial_states", "price", "rescale_delta", "run", "solve_orthogonality", "step",
     "total_cost_paper_mode",
     "DegenerateBranchError", "DegenerateVectorError", "HamiltonianSpec",
     "MeasurementDirection", "MeasurementOutcome", "PureState", "ValidationError",
@@ -77,6 +80,6 @@ __all__ = [
     "EXPRESSIONS", "SUSPECT_FLAGS", "ScalingFit", "SeriesPrediction",
     "baseline_paper_convention", "fit_power_law", "fit_scaling", "k_step_state",
     "one_step_state", "one_step_survival", "original_cost", "overlap_k_paper",
-    "predict", "scaling_residual", "survival_k_paper",
+    "predict", "quantity_flag", "report_residual", "scaling_residual", "survival_k_paper",
     "__version__",
 ]

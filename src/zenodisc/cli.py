@@ -55,12 +55,7 @@ SCALING_COLUMNS = (
     "deltas", "residuals",
 )
 
-# Scaling quantities whose series side is one of the flagged expressions.
-_QUANTITY_FLAGS = {
-    "overlap_vs_series": "overlap_k_paper",
-    "final_overlap": "overlap_k_paper",
-    "survival_k": "survival_k_paper",
-}
+_POINT_ERRORS = (ValidationError, DegenerateBranchError, DegenerateVectorError)
 
 
 @dataclass(frozen=True)
@@ -120,6 +115,16 @@ def _parse_floats(raw: str, key: str, lineno: int) -> tuple[float, ...]:
     return tuple(vals)
 
 
+def _checked_grid(entry: tuple[str, int], key: str, ok, rule: str) -> tuple[float, ...]:
+    """Parse a grid entry and reject any value for which ``ok`` is false."""
+    raw, lineno = entry
+    vals = _parse_floats(raw, key, lineno)
+    for v in vals:
+        if not ok(v):
+            raise ValidationError(f"{_where(lineno)}{key}={v} {rule}")
+    return vals
+
+
 def _parse_float(raw: str, key: str, lineno: int) -> float:
     try:
         val = float(raw)
@@ -161,23 +166,14 @@ def _build_config(seen: dict[str, tuple[str, int]]) -> SweepConfig:
         raise ValidationError("exactly one of 'a' or 'b' must be given")
     a_grid = b_grid = None
     if a_entry is not None:
-        a_grid = _parse_floats(a_entry[0], "a", a_entry[1])
-        for v in a_grid:
-            if not (0.0 <= v <= 1.0):
-                raise ValidationError(f"{_where(a_entry[1])}a={v} outside [0, 1]")
+        a_grid = _checked_grid(a_entry, "a", lambda v: 0.0 <= v <= 1.0, "outside [0, 1]")
     if b_entry is not None:
-        b_grid = _parse_floats(b_entry[0], "b", b_entry[1])
-        for v in b_grid:
-            if v < 0.0:
-                raise ValidationError(f"{_where(b_entry[1])}b={v} must be nonnegative")
+        b_grid = _checked_grid(b_entry, "b", lambda v: v >= 0.0, "must be nonnegative")
 
     delta_entry = take("delta")
     if delta_entry is None:
         raise ValidationError("missing required key 'delta'")
-    delta = _parse_floats(delta_entry[0], "delta", delta_entry[1])
-    for v in delta:
-        if v < 0.0:
-            raise ValidationError(f"{_where(delta_entry[1])}delta={v} must be nonnegative")
+    delta = _checked_grid(delta_entry, "delta", lambda v: v >= 0.0, "must be nonnegative")
 
     dt_entry = take("dt")
     dt: tuple[float, ...] | None
@@ -186,10 +182,7 @@ def _build_config(seen: dict[str, tuple[str, int]]) -> SweepConfig:
     else:
         if "auto" in (p.strip() for p in dt_entry[0].split(",")):
             raise ValidationError(f"{_where(dt_entry[1])}dt grid cannot mix 'auto' with numbers")
-        dt = _parse_floats(dt_entry[0], "dt", dt_entry[1])
-        for v in dt:
-            if v <= 0.0:
-                raise ValidationError(f"{_where(dt_entry[1])}dt={v} must be positive")
+        dt = _checked_grid(dt_entry, "dt", lambda v: v > 0.0, "must be positive")
 
     k_entry = take("k")
     k_grid = (1,)
@@ -208,10 +201,7 @@ def _build_config(seen: dict[str, tuple[str, int]]) -> SweepConfig:
     xi_entry = take("xi")
     xi = (0.5,)
     if xi_entry is not None:
-        xi = _parse_floats(xi_entry[0], "xi", xi_entry[1])
-        for v in xi:
-            if not (0.0 <= v <= 1.0):
-                raise ValidationError(f"{_where(xi_entry[1])}xi={v} outside [0, 1]")
+        xi = _checked_grid(xi_entry, "xi", lambda v: 0.0 <= v <= 1.0, "outside [0, 1]")
 
     mode_entry = take("mode")
     modes = (Mode.EXACT,)
@@ -237,15 +227,14 @@ def _build_config(seen: dict[str, tuple[str, int]]) -> SweepConfig:
                        xi=xi, modes=modes, e0=e0, e1=e1, digits=digits, out=out)
 
 
-def _parse_modes(raw: str, lineno: int | None = None) -> tuple[Mode, ...]:
-    where = f"line {lineno}: " if lineno is not None else ""
+def _parse_modes(raw: str, lineno: int = 0) -> tuple[Mode, ...]:
     name = raw.strip().lower()
     if name == "both":
         return (Mode.EXACT, Mode.PAPER)
     try:
         return (Mode(name),)
     except ValueError:
-        raise ValidationError(f"{where}mode must be exact, paper, or both, got '{raw}'") from None
+        raise ValidationError(f"{_where(lineno)}mode must be exact, paper, or both, got '{raw}'") from None
 
 
 def _fmt(value, digits: int) -> str:
@@ -264,52 +253,48 @@ def _point_params(config: SweepConfig, ab: float, delta: float, dt: float | None
     return ProtocolParams.from_a(ab, delta, k, dt=dt, **common)
 
 
-class _ExponentCache:
-    """Per-sweep cache of final-overlap scaling fits; the fit is mode-blind."""
-
-    def __init__(self, auto_dt: bool):
-        self.auto_dt = auto_dt
-        self._fits: dict[tuple, float | None] = {}
-
-    def exponent(self, params: ProtocolParams) -> float | None:
-        key = (params.b, params.k, params.prior, params.e0, params.e1,
-               "auto" if self.auto_dt else params.dt)
-        if key not in self._fits:
-            self._fits[key] = self._fit(params)
-        return self._fits[key]
-
-    def _fit(self, params: ProtocolParams) -> float | None:
-        if params.b * max(series.DEFAULT_DELTAS) >= 1.0:
-            return None  # default grid would leave the valid amplitude range
-        try:
-            fit = series.fit_scaling("final_overlap", series.DEFAULT_DELTAS,
-                                     params, auto_dt=self.auto_dt)
-        except (ValidationError, DegenerateBranchError, DegenerateVectorError):
-            return None
-        return fit.exponent
-
-
-def _evaluate_point(config: SweepConfig, cache: _ExponentCache, ab: float,
-                    delta: float, dt: float | None, k: int, xi: float,
-                    mode: Mode) -> ReportRow:
-    base = dict(delta=delta, k=k, xi=xi, mode=mode.value)
-    base["a" if config.a is not None else "b"] = ab
+def _overlap_exponent(params: ProtocolParams, auto_dt: bool,
+                      overlaps: dict[ProtocolParams, float]) -> float | None:
+    """Delta exponent of the ``final_overlap`` residual on the default grid
+    around ``params``; grid points missing from ``overlaps`` are walked and added.
+    """
+    if params.b * max(series.DEFAULT_DELTAS) >= 1.0:
+        return None  # default grid would leave the valid amplitude range
     try:
-        params = _point_params(config, ab, delta, dt, k, xi, mode)
-    except (ValidationError, DegenerateBranchError, DegenerateVectorError) as exc:
-        return ReportRow(a=base.get("a", math.nan), b=base.get("b", math.nan),
-                         delta=delta, dt=dt if dt is not None else math.nan,
-                         k=k, xi=xi, mode=mode.value, error=str(exc))
+        grid = [protocol.rescale_delta(params, d, auto_dt=auto_dt) for d in series.DEFAULT_DELTAS]
+        for point in grid:
+            if point not in overlaps:
+                overlaps[point] = series.scaling_residual("final_overlap", point)
+        fit = series.fit_power_law(series.DEFAULT_DELTAS, [overlaps[point] for point in grid])
+    except _POINT_ERRORS:
+        return None
+    return fit.exponent
+
+
+def _point_rows(config: SweepConfig, overlaps: dict[ProtocolParams, float], ab: float,
+                delta: float, dt: float | None, k: int, xi: float
+                ) -> tuple[ProtocolParams | None, list[ReportRow]]:
+    """Walk one sweep point, record its final overlap, and price it under
+    every configured ledger; a failed point gives one error row per ledger.
+    """
+    params = None
     try:
+        params = _point_params(config, ab, delta, dt, k, xi, config.modes[0])
         report = protocol.run(params)
-    except (ValidationError, DegenerateBranchError, DegenerateVectorError) as exc:
-        return ReportRow(a=params.a, b=params.b, delta=delta, dt=params.dt,
-                         k=k, xi=xi, mode=mode.value, error=str(exc))
-    return _report_row(cache, params, report)
+    except _POINT_ERRORS as exc:
+        if params is None:
+            a, b = (ab, math.nan) if config.a is not None else (math.nan, ab)
+            dt = math.nan if dt is None else dt
+        else:
+            a, b, dt = params.a, params.b, params.dt
+        return None, [ReportRow(a=a, b=b, delta=delta, dt=dt, k=k, xi=xi, mode=mode.value,
+                                error=str(exc)) for mode in config.modes]
+    overlaps[params] = report.final_overlap
+    return params, [_report_row(protocol.price(report, mode)) for mode in config.modes]
 
 
-def _report_row(cache: _ExponentCache, params: ProtocolParams,
-                report: ProtocolReport) -> ReportRow:
+def _report_row(report: ProtocolReport) -> ReportRow:
+    params = report.params
     return ReportRow(
         a=params.a, b=params.b, delta=params.delta, dt=params.dt, k=params.k,
         xi=params.prior, mode=params.mode.value,
@@ -318,7 +303,6 @@ def _report_row(cache: _ExponentCache, params: ProtocolParams,
         baseline_paper=report.baseline_paper,
         paper_new_cost=report.paper_new_cost,
         final_overlap=report.final_overlap,
-        overlap_exponent=cache.exponent(params),
         verdict_vs_baseline_exact=report.verdict_vs_exact,
         verdict_vs_baseline_paper=report.verdict_vs_paper,
     )
@@ -335,20 +319,26 @@ def _row_sort_key(row: ReportRow):
 def run_sweep(config: SweepConfig) -> list[ReportRow]:
     """Evaluate the Cartesian product of the config grids.
 
-    Per-point failures become rows with a populated error column; the sweep
-    itself never aborts. Rows come back sorted by parameter tuple, so equal
-    configs produce identical row lists.
+    Each point is walked once and priced under every ledger. The overlap
+    exponents are fitted after all points are walked, so they walk only the
+    grid points the sweep lacks. Per-point failures become rows with a
+    populated error column; the sweep itself never aborts. Rows come back
+    sorted by parameter tuple, so equal configs produce identical row lists.
     """
     ab_grid = config.a if config.a is not None else config.b
     dt_grid: tuple[float | None, ...] = config.dt if config.dt is not None else (None,)
-    cache = _ExponentCache(config.auto_dt)
-    rows = [
-        _evaluate_point(config, cache, ab, delta, dt, k, xi, mode)
-        for ab, delta, dt, k, xi, mode in product(
+    overlaps: dict[ProtocolParams, float] = {}
+    points = [
+        _point_rows(config, overlaps, ab, delta, dt, k, xi)
+        for ab, delta, dt, k, xi in product(
             sorted(ab_grid), sorted(config.delta),
             sorted(dt_grid, key=lambda v: -1.0 if v is None else v),
-            sorted(config.k), sorted(config.xi), config.modes)
+            sorted(config.k), sorted(config.xi))
     ]
+    rows = []
+    for params, point_rows in points:
+        exponent = None if params is None else _overlap_exponent(params, config.auto_dt, overlaps)
+        rows += [replace(row, overlap_exponent=exponent) for row in point_rows]
     rows.sort(key=_row_sort_key)
     return rows
 
@@ -364,14 +354,9 @@ def render_csv(rows: list[ReportRow], digits: int = DEFAULT_DIGITS) -> str:
 
 def _group_rows(rows: list[ReportRow]):
     groups: dict[tuple, dict[str, ReportRow]] = {}
-    order = []
     for row in rows:
-        key = (row.a, row.b, row.delta, row.dt, row.k, row.xi)
-        if key not in groups:
-            groups[key] = {}
-            order.append(key)
-        groups[key][row.mode] = row
-    return [(key, groups[key]) for key in order]
+        groups.setdefault((row.a, row.b, row.delta, row.dt, row.k, row.xi), {})[row.mode] = row
+    return list(groups.items())
 
 
 def render_summary(rows: list[ReportRow], digits: int = DEFAULT_DIGITS) -> str:
@@ -443,17 +428,12 @@ def scaling_study(config: SweepConfig, quantity: str = "all") -> list[dict]:
 
     The config delta grid is the fit grid and needs at least 3 points over a
     decade. With an ``a`` grid, b is derived at the largest delta and then
-    held fixed across the fit. Indeterminate fits are flagged in their row,
-    not raised.
+    held fixed across the fit. Each grid point is walked once and every
+    quantity's residual is read off that walk. Indeterminate fits are flagged
+    in their row, not raised.
     """
-    if quantity == "all":
-        quantities = sorted(series.SCALING_QUANTITIES)
-    elif quantity in series.SCALING_QUANTITIES:
-        quantities = [quantity]
-    else:
-        raise ValidationError(
-            f"unknown scaling quantity '{quantity}'; options: all, "
-            + ", ".join(sorted(series.SCALING_QUANTITIES)))
+    quantities = sorted(series.SCALING_QUANTITIES) if quantity == "all" else [quantity]
+    flags = {q: series.quantity_flag(q) for q in quantities}  # rejects unknown names
     deltas = tuple(sorted(config.delta, reverse=True))
     ab_grid = config.a if config.a is not None else config.b
     dt_grid: tuple[float | None, ...] = config.dt if config.dt is not None else (None,)
@@ -462,14 +442,19 @@ def scaling_study(config: SweepConfig, quantity: str = "all") -> list[dict]:
                                  sorted(dt_grid, key=lambda v: -1.0 if v is None else v),
                                  sorted(config.k), sorted(config.xi)):
         template = _point_params(config, ab, max(deltas), dt, k, xi, Mode.EXACT)
+        residuals: dict[str, list[float]] = {q: [] for q in quantities}
+        for d in deltas:
+            report = protocol.run(protocol.rescale_delta(template, d, auto_dt=config.auto_dt))
+            for q in quantities:
+                residuals[q].append(series.report_residual(q, report))
         for q in quantities:
-            fit = series.fit_scaling(q, deltas, template, auto_dt=config.auto_dt)
+            fit = series.fit_power_law(deltas, residuals[q])
             out_rows.append({
                 "quantity": q, "b": template.b, "k": k, "xi": xi,
                 "dt_rule": "auto" if config.auto_dt else template.dt,
                 "exponent": fit.exponent, "intercept": fit.intercept,
                 "n_floored": fit.n_floored, "indeterminate": fit.indeterminate,
-                "flag": _QUANTITY_FLAGS.get(q, ""),
+                "flag": flags[q],
                 "deltas": ";".join(_fmt(d, config.digits) for d in fit.sample_deltas),
                 "residuals": ";".join(_fmt(r, config.digits) for r in fit.residuals),
             })
@@ -486,14 +471,15 @@ def render_scaling_csv(rows: list[dict], digits: int = DEFAULT_DIGITS) -> str:
 
 
 def _golden_section(f, lo: float, hi: float, tol: float = 1e-10,
-                    max_iter: int = 200) -> tuple[float, float]:
-    """Deterministic golden-section minimize; returns the best point evaluated."""
-    evaluations: list[tuple[float, float]] = [(f(lo), lo), (f(hi), hi)]
+                    max_iter: int = 200) -> None:
+    """Deterministic golden-section search of f inside (lo, hi).
+
+    Nothing is returned: the caller keeps every evaluation and takes the best.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    evaluations += [(f1, x1), (f2, x2)]
     for _ in range(max_iter):
         if hi - lo <= tol * max(1.0, abs(lo), abs(hi)):
             break
@@ -501,14 +487,10 @@ def _golden_section(f, lo: float, hi: float, tol: float = 1e-10,
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
             f1 = f(x1)
-            evaluations.append((f1, x1))
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
             f2 = f(x2)
-            evaluations.append((f2, x2))
-    best_f, best_x = min(evaluations, key=lambda e: (e[0], e[1]))
-    return best_x, best_f
 
 
 def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow]:
@@ -520,41 +502,29 @@ def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow
     dt=auto. All remaining grids must be singletons. Ties break toward
     smaller k, then smaller dt.
     """
-    ab_grid = config.a if config.a is not None else config.b
-    for name, grid in (("a/b", ab_grid), ("delta", config.delta), ("xi", config.xi)):
-        if len(grid) != 1:
-            raise ValidationError(f"optimize requires a single value for {name}, got {len(grid)}")
-    ab, delta, xi = ab_grid[0], config.delta[0], config.xi[0]
-    # Every (k, dt) is walked once: golden-section revisits its bracket ends,
-    # which are seed points, and the optimum's row reuses its walk.
-    walks: dict[tuple[int, float], tuple[ProtocolParams, ProtocolReport]] = {}
+    ab, delta, xi = _require_singletons(config, "optimize")
+    # Every (k, dt) evaluated is walked once and kept; the optimum is the
+    # least of them, and its row reuses its walk.
+    walks: dict[tuple[int, float], ProtocolReport] = {}
 
     def objective(k: int, dt: float | None) -> float:
         params = _point_params(config, ab, delta, dt, k, xi, mode)
-        key = (k, params.dt)
-        if key not in walks:
-            walks[key] = params, protocol.run(params)
-        return walks[key][1].total_cost
+        if (k, params.dt) not in walks:
+            walks[k, params.dt] = protocol.run(params)
+        return walks[k, params.dt].total_cost
 
-    best: tuple[float, int, float] | None = None
     for k in sorted(config.k):
-        if config.auto_dt:
-            dt_solved = _point_params(config, ab, delta, None, k, xi, mode).dt
-            candidates = [(objective(k, None), k, dt_solved)]
-        elif len(config.dt) == 1:
-            candidates = [(objective(k, config.dt[0]), k, config.dt[0])]
+        if config.auto_dt or len(config.dt) == 1:
+            objective(k, None if config.auto_dt else config.dt[0])
         else:
-            lo, hi = min(config.dt), max(config.dt)
-            seeds = [(objective(k, dt), k, dt) for dt in sorted(config.dt)]
-            dt_star, f_star = _golden_section(lambda dt: objective(k, dt), lo, hi)
-            candidates = seeds + [(f_star, k, dt_star)]
-        for cand in candidates:
-            if best is None or (cand[0], cand[1], cand[2]) < best:
-                best = cand
-    assert best is not None
-    _, k_best, dt_best = best
-    params, report = walks[(k_best, dt_best)]
-    return params, _report_row(_ExponentCache(config.auto_dt), params, report)
+            for dt in sorted(config.dt):
+                objective(k, dt)
+            _golden_section(lambda dt: objective(k, dt), min(config.dt), max(config.dt))
+    _, k_best, dt_best = min((report.total_cost, k, dt) for (k, dt), report in walks.items())
+    report = walks[k_best, dt_best]
+    exponent = _overlap_exponent(report.params, config.auto_dt,
+                                 {report.params: report.final_overlap})
+    return report.params, replace(_report_row(report), overlap_exponent=exponent)
 
 
 def _baseline_lines(xi: float, b: float, delta: float, digits: int) -> list[str]:
@@ -617,14 +587,10 @@ def _config_from_args(args, need_dt_k: bool) -> SweepConfig:
         cfg = parse_config(text)
     else:
         entries: dict[str, tuple[str, int]] = {}
-        for key in ("a", "b", "delta", "xi", "e0", "e1"):
+        for key in ("a", "b", "delta", "xi", "e0", "e1", "dt", "k"):
             val = getattr(args, key, None)
             if val is not None:
-                entries[key] = (repr(float(val)), 0)
-        if getattr(args, "dt", None) is not None:
-            entries["dt"] = (args.dt, 0)
-        if getattr(args, "k", None) is not None:
-            entries["k"] = (str(args.k), 0)
+                entries[key] = (str(val), 0)
         if need_dt_k and "k" not in entries:
             entries["k"] = ("1", 0)
         cfg = _build_config(entries)
@@ -644,6 +610,17 @@ def _require_singletons(cfg: SweepConfig, command: str) -> tuple[float, float, f
     return ab_grid[0], cfg.delta[0], cfg.xi[0]
 
 
+def _emit(text: str, out: str | None, suffix: str, quiet: bool) -> int:
+    """Write ``text`` to <out><suffix> when out is set, and to stdout unless quiet."""
+    if out:
+        path = Path(out + suffix)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="")
+    if not quiet:
+        sys.stdout.write(text)
+    return 0
+
+
 def _cmd_baseline(args) -> int:
     cfg = _config_from_args(args, need_dt_k=False)
     ab, delta, xi = _require_singletons(cfg, "baseline")
@@ -652,12 +629,7 @@ def _cmd_baseline(args) -> int:
     else:
         b = ab
     lines = _baseline_lines(xi, b, delta, cfg.digits)
-    text = "\n".join(lines) + "\n"
-    if not args.quiet:
-        sys.stdout.write(text)
-    if cfg.out:
-        Path(cfg.out + ".txt").write_text(text, encoding="utf-8", newline="")
-    return 0
+    return _emit("\n".join(lines) + "\n", cfg.out, ".txt", args.quiet)
 
 
 def _cmd_run(args) -> int:
@@ -667,17 +639,12 @@ def _cmd_run(args) -> int:
         raise ValidationError("run requires a single dt (or auto)")
     if len(cfg.k) != 1:
         raise ValidationError("run requires a single k")
-    chunks = []
-    for mode in cfg.modes:
-        params = _point_params(cfg, ab, delta, None if cfg.auto_dt else cfg.dt[0],
-                               cfg.k[0], xi, mode)
-        chunks.append(_render_run_report(protocol.run(params), cfg.digits))
-    text = "\n".join(chunks)
-    if not args.quiet:
-        sys.stdout.write(text)
-    if cfg.out:
-        Path(cfg.out + ".txt").write_text(text, encoding="utf-8", newline="")
-    return 0
+    params = _point_params(cfg, ab, delta, None if cfg.auto_dt else cfg.dt[0],
+                           cfg.k[0], xi, cfg.modes[0])
+    report = protocol.run(params)
+    text = "\n".join(_render_run_report(protocol.price(report, mode), cfg.digits)
+                     for mode in cfg.modes)
+    return _emit(text, cfg.out, ".txt", args.quiet)
 
 
 def _cmd_sweep(args) -> int:
@@ -694,14 +661,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_scaling(args) -> int:
     cfg = _config_from_args(args, need_dt_k=True)
     rows = scaling_study(cfg, args.quantity)
-    text = render_scaling_csv(rows, cfg.digits)
-    if cfg.out:
-        path = Path(cfg.out + ".csv")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="")
-    if not args.quiet:
-        sys.stdout.write(text)
-    return 0
+    return _emit(render_scaling_csv(rows, cfg.digits), cfg.out, ".csv", args.quiet)
 
 
 def _cmd_optimize(args) -> int:

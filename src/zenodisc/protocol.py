@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -249,12 +249,14 @@ def total_cost_paper_mode(params: ProtocolParams) -> float:
     return params.k * params.a**2 * params.dt**2 * params.delta**2 / 4.0
 
 
-def _safe_posterior(prior: float, p0: float, p1: float) -> float:
-    """Posterior that falls back to the prior on zero-probability leaves."""
+def _branch(prior: float, p0: float, p1: float) -> tuple[float, float, float, float]:
+    """(p_given_h0, p_given_h1, marginal, posterior) of one leaf; the posterior
+    falls back to the prior on a zero-probability leaf."""
     try:
-        return posterior_update(prior, min(p0, 1.0), min(p1, 1.0))
+        post = posterior_update(prior, min(p0, 1.0), min(p1, 1.0))
     except DegenerateBranchError:
-        return prior
+        post = prior
+    return p0, p1, prior * p0 + (1.0 - prior) * p1, post
 
 
 def run(params: ProtocolParams,
@@ -262,12 +264,12 @@ def run(params: ProtocolParams,
     """Evaluate the full outcome tree exactly and adjudicate the totals.
 
     Both hypotheses are walked together as the two unit columns of one 5x2
-    array: each step evolves them, records the click leaf, and projects the
+    array: each step evolves them, records the click branch, and projects the
     columns onto the null outcome and renormalizes them. After step k the
     survived leaf receives the terminal Helstrom measurement. A hypothesis
     whose survival underflows the pruning floor clicks with all its
     remaining weight and is no longer measured; once both have, the walk
-    stops early.
+    stops early. The leaves are charged as :func:`price` charges them.
 
     Cumulative survival is exp(sum of log1p(-click)) rather than a running
     product of (1 - click): the product rounds each tiny click away against
@@ -285,7 +287,6 @@ def run(params: ProtocolParams,
         if s0.dim != 5 or s1.dim != 5:
             raise ValidationError("initial states must have dimension 5")
     prior = params.prior
-    paper_ledger = params.mode is Mode.PAPER
 
     baseline_exact = helstrom_pure(DiscriminationInstance(s0, s1, prior))
     initial_overlap = abs(qcore.inner_product(s0, s1))
@@ -297,11 +298,11 @@ def run(params: ProtocolParams,
     alive = np.ones(2, dtype=bool)
     log_survival = np.zeros(2)
     cum = np.ones(2)
-    leaves: list[LeafRecord] = []
+    branches: list[tuple[float, float, float, float]] = []
     overlap_traj = [initial_overlap]
     survival_traj = [(1.0, 1.0)]
 
-    for i in range(1, params.k + 1):
+    for _ in range(params.k):
         cols = u @ cols
         amp = m_conj @ cols
         click = np.minimum(amp.real**2 + amp.imag**2, 1.0)
@@ -319,12 +320,7 @@ def run(params: ProtocolParams,
         # and the survived leaf read them.
         cols = np.where(alive, residual / np.sqrt(np.where(alive, norm2, 1.0)), cols)
 
-        p0, p1 = (cum * click).tolist()
-        marginal = prior * p0 + (1.0 - prior) * p1
-        post = _safe_posterior(prior, p0, p1)
-        cost = 0.5 if paper_ledger else guess_only_cost(post)
-        leaves.append(LeafRecord(kind="click", step=i, p_given_h0=p0, p_given_h1=p1,
-                                 marginal=marginal, posterior=post, leaf_cost=cost))
+        branches.append(_branch(prior, *(cum * click).tolist()))
         log_survival = np.where(alive, log_survival + np.log1p(-measured), -np.inf)
         cum = np.exp(log_survival)
         overlap_traj.append(abs(complex(np.vdot(cols[:, 0], cols[:, 1]))))
@@ -332,28 +328,53 @@ def run(params: ProtocolParams,
         if not alive.any():
             break
 
-    cum0, cum1 = cum.tolist()
+    branches.append(_branch(prior, *cum.tolist()))
     survived_pair = (PureState(cols[:, 0].copy()), PureState(cols[:, 1].copy()))
-    marginal = prior * cum0 + (1.0 - prior) * cum1
-    post = _safe_posterior(prior, cum0, cum1)
-    if paper_ledger:
-        survived_cost = 0.0
-    else:
-        survived_cost = helstrom_pure(DiscriminationInstance(*survived_pair, post))
-    leaves.append(LeafRecord(kind="survived", step=None, p_given_h0=cum0, p_given_h1=cum1,
-                             marginal=marginal, posterior=post, leaf_cost=survived_cost))
-
-    total = math.fsum(leaf.marginal * leaf.leaf_cost for leaf in leaves)
     return ProtocolReport(
         params=params,
-        leaves=tuple(leaves),
         survived_pair=survived_pair,
-        total_cost=total,
         baseline_exact=baseline_exact,
         baseline_paper=baseline_paper,
         paper_new_cost=total_cost_paper_mode(params),
         overlap_trajectory=tuple(overlap_traj),
         survival_trajectory=tuple(survival_traj),
-        verdict_vs_exact=total - baseline_exact,
-        verdict_vs_paper=total - baseline_paper,
+        **_charge(params.mode, branches, survived_pair, baseline_exact, baseline_paper),
     )
+
+
+def price(report: ProtocolReport, mode: Mode) -> ProtocolReport:
+    """The walk behind ``report`` charged under the ledger ``mode``.
+
+    Only the leaf costs, the total and the verdicts depend on the ledger, so
+    this equals :func:`run` with ``mode`` without walking the tree again.
+    """
+    if mode is report.params.mode:
+        return report
+    branches = [(leaf.p_given_h0, leaf.p_given_h1, leaf.marginal, leaf.posterior)
+                for leaf in report.leaves]
+    return replace(report, params=replace(report.params, mode=mode),
+                   **_charge(mode, branches, report.survived_pair,
+                             report.baseline_exact, report.baseline_paper))
+
+
+def _charge(mode: Mode, branches: list[tuple[float, float, float, float]],
+            survived_pair: tuple[PureState, PureState],
+            baseline_exact: float, baseline_paper: float) -> dict:
+    """The ledger's fields of a report: the charged leaves, total and verdicts.
+
+    branches holds (p_given_h0, p_given_h1, marginal, posterior) per leaf,
+    the clicks in step order and the survived leaf last.
+    """
+    *clicks, (_, _, _, survived_post) = branches
+    if mode is Mode.PAPER:
+        costs = [0.5] * len(clicks) + [0.0]
+    else:
+        costs = [guess_only_cost(post) for _, _, _, post in clicks]
+        costs.append(helstrom_pure(DiscriminationInstance(*survived_pair, survived_post)))
+    steps = [*range(1, len(clicks) + 1), None]
+    leaves = tuple(
+        LeafRecord("click" if step else "survived", step, *branch, cost)
+        for step, branch, cost in zip(steps, branches, costs))
+    total = math.fsum(leaf.marginal * leaf.leaf_cost for leaf in leaves)
+    return dict(leaves=leaves, total_cost=total, verdict_vs_exact=total - baseline_exact,
+                verdict_vs_paper=total - baseline_paper)

@@ -103,7 +103,7 @@ class HamiltonianSpec:
 
 @dataclass(frozen=True)
 class MeasurementDirection:
-    """A unit vector defining a rank-one projective (yes/no) measurement."""
+    """A unit vector defining a rank-one projective (yes/no) measurement, compared by value."""
 
     vector: np.ndarray
 
@@ -113,6 +113,14 @@ class MeasurementDirection:
             raise ValidationError("measurement direction must be unit norm")
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
+
+    def __eq__(self, other):
+        if not isinstance(other, MeasurementDirection):
+            return NotImplemented
+        return self.vector.tolist() == other.vector.tolist()
+
+    def __hash__(self):
+        return hash(tuple(self.vector.tolist()))
 
     @property
     def dim(self) -> int:

@@ -2,26 +2,29 @@
 
 Every function here evaluates a fixed truncated small-delta expression
 literally, including two expressions whose internal consistency is doubtful.
-Those are evaluated verbatim anyway and carry entries in SUSPECT_FLAGS; the
-job of this module is to quantify discrepancies, never to silently correct
-them. Overall e^{i E t} phase factors are dropped from the state forms
+Those are evaluated verbatim anyway and are flagged in EXPRESSIONS; the job
+of this module is to quantify discrepancies, never to silently correct them.
+Overall e^{i E t} phase factors are dropped from the state forms
 (comparisons use component magnitudes and |overlap| only), while relative
 imaginary units between components are kept.
 
 The delta-scaling fits measure |exact - series| on a small delta grid and
-report the log-log slope, which is the empirical truncation order.
+report the log-log slope, which is the empirical truncation order. Every
+residual is read off one protocol walk, so one walk per grid point serves
+all quantities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import protocol, qcore
 from .helstrom import helstrom_cost
-from .protocol import ProtocolParams, rescale_delta
+from .protocol import ProtocolParams, ProtocolReport, rescale_delta
 from .qcore import HamiltonianSpec, ValidationError
 
 # Residuals below this are double-precision noise, not series error.
@@ -29,18 +32,6 @@ NOISE_FLOOR = 1e-14
 # Default grid spans one decade and stays above the noise floor even for
 # fourth-order quantities.
 DEFAULT_DELTAS = (1e-2, 10**-2.5, 1e-3)
-
-# Expressions evaluated verbatim despite an internal inconsistency.
-SUSPECT_FLAGS = {
-    "overlap_k_paper": (
-        "second term carries a single power of dt where dimensional "
-        "consistency requires dt**2"
-    ),
-    "survival_k_paper": (
-        "k-step coefficient 1/4 disagrees with compounding the per-step "
-        "decline a^2 delta^2 dt^2 / 2, which gives k/2"
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -54,48 +45,6 @@ class SeriesPrediction:
     def __post_init__(self):
         if self.stated_error_order not in (2, 3, 4):
             raise ValidationError(f"stated_error_order must be 2, 3, or 4, got {self.stated_error_order!r}")
-
-
-@dataclass(frozen=True)
-class Expression:
-    """Checklist entry tying one literal series expression to its implementation."""
-
-    name: str
-    summary: str
-    implemented_by: str
-    stated_error_order: int
-    suspect: str | None = None
-
-
-# One entry per literal second-order expression; coverage tests enumerate this.
-EXPRESSIONS: tuple[Expression, ...] = (
-    Expression("baseline_paper_convention",
-               "initial cost b^2 delta^2 / 4 from the closed Helstrom form at xi = 1/2",
-               "zenodisc.series.baseline_paper_convention", 4),
-    Expression("one_step_state",
-               "evolved candidate state after one dt, truncated at delta^2",
-               "zenodisc.series.one_step_state", 3),
-    Expression("one_step_survival",
-               "single-step null-outcome probability 1 - a^2 delta^2 dt^2 / 2",
-               "zenodisc.series.one_step_survival", 3),
-    Expression("k_step_state",
-               "null-branch state after k iterations, with compound renormalization prefactor",
-               "zenodisc.series.k_step_state", 3),
-    Expression("survival_k_paper",
-               "k-step cumulative survival 1 - a^2 k delta^2 dt^2 / 4",
-               "zenodisc.series.survival_k_paper", 3,
-               suspect=SUSPECT_FLAGS["survival_k_paper"]),
-    Expression("overlap_k_paper",
-               "k-step overlap (1 + a^2 k delta^2 dt^2 / 4)(b^2 delta^2 - 2 a^2 k^2 dt delta^2)",
-               "zenodisc.series.overlap_k_paper", 3,
-               suspect=SUSPECT_FLAGS["overlap_k_paper"]),
-    Expression("total_cost_paper_mode",
-               "idealized total cost k a^2 dt^2 delta^2 / 4",
-               "zenodisc.protocol.total_cost_paper_mode", 3),
-    Expression("original_cost",
-               "single-shot cost a^2 k^2 dt^2 delta^2 under the cancellation condition",
-               "zenodisc.series.original_cost", 4),
-)
 
 
 def one_step_state(params: ProtocolParams, hypothesis: int) -> np.ndarray:
@@ -142,7 +91,7 @@ def one_step_survival(params: ProtocolParams) -> float:
 def survival_k_paper(params: ProtocolParams) -> float:
     """k-step cumulative survival in its literal form 1 - a^2 k delta^2 dt^2 / 4.
 
-    Flagged: see SUSPECT_FLAGS["survival_k_paper"].
+    Flagged: see its entry in EXPRESSIONS.
     """
     return 1.0 - 0.25 * params.a**2 * params.k * params.delta**2 * params.dt**2
 
@@ -152,7 +101,7 @@ def overlap_k_paper(params: ProtocolParams) -> float:
 
     Evaluates (1 + a^2 k delta^2 dt^2 / 4)(b^2 delta^2 - 2 a^2 k^2 dt delta^2)
     with the literal single power of dt in the second term.
-    Flagged: see SUSPECT_FLAGS["overlap_k_paper"].
+    Flagged: see its entry in EXPRESSIONS.
     """
     a, b, d, dt, k = params.a, params.b, params.delta, params.dt, params.k
     return (1.0 + 0.25 * a**2 * k * d**2 * dt**2) * (b**2 * d**2 - 2.0 * a**2 * k**2 * dt * d**2)
@@ -179,27 +128,6 @@ def original_cost(params: ProtocolParams) -> float:
             f"original_cost requires 2*k*a*dt = b; residual {gap!r} exceeds tolerance"
         )
     return params.a**2 * params.k**2 * params.dt**2 * params.delta**2
-
-
-_SCALAR_PREDICTIONS = {
-    "baseline_paper_convention": (baseline_paper_convention, 4),
-    "one_step_survival": (one_step_survival, 3),
-    "survival_k_paper": (survival_k_paper, 3),
-    "overlap_k_paper": (overlap_k_paper, 3),
-    "total_cost_paper_mode": (protocol.total_cost_paper_mode, 3),
-    "original_cost": (original_cost, 4),
-}
-
-
-def predict(name: str, params: ProtocolParams) -> SeriesPrediction:
-    """Evaluate one scalar checklist expression as a SeriesPrediction."""
-    try:
-        fn, order = _SCALAR_PREDICTIONS[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown scalar series quantity {name!r}; options: {sorted(_SCALAR_PREDICTIONS)}"
-        ) from None
-    return SeriesPrediction(name=name, value=float(fn(params)), stated_error_order=order)
 
 
 @dataclass(frozen=True)
@@ -257,70 +185,148 @@ def _exact_first_click(params: ProtocolParams) -> float:
     return click
 
 
-def _residual_click_prob(params: ProtocolParams) -> float:
+# Residuals |exact - series| read off one walk (the one-step ones need only its params).
+
+def _residual_click_prob(report: ProtocolReport) -> float:
+    params = report.params
     series_val = 0.5 * params.a**2 * params.delta**2 * params.dt**2
     return abs(_exact_first_click(params) - series_val)
 
 
-def _residual_one_step_state(params: ProtocolParams) -> float:
+def _residual_one_step_state(report: ProtocolReport) -> float:
+    params = report.params
     spec = HamiltonianSpec(params.e0, params.e1, params.delta)
     s0, _ = protocol.initial_states(params)
     exact = qcore.evolve(spec, params.dt, s0).amplitudes
     return _magnitude_gap(exact, one_step_state(params, 0))
 
 
-def _residual_k_step_state(params: ProtocolParams) -> float:
-    report = protocol.run(params)
+def _residual_k_step_state(report: ProtocolReport) -> float:
     exact = report.survived_pair[0].amplitudes
-    return _magnitude_gap(exact, k_step_state(params, 0))
+    return _magnitude_gap(exact, k_step_state(report.params, 0))
 
 
-def _residual_survival_step(params: ProtocolParams) -> float:
-    return abs((1.0 - _exact_first_click(params)) - one_step_survival(params))
+def _residual_survival_step(report: ProtocolReport) -> float:
+    return abs((1.0 - _exact_first_click(report.params)) - one_step_survival(report.params))
 
 
-def _residual_survival_k(params: ProtocolParams) -> float:
-    report = protocol.run(params)
+def _residual_survival_k(report: ProtocolReport) -> float:
     exact = report.survival_trajectory[-1][0]
-    return abs(exact - survival_k_paper(params))
+    return abs(exact - survival_k_paper(report.params))
 
 
-def _residual_overlap_vs_series(params: ProtocolParams) -> float:
-    report = protocol.run(params)
-    return abs(report.final_overlap - abs(overlap_k_paper(params)))
+def _residual_overlap_vs_series(report: ProtocolReport) -> float:
+    return abs(report.final_overlap - abs(overlap_k_paper(report.params)))
 
 
-def _residual_final_overlap(params: ProtocolParams) -> float:
+def _residual_final_overlap(report: ProtocolReport) -> float:
     # Deviation from the claimed exact cancellation to zero.
-    return protocol.run(params).final_overlap
+    return report.final_overlap
 
 
-def _residual_baseline(params: ProtocolParams) -> float:
+def _residual_baseline(report: ProtocolReport) -> float:
+    params = report.params
     quadratic = 0.25 * (params.b * params.delta) ** 2
     return abs(baseline_paper_convention(params) - quadratic)
 
 
-SCALING_QUANTITIES = {
-    "click_prob": _residual_click_prob,
-    "one_step_state": _residual_one_step_state,
-    "k_step_state": _residual_k_step_state,
-    "survival_step": _residual_survival_step,
-    "survival_k": _residual_survival_k,
-    "overlap_vs_series": _residual_overlap_vs_series,
-    "final_overlap": _residual_final_overlap,
-    "baseline": _residual_baseline,
-}
+@dataclass(frozen=True)
+class Expression:
+    """One literal series expression with its doubt, if any, and the scaling
+    quantities whose series side it is (name -> residual read off a walk).
+    The state forms are not scalar: they take a hypothesis and return a vector.
+    """
+
+    name: str
+    summary: str
+    evaluate: Callable
+    stated_error_order: int
+    scalar: bool = True
+    suspect: str | None = None
+    residuals: dict[str, Callable[[ProtocolReport], float]] = field(default_factory=dict)
+
+    @property
+    def implemented_by(self) -> str:
+        return f"{self.evaluate.__module__}.{self.evaluate.__name__}"
+
+
+# The one table of series expressions; coverage tests enumerate it.
+EXPRESSIONS: tuple[Expression, ...] = (
+    Expression("baseline_paper_convention",
+               "initial cost b^2 delta^2 / 4 from the closed Helstrom form at xi = 1/2",
+               baseline_paper_convention, 4,
+               residuals={"baseline": _residual_baseline}),
+    Expression("one_step_state",
+               "evolved candidate state after one dt, truncated at delta^2",
+               one_step_state, 3, scalar=False,
+               residuals={"one_step_state": _residual_one_step_state}),
+    Expression("one_step_survival",
+               "single-step null-outcome probability 1 - a^2 delta^2 dt^2 / 2",
+               one_step_survival, 3,
+               residuals={"click_prob": _residual_click_prob,
+                          "survival_step": _residual_survival_step}),
+    Expression("k_step_state",
+               "null-branch state after k iterations, with compound renormalization prefactor",
+               k_step_state, 3, scalar=False,
+               residuals={"k_step_state": _residual_k_step_state}),
+    Expression("survival_k_paper",
+               "k-step cumulative survival 1 - a^2 k delta^2 dt^2 / 4",
+               survival_k_paper, 3,
+               suspect=("k-step coefficient 1/4 disagrees with compounding the per-step "
+                        "decline a^2 delta^2 dt^2 / 2, which gives k/2"),
+               residuals={"survival_k": _residual_survival_k}),
+    Expression("overlap_k_paper",
+               "k-step overlap (1 + a^2 k delta^2 dt^2 / 4)(b^2 delta^2 - 2 a^2 k^2 dt delta^2)",
+               overlap_k_paper, 3,
+               suspect=("second term carries a single power of dt where dimensional "
+                        "consistency requires dt**2"),
+               residuals={"overlap_vs_series": _residual_overlap_vs_series,
+                          "final_overlap": _residual_final_overlap}),
+    Expression("total_cost_paper_mode",
+               "idealized total cost k a^2 dt^2 delta^2 / 4",
+               protocol.total_cost_paper_mode, 3),
+    Expression("original_cost",
+               "single-shot cost a^2 k^2 dt^2 delta^2 under the cancellation condition",
+               original_cost, 4),
+)
+
+# Views of the table: the flagged expressions' doubts, and each scaling
+# quantity's expression.
+SUSPECT_FLAGS = {e.name: e.suspect for e in EXPRESSIONS if e.suspect}
+SCALING_QUANTITIES = {q: e for e in EXPRESSIONS for q in e.residuals}
+
+
+def predict(name: str, params: ProtocolParams) -> SeriesPrediction:
+    """Evaluate one scalar checklist expression as a SeriesPrediction."""
+    scalars = {e.name: e for e in EXPRESSIONS if e.scalar}
+    if name not in scalars:
+        raise ValidationError(f"unknown scalar series quantity {name!r}; options: {sorted(scalars)}")
+    entry = scalars[name]
+    return SeriesPrediction(name=name, value=float(entry.evaluate(params)),
+                            stated_error_order=entry.stated_error_order)
+
+
+def _tested_expression(quantity: str) -> Expression:
+    if quantity not in SCALING_QUANTITIES:
+        raise ValidationError(
+            f"unknown scaling quantity {quantity!r}; options: {sorted(SCALING_QUANTITIES)}")
+    return SCALING_QUANTITIES[quantity]
+
+
+def quantity_flag(quantity: str) -> str:
+    """The name of the expression a quantity tests when that one is flagged, else ''."""
+    entry = _tested_expression(quantity)
+    return entry.name if entry.suspect else ""
+
+
+def report_residual(quantity: str, report: ProtocolReport) -> float:
+    """|exact - series| for one named quantity, read off the walk ``report``."""
+    return _tested_expression(quantity).residuals[quantity](report)
 
 
 def scaling_residual(quantity: str, params: ProtocolParams) -> float:
     """|exact - series| for one named quantity at one parameter point."""
-    try:
-        fn = SCALING_QUANTITIES[quantity]
-    except KeyError:
-        raise ValidationError(
-            f"unknown scaling quantity {quantity!r}; options: {sorted(SCALING_QUANTITIES)}"
-        ) from None
-    return fn(params)
+    return _tested_expression(quantity).residuals[quantity](protocol.run(params))
 
 
 def fit_scaling(quantity: str, deltas, template: ProtocolParams,

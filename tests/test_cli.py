@@ -1,5 +1,7 @@
 import math
+import runpy
 import types
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,22 @@ k=1,5,20
 xi=0.5
 mode=both
 """
+
+# The headline study's sweep and scaling configs.
+ADJUDICATE = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "adjudicate.py"))
+
+
+def _count_walks(monkeypatch) -> list:
+    """Record the params of every protocol.run call, whoever makes it."""
+    walked = []
+    run = protocol.run
+
+    def counting_run(params, initial_pair=None):
+        walked.append(params)
+        return run(params, initial_pair)
+
+    monkeypatch.setattr(protocol, "run", counting_run)
+    return walked
 
 
 # ---------------------------------------------------------------- parsing
@@ -97,6 +115,32 @@ def test_run_sweep_is_deterministic_and_sorted():
     assert keys == sorted(keys)
 
 
+def test_run_sweep_walks_each_point_once(monkeypatch):
+    # 6 sweep points plus the 3 exponent-grid points at delta = 10^-2.5; both
+    # ledgers are priced from one walk and the exponent fits reuse the sweep's
+    # walks at delta = 1e-2 and 1e-3.
+    walked = _count_walks(monkeypatch)
+    rows = run_sweep(parse_config(ADJUDICATE["FIXTURE"]))
+    monkeypatch.undo()
+    assert len(rows) == 12 and not any(r.error for r in rows)
+    assert len(walked) == len(set(walked)) <= 12
+
+
+def test_scaling_study_walks_each_delta_once(monkeypatch):
+    # 3 templates (k = 1, 5, 20) times 3 deltas, every quantity read off the
+    # same walk.
+    walked = _count_walks(monkeypatch)
+    fits = cli.scaling_study(parse_config(ADJUDICATE["SCALING"]), "all")
+    monkeypatch.undo()
+    assert len(fits) == 3 * len(cli.series.SCALING_QUANTITIES)
+    assert len(walked) == len(set(walked)) == 9
+
+
+def test_scaling_study_rejects_unknown_quantity():
+    with pytest.raises(ValidationError, match="unknown scaling quantity"):
+        cli.scaling_study(parse_config(ADJUDICATE["SCALING"]), "nonsense")
+
+
 def test_run_sweep_fixture_paper_total_matches_reduction_identity():
     cfg = parse_config(FIXTURE)
     rows = run_sweep(cfg)
@@ -171,7 +215,8 @@ def test_optimize_refines_dt_on_a_bracket(monkeypatch):
         walked.append((params.k, params.dt))
         return protocol.run(params, initial_pair)
 
-    monkeypatch.setattr(cli, "protocol", types.SimpleNamespace(run=counting_run))
+    monkeypatch.setattr(cli, "protocol", types.SimpleNamespace(
+        run=counting_run, price=protocol.price, rescale_delta=protocol.rescale_delta))
     params, row = cli.optimize(cfg, Mode.PAPER)
     monkeypatch.undo()
     assert len(walked) == len(set(walked))  # each (k, dt) walked once

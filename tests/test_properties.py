@@ -1,0 +1,86 @@
+"""Property tests of the branch walk over random valid parameters (k <= 200).
+
+Each property must hold on the whole valid domain, not only the fixture:
+pricing one walk under the other ledger is a run under that ledger, the
+exact ledger never beats the Helstrom floor, the paper total is half the
+click mass, the leaf masses sum to one, and relabelling the hypotheses at
+an even prior leaves the total unchanged. Rounding bounds count one
+rounding per leaf: (k + 1) eps, or 2 (k + 1) eps where two sums meet.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zenodisc import protocol
+from zenodisc.protocol import Mode, ProtocolParams
+
+EPS = 2.0 ** -52
+# Slack of the Helstrom floor: relative for the rounding of the summed total,
+# plus EPS absolute because helstrom_cost evaluates (1 - sqrt(1 - x)) / 2,
+# which cancels to about EPS absolute when x = 4 xi (1 - xi) T is tiny.
+FLOOR_REL = 1e-12
+
+
+@st.composite
+def valid_params(draw, mode=st.sampled_from(Mode), prior=st.floats(0.0, 1.0)):
+    delta = draw(st.floats(1e-4, 0.2))
+    bd = draw(st.floats(0.0, 0.9))
+    return ProtocolParams.from_b(
+        bd / delta, delta, draw(st.integers(1, 200)), dt=draw(st.floats(0.05, 3.0)),
+        e0=draw(st.floats(-2.0, 3.0)), e1=draw(st.floats(-2.0, 3.0)),
+        prior=draw(prior), mode=draw(mode))
+
+
+def _other(mode: Mode) -> Mode:
+    return Mode.PAPER if mode is Mode.EXACT else Mode.EXACT
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_params())
+def test_pricing_a_walk_equals_running_that_ledger(p):
+    priced = protocol.price(protocol.run(p), _other(p.mode))
+    ran = protocol.run(dataclasses.replace(p, mode=_other(p.mode)))
+    for f in dataclasses.fields(ran):
+        if f.name == "survived_pair":
+            for got, want in zip(priced.survived_pair, ran.survived_pair):
+                assert np.array_equal(got.amplitudes, want.amplitudes)
+        else:
+            assert getattr(priced, f.name) == getattr(ran, f.name), f.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_params(mode=st.just(Mode.EXACT)))
+def test_exact_ledger_never_beats_the_helstrom_floor(p):
+    report = protocol.run(p)
+    assert report.total_cost >= report.baseline_exact * (1.0 - FLOOR_REL) - EPS
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_params(mode=st.just(Mode.PAPER)))
+def test_paper_total_is_half_the_click_mass(p):
+    report = protocol.run(p)
+    survived = report.leaves[-1].marginal
+    assert abs(report.total_cost - (1.0 - survived) / 2.0) <= (p.k + 1) * EPS
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_params())
+def test_leaf_masses_sum_to_one(p):
+    leaves = protocol.run(p).leaves
+    for mass in (math.fsum(leaf.marginal for leaf in leaves),
+                 math.fsum(leaf.p_given_h0 for leaf in leaves),
+                 math.fsum(leaf.p_given_h1 for leaf in leaves)):
+        assert abs(mass - 1.0) <= 2 * (p.k + 1) * EPS
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_params(prior=st.just(0.5)))
+def test_relabelling_the_hypotheses_keeps_the_total_at_an_even_prior(p):
+    s0, s1 = protocol.initial_states(p)
+    forward = protocol.run(p).total_cost
+    swapped = protocol.run(p, initial_pair=(s1, s0)).total_cost
+    assert abs(forward - swapped) <= (p.k + 1) * EPS

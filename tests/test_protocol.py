@@ -40,6 +40,17 @@ def test_params_validation():
         ProtocolParams(a=1.0, b=0.0, delta=0.0, dt=1.0, k=1, prior=1.5)
 
 
+def test_params_hash_and_compare_by_value():
+    p = ProtocolParams.from_b(10.0, 0.01, k=5, dt=1.0)
+    q = ProtocolParams.from_b(10.0, 0.01, k=5, dt=1.0)
+    assert p is not q and p.direction is not q.direction
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q}) == 1
+    assert p != dataclasses.replace(p, mode=Mode.PAPER)
+    probe = qcore.MeasurementDirection(np.array([1, 0, 0, 0, 0], dtype=np.complex128))
+    assert p != dataclasses.replace(p, direction=probe)
+
+
 def test_from_b_normalizes():
     p = ProtocolParams.from_b(10.0, 0.01, k=5, dt=1.0)
     assert p.a == pytest.approx(math.sqrt(0.99), abs=1e-15)

@@ -228,6 +228,10 @@ def test_fit_power_law_validation():
 def test_scaling_residual_rejects_unknown_quantity():
     with pytest.raises(ValidationError):
         series.scaling_residual("nonsense", params())
+    with pytest.raises(ValidationError):
+        series.report_residual("nonsense", protocol.run(params()))
+    with pytest.raises(ValidationError):
+        series.quantity_flag("nonsense")
 
 
 # ---------------------------------------------------------------- checklist
