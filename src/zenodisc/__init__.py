@@ -9,26 +9,19 @@ forms verbatim and adjudicates how the two cost ledgers relate to the
 Helstrom baselines.
 """
 
-from .helstrom import (
-    DiscriminationInstance,
-    guess_only_cost,
-    helstrom_cost,
-    helstrom_mixed,
-    helstrom_pure,
-    posterior_update,
-)
+from .helstrom import guess_only_cost, helstrom_cost
 from .protocol import (
     LeafRecord,
     Mode,
     ProtocolParams,
     ProtocolReport,
+    amplitudes,
     default_direction,
     initial_states,
     price,
     rescale_delta,
     run,
     solve_orthogonality,
-    step,
     total_cost_paper_mode,
 )
 from .qcore import (
@@ -39,7 +32,6 @@ from .qcore import (
     MeasurementOutcome,
     PureState,
     ValidationError,
-    density,
     evolve,
     inner_product,
     measure_binary,
@@ -50,7 +42,6 @@ from .series import (
     EXPRESSIONS,
     SUSPECT_FLAGS,
     ScalingFit,
-    SeriesPrediction,
     baseline_paper_convention,
     fit_power_law,
     fit_scaling,
@@ -59,27 +50,24 @@ from .series import (
     one_step_survival,
     original_cost,
     overlap_k_paper,
-    predict,
     quantity_flag,
     report_residual,
-    scaling_residual,
     survival_k_paper,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiscriminationInstance", "guess_only_cost", "helstrom_cost", "helstrom_mixed",
-    "helstrom_pure", "posterior_update",
-    "LeafRecord", "Mode", "ProtocolParams", "ProtocolReport", "default_direction",
-    "initial_states", "price", "rescale_delta", "run", "solve_orthogonality", "step",
+    "guess_only_cost", "helstrom_cost",
+    "LeafRecord", "Mode", "ProtocolParams", "ProtocolReport", "amplitudes", "default_direction",
+    "initial_states", "price", "rescale_delta", "run", "solve_orthogonality",
     "total_cost_paper_mode",
     "DegenerateBranchError", "DegenerateVectorError", "HamiltonianSpec",
     "MeasurementDirection", "MeasurementOutcome", "PureState", "ValidationError",
-    "density", "evolve", "inner_product", "measure_binary", "normalize", "propagator",
-    "EXPRESSIONS", "SUSPECT_FLAGS", "ScalingFit", "SeriesPrediction",
+    "evolve", "inner_product", "measure_binary", "normalize", "propagator",
+    "EXPRESSIONS", "SUSPECT_FLAGS", "ScalingFit",
     "baseline_paper_convention", "fit_power_law", "fit_scaling", "k_step_state",
     "one_step_state", "one_step_survival", "original_cost", "overlap_k_paper",
-    "predict", "quantity_flag", "report_residual", "scaling_residual", "survival_k_paper",
+    "quantity_flag", "report_residual", "survival_k_paper",
     "__version__",
 ]

@@ -264,7 +264,7 @@ def _overlap_exponent(params: ProtocolParams, auto_dt: bool,
         grid = [protocol.rescale_delta(params, d, auto_dt=auto_dt) for d in series.DEFAULT_DELTAS]
         for point in grid:
             if point not in overlaps:
-                overlaps[point] = series.scaling_residual("final_overlap", point)
+                overlaps[point] = protocol.run(point).final_overlap
         fit = series.fit_power_law(series.DEFAULT_DELTAS, [overlaps[point] for point in grid])
     except _POINT_ERRORS:
         return None
@@ -624,10 +624,7 @@ def _emit(text: str, out: str | None, suffix: str, quiet: bool) -> int:
 def _cmd_baseline(args) -> int:
     cfg = _config_from_args(args, need_dt_k=False)
     ab, delta, xi = _require_singletons(cfg, "baseline")
-    if cfg.a is not None:
-        b = math.sqrt(max(1.0 - ab * ab, 0.0)) / delta if delta > 0 else 0.0
-    else:
-        b = ab
+    _, b = protocol.amplitudes(delta, **{"a" if cfg.a is not None else "b": ab})
     lines = _baseline_lines(xi, b, delta, cfg.digits)
     return _emit("\n".join(lines) + "\n", cfg.out, ".txt", args.quiet)
 

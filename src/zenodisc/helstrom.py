@@ -4,40 +4,24 @@ Cost convention: a correct hypothesis choice costs 0, an incorrect one
 costs 1, so every expected cost lives in [0, 1/2] and can never beat
 min(prior, 1 - prior), the cost of guessing without looking.
 
+For a pure pair the Helstrom cost is a closed form of the prior and the
+transition probability T, which is all the protocol engine needs: it holds
+the overlap of every pair it prices. The general mixed-state route, the
+trace norm (1 - ||xi rho0 - (1 - xi) rho1||_1) / 2, is kept in the test
+suite's oracles as an independent cross-check of that closed form.
+
 Two transition-probability conventions appear in this package. The standard
-one, used here, squares the overlap: T = |<psi0|psi1>|^2. The alternative
-that feeds the squared-cosine slot with the overlap magnitude itself lives
-in :mod:`zenodisc.series` as ``baseline_paper_convention``; reports always
+one squares the overlap: T = |<psi0|psi1>|^2. The alternative that feeds the
+squared-cosine slot with the overlap magnitude itself lives in
+:mod:`zenodisc.series` as ``baseline_paper_convention``; reports always
 print both so the conventions are never silently merged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
-
-from .qcore import DegenerateBranchError, PureState, ValidationError, inner_product
-
-# PSD slack for density-matrix inputs; eigenvalues above -PSD_TOL are
-# treated as nonnegative roundoff.
-PSD_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class DiscriminationInstance:
-    """A hypothesis pair with the prior weight assigned to the first state."""
-
-    psi0: PureState
-    psi1: PureState
-    prior: float
-
-    def __post_init__(self):
-        if self.psi0.dim != self.psi1.dim:
-            raise ValidationError("hypothesis states must share a dimension")
-        if not (0.0 <= self.prior <= 1.0):
-            raise ValidationError(f"prior must lie in [0, 1], got {self.prior!r}")
+from .qcore import ValidationError
 
 
 def helstrom_cost(prior: float, transition_probability: float) -> float:
@@ -56,63 +40,8 @@ def helstrom_cost(prior: float, transition_probability: float) -> float:
     return 0.5 * (1.0 - math.sqrt(radicand))
 
 
-def helstrom_pure(instance: DiscriminationInstance) -> float:
-    """Helstrom cost of a pure-state pair, with T = |<psi0|psi1>|^2."""
-    overlap = inner_product(instance.psi0, instance.psi1)
-    return helstrom_cost(instance.prior, abs(overlap) ** 2)
-
-
-def _check_density(rho: np.ndarray, name: str) -> np.ndarray:
-    mat = np.asarray(rho, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValidationError(f"{name} must be a square matrix, got shape {mat.shape}")
-    if np.max(np.abs(mat - mat.conj().T)) > PSD_TOL:
-        raise ValidationError(f"{name} is not Hermitian within {PSD_TOL}")
-    if abs(np.trace(mat).real - 1.0) > PSD_TOL:
-        raise ValidationError(f"{name} must have unit trace")
-    eigs = np.linalg.eigvalsh(mat)
-    if eigs.min() < -PSD_TOL:
-        raise ValidationError(f"{name} has eigenvalue {eigs.min():.3e} below -{PSD_TOL}")
-    return mat
-
-
-def helstrom_mixed(rho0, rho1, prior: float) -> float:
-    """Helstrom cost for density matrices via the trace norm.
-
-    Returns (1 - || xi rho0 - (1 - xi) rho1 ||_1) / 2, where the trace norm
-    sums absolute eigenvalues. Inputs must be Hermitian, unit trace, and
-    positive semidefinite to within PSD_TOL; sub-tolerance negative
-    eigenvalues are accepted as roundoff.
-    """
-    if not (0.0 <= prior <= 1.0):
-        raise ValidationError(f"prior must lie in [0, 1], got {prior!r}")
-    m0 = _check_density(rho0, "rho0")
-    m1 = _check_density(rho1, "rho1")
-    if m0.shape != m1.shape:
-        raise ValidationError("density matrices must share a dimension")
-    gamma = prior * m0 - (1.0 - prior) * m1
-    trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(gamma))))
-    return 0.5 * (1.0 - trace_norm)
-
-
 def guess_only_cost(prior: float) -> float:
     """Bayes cost when no measurement information is available: min(xi, 1 - xi)."""
     if not (0.0 <= prior <= 1.0):
         raise ValidationError(f"prior must lie in [0, 1], got {prior!r}")
     return min(prior, 1.0 - prior)
-
-
-def posterior_update(prior: float, p_event_given_h0: float, p_event_given_h1: float) -> float:
-    """Bayes-rule posterior for hypothesis 0 after observing the event.
-
-    Raises DegenerateBranchError when the event has zero marginal
-    probability, in which case conditioning is meaningless.
-    """
-    for name, p in (("prior", prior), ("p_event_given_h0", p_event_given_h0),
-                    ("p_event_given_h1", p_event_given_h1)):
-        if not (0.0 <= p <= 1.0):
-            raise ValidationError(f"{name} must lie in [0, 1], got {p!r}")
-    marginal = prior * p_event_given_h0 + (1.0 - prior) * p_event_given_h1
-    if marginal <= 0.0:
-        raise DegenerateBranchError("event has zero marginal probability")
-    return prior * p_event_given_h0 / marginal

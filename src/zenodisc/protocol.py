@@ -31,20 +31,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import qcore
-from .helstrom import (
-    DiscriminationInstance,
-    guess_only_cost,
-    helstrom_cost,
-    helstrom_pure,
-    posterior_update,
-)
-from .qcore import (
-    DegenerateBranchError,
-    HamiltonianSpec,
-    MeasurementDirection,
-    PureState,
-    ValidationError,
-)
+from .helstrom import guess_only_cost, helstrom_cost
+from .qcore import HamiltonianSpec, MeasurementDirection, PureState, ValidationError
 
 # Candidate-state normalization a^2 + (b delta)^2 = 1 is enforced to this
 # tolerance; construction helpers hit it to machine precision anyway.
@@ -58,10 +46,8 @@ class Mode(enum.Enum):
     PAPER = "paper"
 
 
-def default_direction(dim: int = 5) -> MeasurementDirection:
+def default_direction() -> MeasurementDirection:
     """The fixed transverse probe direction (0,1,1,0,0)/sqrt(2)."""
-    if dim != 5:
-        raise ValidationError("the probe direction is defined on dimension 5")
     vec = np.zeros(5, dtype=np.complex128)
     vec[1] = vec[2] = 1.0 / math.sqrt(2.0)
     return MeasurementDirection(vec)
@@ -118,10 +104,7 @@ class ProtocolParams:
 
         dt=None solves 2*k*a*dt = b via :func:`solve_orthogonality`.
         """
-        bd = b * delta
-        if not abs(bd) <= 1.0:
-            raise ValidationError(f"|b*delta| = {abs(bd)!r} exceeds 1; no valid amplitude a")
-        a = math.sqrt(max(1.0 - bd * bd, 0.0))
+        a, b = amplitudes(delta, b=b)
         if dt is None:
             dt = solve_orthogonality(a, b, k)
         return cls(a=a, b=b, delta=delta, dt=float(dt), k=k, **kwargs)
@@ -129,17 +112,27 @@ class ProtocolParams:
     @classmethod
     def from_a(cls, a: float, delta: float, k: int, dt: float | None = None, **kwargs) -> "ProtocolParams":
         """Build params from (a, delta), deriving b = sqrt(1 - a^2)/delta."""
-        if not (0.0 <= a <= 1.0):
-            raise ValidationError(f"a must lie in [0, 1], got {a!r}")
-        if delta > 0.0:
-            b = math.sqrt(max(1.0 - a * a, 0.0)) / delta
-        elif a == 1.0:
-            b = 0.0
-        else:
-            raise ValidationError("delta = 0 requires a = 1")
+        a, b = amplitudes(delta, a=a)
         if dt is None:
             dt = solve_orthogonality(a, b, k)
         return cls(a=a, b=b, delta=delta, dt=float(dt), k=k, **kwargs)
+
+
+def amplitudes(delta: float, a: float | None = None, b: float | None = None
+               ) -> tuple[float, float]:
+    """The pair (a, b) with a^2 + (b*delta)^2 = 1, derived from b when given, else from a."""
+    if b is not None:
+        bd = b * delta
+        if not abs(bd) <= 1.0:
+            raise ValidationError(f"|b*delta| = {abs(bd)!r} exceeds 1; no valid amplitude a")
+        return math.sqrt(max(1.0 - bd * bd, 0.0)), b
+    if not (0.0 <= a <= 1.0):
+        raise ValidationError(f"a must lie in [0, 1], got {a!r}")
+    if delta > 0.0:
+        return a, math.sqrt(max(1.0 - a * a, 0.0)) / delta
+    if a == 1.0:
+        return a, 0.0
+    raise ValidationError("delta = 0 requires a = 1")
 
 
 def rescale_delta(params: ProtocolParams, delta: float, auto_dt: bool = False) -> ProtocolParams:
@@ -156,7 +149,7 @@ def rescale_delta(params: ProtocolParams, delta: float, auto_dt: bool = False) -
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeafRecord:
     """One terminal branch of the outcome tree.
 
@@ -228,17 +221,6 @@ def solve_orthogonality(a: float, b: float, k: int) -> float:
     return b / (2.0 * k * a)
 
 
-def step(spec: HamiltonianSpec, m: MeasurementDirection, dt: float, psi: PureState
-         ) -> tuple[PureState, float, float]:
-    """Evolve ``psi`` for dt, then measure along ``m``.
-
-    Returns (renormalized null-outcome state, survive_prob, click_prob).
-    """
-    evolved = qcore.evolve(spec, dt, psi)
-    outcome = qcore.measure_binary(m, evolved)
-    return outcome.post_survive_state, outcome.survive_prob, outcome.click_prob
-
-
 def total_cost_paper_mode(params: ProtocolParams) -> float:
     """Closed-form idealized total cost k a^2 dt^2 delta^2 / 4.
 
@@ -252,11 +234,8 @@ def total_cost_paper_mode(params: ProtocolParams) -> float:
 def _branch(prior: float, p0: float, p1: float) -> tuple[float, float, float, float]:
     """(p_given_h0, p_given_h1, marginal, posterior) of one leaf; the posterior
     falls back to the prior on a zero-probability leaf."""
-    try:
-        post = posterior_update(prior, min(p0, 1.0), min(p1, 1.0))
-    except DegenerateBranchError:
-        post = prior
-    return p0, p1, prior * p0 + (1.0 - prior) * p1, post
+    marginal = prior * p0 + (1.0 - prior) * p1
+    return p0, p1, marginal, prior * p0 / marginal if marginal > 0.0 else prior
 
 
 def run(params: ProtocolParams,
@@ -288,8 +267,8 @@ def run(params: ProtocolParams,
             raise ValidationError("initial states must have dimension 5")
     prior = params.prior
 
-    baseline_exact = helstrom_pure(DiscriminationInstance(s0, s1, prior))
     initial_overlap = abs(qcore.inner_product(s0, s1))
+    baseline_exact = helstrom_cost(prior, initial_overlap**2)
     baseline_paper = helstrom_cost(prior, initial_overlap)
 
     u = qcore.propagator(spec, params.dt)
@@ -329,16 +308,15 @@ def run(params: ProtocolParams,
             break
 
     branches.append(_branch(prior, *cum.tolist()))
-    survived_pair = (PureState(cols[:, 0].copy()), PureState(cols[:, 1].copy()))
     return ProtocolReport(
         params=params,
-        survived_pair=survived_pair,
+        survived_pair=(PureState(cols[:, 0].copy()), PureState(cols[:, 1].copy())),
         baseline_exact=baseline_exact,
         baseline_paper=baseline_paper,
         paper_new_cost=total_cost_paper_mode(params),
         overlap_trajectory=tuple(overlap_traj),
         survival_trajectory=tuple(survival_traj),
-        **_charge(params.mode, branches, survived_pair, baseline_exact, baseline_paper),
+        **_charge(params.mode, branches, overlap_traj[-1], baseline_exact, baseline_paper),
     )
 
 
@@ -353,24 +331,24 @@ def price(report: ProtocolReport, mode: Mode) -> ProtocolReport:
     branches = [(leaf.p_given_h0, leaf.p_given_h1, leaf.marginal, leaf.posterior)
                 for leaf in report.leaves]
     return replace(report, params=replace(report.params, mode=mode),
-                   **_charge(mode, branches, report.survived_pair,
+                   **_charge(mode, branches, report.final_overlap,
                              report.baseline_exact, report.baseline_paper))
 
 
 def _charge(mode: Mode, branches: list[tuple[float, float, float, float]],
-            survived_pair: tuple[PureState, PureState],
-            baseline_exact: float, baseline_paper: float) -> dict:
+            final_overlap: float, baseline_exact: float, baseline_paper: float) -> dict:
     """The ledger's fields of a report: the charged leaves, total and verdicts.
 
     branches holds (p_given_h0, p_given_h1, marginal, posterior) per leaf,
-    the clicks in step order and the survived leaf last.
+    the clicks in step order and the survived leaf last; final_overlap is
+    |<s0|s1>| of the survived pair.
     """
     *clicks, (_, _, _, survived_post) = branches
     if mode is Mode.PAPER:
         costs = [0.5] * len(clicks) + [0.0]
     else:
         costs = [guess_only_cost(post) for _, _, _, post in clicks]
-        costs.append(helstrom_pure(DiscriminationInstance(*survived_pair, survived_post)))
+        costs.append(helstrom_cost(survived_post, final_overlap**2))
     steps = [*range(1, len(clicks) + 1), None]
     leaves = tuple(
         LeafRecord("click" if step else "survived", step, *branch, cost)

@@ -187,11 +187,6 @@ def normalize(vector) -> PureState:
     return PureState(vec / nrm)
 
 
-def density(psi: PureState) -> np.ndarray:
-    """Rank-one density matrix |psi><psi| as a plain array."""
-    return np.outer(psi.amplitudes, psi.amplitudes.conj())
-
-
 def measure_binary(m: MeasurementDirection, psi: PureState) -> MeasurementOutcome:
     """Binary projective measurement of ``psi`` along ``m``, keeping both branches.
 

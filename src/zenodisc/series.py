@@ -10,8 +10,9 @@ imaginary units between components are kept.
 
 The delta-scaling fits measure |exact - series| on a small delta grid and
 report the log-log slope, which is the empirical truncation order. Every
-residual is read off one protocol walk, so one walk per grid point serves
-all quantities.
+residual is read off one protocol walk (the first click is its first leaf,
+the k-step state its survived pair), so one walk per grid point serves all
+quantities.
 """
 
 from __future__ import annotations
@@ -32,19 +33,6 @@ NOISE_FLOOR = 1e-14
 # Default grid spans one decade and stays above the noise floor even for
 # fourth-order quantities.
 DEFAULT_DELTAS = (1e-2, 10**-2.5, 1e-3)
-
-
-@dataclass(frozen=True)
-class SeriesPrediction:
-    """A named truncated-series value with its stated truncation order."""
-
-    name: str
-    value: float
-    stated_error_order: int
-
-    def __post_init__(self):
-        if self.stated_error_order not in (2, 3, 4):
-            raise ValidationError(f"stated_error_order must be 2, 3, or 4, got {self.stated_error_order!r}")
 
 
 def one_step_state(params: ProtocolParams, hypothesis: int) -> np.ndarray:
@@ -178,19 +166,13 @@ def _magnitude_gap(exact: np.ndarray, approx: np.ndarray) -> float:
     return float(np.max(np.abs(np.abs(exact) - np.abs(approx))))
 
 
-def _exact_first_click(params: ProtocolParams) -> float:
-    spec = HamiltonianSpec(params.e0, params.e1, params.delta)
-    s0, _ = protocol.initial_states(params)
-    _, _, click = protocol.step(spec, params.direction, params.dt, s0)
-    return click
-
-
-# Residuals |exact - series| read off one walk (the one-step ones need only its params).
+# Residuals |exact - series| read off one walk (the one-step state and the
+# baseline need only its params).
 
 def _residual_click_prob(report: ProtocolReport) -> float:
     params = report.params
     series_val = 0.5 * params.a**2 * params.delta**2 * params.dt**2
-    return abs(_exact_first_click(params) - series_val)
+    return abs(report.leaves[0].p_given_h0 - series_val)
 
 
 def _residual_one_step_state(report: ProtocolReport) -> float:
@@ -207,7 +189,7 @@ def _residual_k_step_state(report: ProtocolReport) -> float:
 
 
 def _residual_survival_step(report: ProtocolReport) -> float:
-    return abs((1.0 - _exact_first_click(report.params)) - one_step_survival(report.params))
+    return abs((1.0 - report.leaves[0].p_given_h0) - one_step_survival(report.params))
 
 
 def _residual_survival_k(report: ProtocolReport) -> float:
@@ -234,14 +216,12 @@ def _residual_baseline(report: ProtocolReport) -> float:
 class Expression:
     """One literal series expression with its doubt, if any, and the scaling
     quantities whose series side it is (name -> residual read off a walk).
-    The state forms are not scalar: they take a hypothesis and return a vector.
     """
 
     name: str
     summary: str
     evaluate: Callable
     stated_error_order: int
-    scalar: bool = True
     suspect: str | None = None
     residuals: dict[str, Callable[[ProtocolReport], float]] = field(default_factory=dict)
 
@@ -258,7 +238,7 @@ EXPRESSIONS: tuple[Expression, ...] = (
                residuals={"baseline": _residual_baseline}),
     Expression("one_step_state",
                "evolved candidate state after one dt, truncated at delta^2",
-               one_step_state, 3, scalar=False,
+               one_step_state, 3,
                residuals={"one_step_state": _residual_one_step_state}),
     Expression("one_step_survival",
                "single-step null-outcome probability 1 - a^2 delta^2 dt^2 / 2",
@@ -267,7 +247,7 @@ EXPRESSIONS: tuple[Expression, ...] = (
                           "survival_step": _residual_survival_step}),
     Expression("k_step_state",
                "null-branch state after k iterations, with compound renormalization prefactor",
-               k_step_state, 3, scalar=False,
+               k_step_state, 3,
                residuals={"k_step_state": _residual_k_step_state}),
     Expression("survival_k_paper",
                "k-step cumulative survival 1 - a^2 k delta^2 dt^2 / 4",
@@ -296,16 +276,6 @@ SUSPECT_FLAGS = {e.name: e.suspect for e in EXPRESSIONS if e.suspect}
 SCALING_QUANTITIES = {q: e for e in EXPRESSIONS for q in e.residuals}
 
 
-def predict(name: str, params: ProtocolParams) -> SeriesPrediction:
-    """Evaluate one scalar checklist expression as a SeriesPrediction."""
-    scalars = {e.name: e for e in EXPRESSIONS if e.scalar}
-    if name not in scalars:
-        raise ValidationError(f"unknown scalar series quantity {name!r}; options: {sorted(scalars)}")
-    entry = scalars[name]
-    return SeriesPrediction(name=name, value=float(entry.evaluate(params)),
-                            stated_error_order=entry.stated_error_order)
-
-
 def _tested_expression(quantity: str) -> Expression:
     if quantity not in SCALING_QUANTITIES:
         raise ValidationError(
@@ -324,11 +294,6 @@ def report_residual(quantity: str, report: ProtocolReport) -> float:
     return _tested_expression(quantity).residuals[quantity](report)
 
 
-def scaling_residual(quantity: str, params: ProtocolParams) -> float:
-    """|exact - series| for one named quantity at one parameter point."""
-    return _tested_expression(quantity).residuals[quantity](protocol.run(params))
-
-
 def fit_scaling(quantity: str, deltas, template: ProtocolParams,
                 auto_dt: bool = False) -> ScalingFit:
     """Empirical truncation order of one quantity over a delta grid.
@@ -337,6 +302,7 @@ def fit_scaling(quantity: str, deltas, template: ProtocolParams,
     fixed (a is re-derived from normalization); auto_dt re-solves the
     cancellation spacing at every grid point, otherwise dt is held fixed.
     """
-    residuals = [scaling_residual(quantity, rescale_delta(template, d, auto_dt=auto_dt))
+    _tested_expression(quantity)  # rejects an unknown name before any walk
+    residuals = [report_residual(quantity, protocol.run(rescale_delta(template, d, auto_dt=auto_dt)))
                  for d in deltas]
     return fit_power_law(deltas, residuals)

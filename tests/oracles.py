@@ -2,9 +2,10 @@
 
 Nothing here imports the package under test. Evolution goes through a dense
 Pade matrix exponential, the protocol walk is a plain Python reimplementation
-with its own Bayes bookkeeping, and the Helstrom form is written out inline,
-so agreement with the package is a genuine cross-check rather than the same
-code evaluated twice.
+with its own Bayes bookkeeping, the Helstrom form is written out inline, and
+the mixed-state Helstrom cost goes through the trace norm, so agreement with
+the package is a genuine cross-check rather than the same code evaluated
+twice.
 """
 
 from __future__ import annotations
@@ -40,6 +41,22 @@ def first_click_closed_form(a: float, delta: float, dt: float) -> float:
 
 def helstrom_inline(prior: float, transition: float) -> float:
     return 0.5 * (1.0 - math.sqrt(max(1.0 - 4.0 * prior * (1.0 - prior) * transition, 0.0)))
+
+
+def density(vec) -> np.ndarray:
+    """Rank-one density matrix |v><v| of an amplitude vector."""
+    vec = np.asarray(vec, dtype=np.complex128)
+    return np.outer(vec, vec.conj())
+
+
+def helstrom_trace_norm(rho0, rho1, prior: float) -> float:
+    """Helstrom cost of two density matrices, (1 - ||xi rho0 - (1 - xi) rho1||_1) / 2.
+
+    The trace norm sums the absolute eigenvalues of the Hermitian difference.
+    Inputs are not validated.
+    """
+    gamma = prior * np.asarray(rho0) - (1.0 - prior) * np.asarray(rho1)
+    return 0.5 * (1.0 - float(np.sum(np.abs(np.linalg.eigvalsh(gamma)))))
 
 
 def naive_run(b: float, delta: float, k: int, dt: float,

@@ -10,10 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from zenodisc import cli, helstrom, protocol, qcore, series
-from zenodisc.helstrom import DiscriminationInstance
+from zenodisc import cli, helstrom, protocol, series
 from zenodisc.protocol import ProtocolParams
-from zenodisc.qcore import PureState
 
 import oracles
 
@@ -84,9 +82,7 @@ def test_criterion_3_exact_click_probability():
     worst = 0.0
     for _ in range(100):
         p = random_params(rng)
-        spec = qcore.HamiltonianSpec(p.e0, p.e1, p.delta)
-        s0, _ = protocol.initial_states(p)
-        _, _, click = protocol.step(spec, p.direction, p.dt, s0)
+        click = protocol.run(p).leaves[0].p_given_h0  # the walk's first click
         worst = max(worst, abs(click - oracles.first_click_closed_form(p.a, p.delta, p.dt)))
     fit = series.fit_scaling("click_prob", DELTA_GRID,
                              ProtocolParams.from_b(10.0, 0.01, 1, dt=1.0))
@@ -156,11 +152,11 @@ def test_criterion_8_mixed_vs_pure_cross_formula():
     rng = np.random.default_rng(3003)
     worst = 0.0
     for _ in range(1000):
-        psi0 = PureState(oracles.random_pure_state(rng))
-        psi1 = PureState(oracles.random_pure_state(rng))
+        psi0 = oracles.random_pure_state(rng)
+        psi1 = oracles.random_pure_state(rng)
         prior = rng.uniform()
-        gap = abs(helstrom.helstrom_mixed(qcore.density(psi0), qcore.density(psi1), prior)
-                  - helstrom.helstrom_pure(DiscriminationInstance(psi0, psi1, prior)))
+        gap = abs(oracles.helstrom_trace_norm(oracles.density(psi0), oracles.density(psi1), prior)
+                  - helstrom.helstrom_cost(prior, abs(np.vdot(psi0, psi1)) ** 2))
         worst = max(worst, gap)
     _criterion(8, "trace-norm and closed-form Helstrom costs agree on 1000 pure pairs",
                worst <= 1e-12, f"worst gap {worst:.3e}")

@@ -207,20 +207,19 @@ def test_optimize_refines_dt_on_a_bracket(monkeypatch):
     # Idealized cost grows with both k and dt here, so the smallest corner
     # of the search region is optimal and golden refinement must not lose it.
     cfg = parse_config("b=10\ndelta=0.001\ndt=0.2,5.0\nk=1,2\nxi=0.5\nmode=paper")
-    # Count the walks optimize makes itself; the overlap-exponent fit walks
-    # its own delta grid through series.
+    # Count every walk optimize makes, its overlap-exponent grid included.
     walked = []
 
     def counting_run(params, initial_pair=None):
-        walked.append((params.k, params.dt))
+        walked.append(params)
         return protocol.run(params, initial_pair)
 
     monkeypatch.setattr(cli, "protocol", types.SimpleNamespace(
         run=counting_run, price=protocol.price, rescale_delta=protocol.rescale_delta))
     params, row = cli.optimize(cfg, Mode.PAPER)
     monkeypatch.undo()
-    assert len(walked) == len(set(walked))  # each (k, dt) walked once
-    assert (params.k, params.dt) in walked
+    assert len(walked) == len(set(walked))  # each point walked once
+    assert params in walked
     assert params.k == 1
     assert params.dt == pytest.approx(0.2, abs=1e-6)
     grid_costs = [protocol.run(cli._point_params(cfg, 10.0, 0.001, dt, k, 0.5, Mode.PAPER)).total_cost
@@ -297,6 +296,12 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(cfg_path)]) == 1
     assert "xi=1.5" in capsys.readouterr().err
     assert cli.main(["baseline", "--delta", "0.01"]) == 1  # neither a nor b
+    capsys.readouterr()
+    # baseline derives (a, b) as run does, so it rejects the pairs run rejects.
+    assert cli.main(["baseline", "--a", "0.5", "--delta", "0"]) == 1
+    assert "delta = 0 requires a = 1" in capsys.readouterr().err
+    assert cli.main(["baseline", "--b", "200", "--delta", "0.01"]) == 1
+    assert "|b*delta| = 2.0 exceeds 1" in capsys.readouterr().err
     assert cli.main(["nonsense"]) == 1
 
 

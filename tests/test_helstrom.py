@@ -1,41 +1,31 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenodisc import helstrom, qcore
-from zenodisc.helstrom import DiscriminationInstance
-from zenodisc.qcore import DegenerateBranchError, PureState, ValidationError
+from zenodisc import helstrom
+from zenodisc.qcore import ValidationError
 
 import oracles
 
 RNG = np.random.default_rng(31415)
 
 
-def instance(overlap_mag: float, prior: float = 0.5) -> DiscriminationInstance:
-    # Two real unit vectors in the (e1, e2) plane with <psi0|psi1> = overlap_mag.
-    psi0 = PureState(np.array([1, 0, 0, 0, 0], dtype=np.complex128))
-    psi1 = PureState(np.array(
-        [overlap_mag, math.sqrt(1 - overlap_mag**2), 0, 0, 0], dtype=np.complex128))
-    return DiscriminationInstance(psi0, psi1, prior)
-
-
 # ------------------------------------------------------------ pure states
+# A pure pair with overlap magnitude c has transition probability T = c^2.
 
 def test_helstrom_pure_orthogonal_is_free():
     for prior in (0.0, 0.3, 0.5, 1.0):
-        assert helstrom.helstrom_pure(instance(0.0, prior)) == 0.0
+        assert helstrom.helstrom_cost(prior, 0.0) == 0.0
 
 
 def test_helstrom_pure_identical_states_cost_half():
-    assert helstrom.helstrom_pure(instance(1.0, 0.5)) == pytest.approx(0.5, abs=1e-15)
+    assert helstrom.helstrom_cost(0.5, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_helstrom_pure_three_four_five():
     # overlap 0.6 at even prior: (1 - sqrt(1 - 0.36)) / 2 = 0.1
-    assert helstrom.helstrom_pure(instance(0.6, 0.5)) == pytest.approx(0.1, abs=1e-14)
+    assert helstrom.helstrom_cost(0.5, 0.6**2) == pytest.approx(0.1, abs=1e-14)
 
 
 def test_helstrom_cost_validates_inputs():
@@ -67,64 +57,32 @@ def test_helstrom_cost_free_at_certain_prior():
 
 
 # ------------------------------------------------------------ mixed states
+# The trace-norm route is an oracle; these examples check it on its own.
 
 def test_helstrom_mixed_identical_inputs():
     rho = np.diag([0.5, 0.5, 0, 0, 0]).astype(np.complex128)
     for prior in (0.2, 0.5, 0.9):
-        assert helstrom.helstrom_mixed(rho, rho, prior) == pytest.approx(
+        assert oracles.helstrom_trace_norm(rho, rho, prior) == pytest.approx(
             min(prior, 1 - prior), abs=1e-12)
 
 
 def test_helstrom_mixed_orthogonal_pure():
     rho0 = np.diag([1, 0, 0, 0, 0]).astype(np.complex128)
     rho1 = np.diag([0, 1, 0, 0, 0]).astype(np.complex128)
-    assert helstrom.helstrom_mixed(rho0, rho1, 0.3) == pytest.approx(0.0, abs=1e-14)
+    assert oracles.helstrom_trace_norm(rho0, rho1, 0.3) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_helstrom_mixed_agrees_with_pure_formula():
     # Cross-formula oracle: trace-norm route vs closed form on 1000 pairs.
     worst = 0.0
     for _ in range(1000):
-        psi0 = PureState(oracles.random_pure_state(RNG))
-        psi1 = PureState(oracles.random_pure_state(RNG))
+        psi0 = oracles.random_pure_state(RNG)
+        psi1 = oracles.random_pure_state(RNG)
         prior = RNG.uniform()
-        mixed = helstrom.helstrom_mixed(qcore.density(psi0), qcore.density(psi1), prior)
-        pure = helstrom.helstrom_pure(DiscriminationInstance(psi0, psi1, prior))
+        mixed = oracles.helstrom_trace_norm(oracles.density(psi0), oracles.density(psi1), prior)
+        pure = helstrom.helstrom_cost(prior, abs(np.vdot(psi0, psi1)) ** 2)
         worst = max(worst, abs(mixed - pure))
     assert worst <= 1e-12
-
-
-def test_helstrom_mixed_validation():
-    good = np.diag([1, 0, 0, 0, 0]).astype(np.complex128)
-    skew = good.copy()
-    skew[0, 1] = 1e-3
-    with pytest.raises(ValidationError):
-        helstrom.helstrom_mixed(skew, good, 0.5)
-    with pytest.raises(ValidationError):
-        helstrom.helstrom_mixed(2 * good, good, 0.5)
-    negative = np.diag([1.5, -0.5, 0, 0, 0]).astype(np.complex128)
-    with pytest.raises(ValidationError):
-        helstrom.helstrom_mixed(negative, good, 0.5)
-
-
-# --------------------------------------------------------------- posterior
-
-def test_posterior_update_examples():
-    assert helstrom.posterior_update(0.37, 0.2, 0.2) == pytest.approx(0.37, abs=1e-15)
-    assert helstrom.posterior_update(0.5, 0.2, 0.1) == pytest.approx(2 / 3, abs=1e-15)
-    assert helstrom.posterior_update(0.5, 0.0, 0.4) == 0.0
-
-
-def test_posterior_update_zero_marginal_raises():
-    with pytest.raises(DegenerateBranchError):
-        helstrom.posterior_update(0.5, 0.0, 0.0)
-    with pytest.raises(DegenerateBranchError):
-        helstrom.posterior_update(0.0, 0.3, 0.0)
-
-
-def test_posterior_update_validates_ranges():
-    with pytest.raises(ValidationError):
-        helstrom.posterior_update(0.5, 1.2, 0.1)
 
 
 def test_guess_only_cost_examples():
@@ -145,12 +103,3 @@ def test_expected_posterior_guess_cost_never_exceeds_prior_guess_cost(xi, p0, p1
             post = xi * q0 / marginal
             expected += marginal * min(post, 1.0 - post)
     assert expected <= helstrom.guess_only_cost(xi) + 1e-12
-
-
-def test_discrimination_instance_validation():
-    psi5 = PureState(np.array([1, 0, 0, 0, 0], dtype=np.complex128))
-    psi2 = PureState(np.array([1, 0], dtype=np.complex128))
-    with pytest.raises(ValidationError):
-        DiscriminationInstance(psi5, psi2, 0.5)
-    with pytest.raises(ValidationError):
-        DiscriminationInstance(psi5, psi5, 1.3)

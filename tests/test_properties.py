@@ -2,6 +2,7 @@
 
 Each property must hold on the whole valid domain, not only the fixture:
 pricing one walk under the other ledger is a run under that ledger, the
+walk agrees with the independent dense-exponential walk of the oracles, the
 exact ledger never beats the Helstrom floor, the paper total is half the
 click mass, the leaf masses sum to one, and relabelling the hypotheses at
 an even prior leaves the total unchanged. Rounding bounds count one
@@ -18,11 +19,16 @@ from hypothesis import strategies as st
 from zenodisc import protocol
 from zenodisc.protocol import Mode, ProtocolParams
 
+import oracles
+
 EPS = 2.0 ** -52
 # Slack of the Helstrom floor: relative for the rounding of the summed total,
 # plus EPS absolute because helstrom_cost evaluates (1 - sqrt(1 - x)) / 2,
 # which cancels to about EPS absolute when x = 4 xi (1 - xi) T is tiny.
 FLOOR_REL = 1e-12
+# Absolute bound of the agreement with oracles.naive_run, as in
+# tests/test_protocol.py::test_run_matches_independent_walk.
+ORACLE_ABS = 1e-12
 
 
 @st.composite
@@ -50,6 +56,20 @@ def test_pricing_a_walk_equals_running_that_ledger(p):
                 assert np.array_equal(got.amplitudes, want.amplitudes)
         else:
             assert getattr(priced, f.name) == getattr(ran, f.name), f.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_params())
+def test_walk_agrees_with_the_oracle_walk(p):
+    report = protocol.run(p)
+    ref = oracles.naive_run(p.b, p.delta, p.k, p.dt, p.e0, p.e1, p.prior,
+                            paper_ledger=p.mode is Mode.PAPER)
+    assert abs(report.total_cost - ref["total"]) <= ORACLE_ABS
+    assert abs(report.final_overlap - ref["final_overlap"]) <= ORACLE_ABS
+    assert len(report.leaves) == len(ref["leaf_p0"])
+    for leaf, q0, q1 in zip(report.leaves, ref["leaf_p0"], ref["leaf_p1"]):
+        assert abs(leaf.p_given_h0 - q0) <= ORACLE_ABS
+        assert abs(leaf.p_given_h1 - q1) <= ORACLE_ABS
 
 
 @settings(max_examples=60, deadline=None)

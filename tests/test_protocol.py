@@ -6,7 +6,7 @@ import pytest
 
 from zenodisc import protocol, qcore
 from zenodisc.protocol import Mode, ProtocolParams
-from zenodisc.qcore import HamiltonianSpec, PureState, ValidationError
+from zenodisc.qcore import PureState, ValidationError
 
 import oracles
 
@@ -108,31 +108,28 @@ def test_solve_orthogonality_validation():
         protocol.solve_orthogonality(1.0, 1.0, 0)
 
 
-# ------------------------------------------------------------------- step
+# ------------------------------------------------------------- first step
+# A walk of k = 1: its first leaf is the click, its survived pair the
+# renormalized null-outcome states.
 
 def test_step_delta_zero_never_clicks_off_support():
-    spec = HamiltonianSpec(1.0, 2.0, 0.0)
-    psi = PureState(np.array([1, 0, 0, 0, 0], dtype=np.complex128))
-    _, survive, click = protocol.step(spec, protocol.default_direction(), 1.7, psi)
-    assert click == 0.0
-    assert survive == 1.0
+    p = ProtocolParams(a=1.0, b=0.0, delta=0.0, dt=1.7, k=1)
+    click, survived = protocol.run(p).leaves
+    assert click.p_given_h0 == 0.0
+    assert survived.p_given_h0 == 1.0
 
 
 def test_step_click_probability_closed_form():
     for _ in range(50):
         p = random_params(RNG, k_max=1)
-        spec = HamiltonianSpec(p.e0, p.e1, p.delta)
-        s0, _ = protocol.initial_states(p)
-        _, _, click = protocol.step(spec, p.direction, p.dt, s0)
+        click = protocol.run(p).leaves[0].p_given_h0
         assert click == pytest.approx(
             oracles.first_click_closed_form(p.a, p.delta, p.dt), abs=1e-12)
 
 
 def test_step_survivor_transverse_components():
     p = ProtocolParams.from_b(10.0, 1e-3, k=1, dt=1.0)
-    spec = HamiltonianSpec(p.e0, p.e1, p.delta)
-    s0, _ = protocol.initial_states(p)
-    survivor, _, _ = protocol.step(spec, p.direction, p.dt, s0)
+    survivor = protocol.run(p).survived_pair[0]
     expected = 0.5 * p.a * p.delta * p.dt
     for idx in (1, 2):
         assert abs(abs(survivor.amplitudes[idx]) - expected) <= 10 * p.delta**3
@@ -247,6 +244,7 @@ def test_run_prunes_dead_branches():
     click, survived = report.leaves
     assert click.p_given_h0 == 1.0 and click.p_given_h1 == 1.0
     assert survived.p_given_h0 == 0.0 and survived.p_given_h1 == 0.0
+    assert survived.posterior == p.prior  # a zero-mass leaf keeps the prior
     assert report.total_cost == pytest.approx(0.5, abs=1e-15)
     assert report.baseline_exact == pytest.approx(0.5, abs=1e-12)
 

@@ -161,7 +161,8 @@ def test_measure_binary_branch_reconstruction():
         recon = (math.sqrt(out.click_prob) * out.post_click_state.amplitudes
                  + math.sqrt(out.survive_prob) * out.post_survive_state.amplitudes)
         assert np.max(np.abs(recon - psi.amplitudes)) <= 1e-12
-        assert np.max(np.abs(np.outer(recon, recon.conj()) - qcore.density(psi))) <= 1e-12
+        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        assert np.max(np.abs(np.outer(recon, recon.conj()) - rho)) <= 1e-12
 
 
 def test_measure_binary_survive_branch_is_idempotent():

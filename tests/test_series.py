@@ -227,7 +227,7 @@ def test_fit_power_law_validation():
 
 def test_scaling_residual_rejects_unknown_quantity():
     with pytest.raises(ValidationError):
-        series.scaling_residual("nonsense", params())
+        series.fit_scaling("nonsense", DELTAS, params())
     with pytest.raises(ValidationError):
         series.report_residual("nonsense", protocol.run(params()))
     with pytest.raises(ValidationError):
@@ -247,14 +247,3 @@ def test_expression_checklist_is_complete():
         assert entry.stated_error_order in (2, 3, 4)
     flagged = {e.name for e in series.EXPRESSIONS if e.suspect}
     assert flagged == {"overlap_k_paper", "survival_k_paper"}
-
-
-def test_predict_returns_named_values():
-    p = params(k=5, delta=1e-3)
-    pred = series.predict("total_cost_paper_mode", p)
-    assert pred.value == pytest.approx(1.25e-6, abs=1e-18)
-    assert pred.stated_error_order == 3
-    pred = series.predict("baseline_paper_convention", p)
-    assert pred.stated_error_order == 4
-    with pytest.raises(ValidationError):
-        series.predict("one_step_state", p)  # not scalar
