@@ -1,9 +1,10 @@
 """Command-line driver: sweeps, optimization, scaling studies, report emission.
 
 Config files are flat UTF-8 text, one ``key=value`` per line, ``#`` comments
-allowed. Grid keys take comma-separated lists; exactly one of ``a`` or ``b``
-must be present. ``dt`` is either an explicit grid or the single literal
-``auto``, which solves the cancellation spacing b / (2 k a) per point.
+allowed. Grid keys take comma-separated lists, which are read sorted and must
+not repeat a value; exactly one of ``a`` or ``b`` must be present. ``dt`` is
+either an explicit grid or the single literal ``auto``, which solves the
+cancellation spacing b / (2 k a) per point.
 
     b=10            # or a=0.99,0.999
     delta=0.01,0.001
@@ -11,6 +12,9 @@ must be present. ``dt`` is either an explicit grid or the single literal
     k=1,5,20
     xi=0.5
     mode=both       # exact | paper | both
+    e0=1.0          # level energies of the Hamiltonian (defaults 1 and 2)
+    e1=2.0
+    digits=17       # significant digits printed, 6 to 17
     out=results/study
 
 Reports are a CSV (fixed header, LF endings) plus a plain-text adjudication
@@ -28,7 +32,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -42,13 +46,6 @@ DEFAULT_DIGITS = 17
 _GRID_KEYS = ("a", "b", "delta", "dt", "k", "xi")
 _SCALAR_KEYS = ("mode", "e0", "e1", "digits", "out")
 
-CSV_COLUMNS = (
-    "a", "b", "delta", "dt", "k", "xi", "mode",
-    "total_cost", "baseline_exact", "baseline_paper", "paper_new_cost",
-    "final_overlap", "overlap_exponent",
-    "verdict_vs_baseline_exact", "verdict_vs_baseline_paper", "error",
-)
-
 SCALING_COLUMNS = (
     "quantity", "b", "k", "xi", "dt_rule",
     "exponent", "intercept", "n_floored", "indeterminate", "flag",
@@ -60,12 +57,14 @@ _POINT_ERRORS = (ValidationError, DegenerateBranchError, DegenerateVectorError)
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Validated sweep definition; grids are tuples, dt=None means auto."""
+    """Validated sweep definition; every grid is a sorted, repeat-free tuple,
+    ``ab`` is the grid of ``amplitude`` ("a" or "b"), dt == (None,) means auto.
+    """
 
-    a: tuple[float, ...] | None
-    b: tuple[float, ...] | None
+    amplitude: str
+    ab: tuple[float, ...]
     delta: tuple[float, ...]
-    dt: tuple[float, ...] | None
+    dt: tuple[float | None, ...]
     k: tuple[int, ...]
     xi: tuple[float, ...]
     modes: tuple[Mode, ...]
@@ -76,7 +75,7 @@ class SweepConfig:
 
     @property
     def auto_dt(self) -> bool:
-        return self.dt is None
+        return self.dt == (None,)
 
 
 @dataclass(frozen=True)
@@ -101,28 +100,11 @@ class ReportRow:
     error: str = ""
 
 
+CSV_COLUMNS = tuple(field.name for field in fields(ReportRow))
+
+
 def _where(lineno: int) -> str:
     return f"line {lineno}: " if lineno else ""
-
-
-def _parse_floats(raw: str, key: str, lineno: int) -> tuple[float, ...]:
-    vals = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if not piece:
-            raise ValidationError(f"{_where(lineno)}empty entry in grid for '{key}'")
-        vals.append(_parse_float(piece, key, lineno))
-    return tuple(vals)
-
-
-def _checked_grid(entry: tuple[str, int], key: str, ok, rule: str) -> tuple[float, ...]:
-    """Parse a grid entry and reject any value for which ``ok`` is false."""
-    raw, lineno = entry
-    vals = _parse_floats(raw, key, lineno)
-    for v in vals:
-        if not ok(v):
-            raise ValidationError(f"{_where(lineno)}{key}={v} {rule}")
-    return vals
 
 
 def _parse_float(raw: str, key: str, lineno: int) -> float:
@@ -133,6 +115,33 @@ def _parse_float(raw: str, key: str, lineno: int) -> float:
     if not math.isfinite(val):
         raise ValidationError(f"{_where(lineno)}'{raw}' is not a finite number for '{key}'")
     return val
+
+
+def _parse_grid(entry: tuple[str, int], key: str, ok, rule: str, parse=_parse_float) -> tuple:
+    """Read a comma-separated grid with ``parse`` into a sorted, repeat-free tuple."""
+    raw, lineno = entry
+    vals = []
+    for piece in raw.split(","):
+        piece = piece.strip()
+        if not piece:
+            raise ValidationError(f"{_where(lineno)}empty entry in grid for '{key}'")
+        vals.append(parse(piece, key, lineno))
+    for v in vals:
+        if not ok(v):
+            raise ValidationError(f"{_where(lineno)}{key}={v} {rule}")
+    vals.sort()
+    for lo, hi in zip(vals, vals[1:]):
+        if lo == hi:
+            raise ValidationError(f"{_where(lineno)}{key}={lo} is repeated")
+    return tuple(vals)
+
+
+def _parse_int(raw: str, key: str, lineno: int) -> int:
+    """Parse ASCII digits with an optional leading '+'."""
+    digits = raw[1:] if raw.startswith("+") else raw
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValidationError(f"{_where(lineno)}'{raw}' is not a positive integer for '{key}'")
+    return int(digits)
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -164,44 +173,32 @@ def _build_config(seen: dict[str, tuple[str, int]]) -> SweepConfig:
     a_entry, b_entry = take("a"), take("b")
     if (a_entry is None) == (b_entry is None):
         raise ValidationError("exactly one of 'a' or 'b' must be given")
-    a_grid = b_grid = None
     if a_entry is not None:
-        a_grid = _checked_grid(a_entry, "a", lambda v: 0.0 <= v <= 1.0, "outside [0, 1]")
-    if b_entry is not None:
-        b_grid = _checked_grid(b_entry, "b", lambda v: v >= 0.0, "must be nonnegative")
+        amplitude, ab = "a", _parse_grid(a_entry, "a", lambda v: 0.0 <= v <= 1.0, "outside [0, 1]")
+    else:
+        amplitude, ab = "b", _parse_grid(b_entry, "b", lambda v: v >= 0.0, "must be nonnegative")
 
     delta_entry = take("delta")
     if delta_entry is None:
         raise ValidationError("missing required key 'delta'")
-    delta = _checked_grid(delta_entry, "delta", lambda v: v >= 0.0, "must be nonnegative")
+    delta = _parse_grid(delta_entry, "delta", lambda v: v >= 0.0, "must be nonnegative")
 
     dt_entry = take("dt")
-    dt: tuple[float, ...] | None
-    if dt_entry is None or dt_entry[0] == "auto":
-        dt = None
-    else:
+    dt: tuple[float | None, ...] = (None,)
+    if dt_entry is not None and dt_entry[0] != "auto":
         if "auto" in (p.strip() for p in dt_entry[0].split(",")):
             raise ValidationError(f"{_where(dt_entry[1])}dt grid cannot mix 'auto' with numbers")
-        dt = _checked_grid(dt_entry, "dt", lambda v: v > 0.0, "must be positive")
+        dt = _parse_grid(dt_entry, "dt", lambda v: v > 0.0, "must be positive")
 
     k_entry = take("k")
     k_grid = (1,)
     if k_entry is not None:
-        ks = []
-        for piece in k_entry[0].split(","):
-            piece = piece.strip()
-            if not piece.lstrip("+").isdigit():
-                raise ValidationError(f"{_where(k_entry[1])}k entries must be positive integers, got '{piece}'")
-            val = int(piece)
-            if val < 1:
-                raise ValidationError(f"{_where(k_entry[1])}k={val} must be >= 1")
-            ks.append(val)
-        k_grid = tuple(ks)
+        k_grid = _parse_grid(k_entry, "k", lambda v: v >= 1, "must be >= 1", parse=_parse_int)
 
     xi_entry = take("xi")
     xi = (0.5,)
     if xi_entry is not None:
-        xi = _checked_grid(xi_entry, "xi", lambda v: 0.0 <= v <= 1.0, "outside [0, 1]")
+        xi = _parse_grid(xi_entry, "xi", lambda v: 0.0 <= v <= 1.0, "outside [0, 1]")
 
     mode_entry = take("mode")
     modes = (Mode.EXACT,)
@@ -217,13 +214,13 @@ def _build_config(seen: dict[str, tuple[str, int]]) -> SweepConfig:
     digits_entry = take("digits")
     digits = DEFAULT_DIGITS
     if digits_entry is not None:
-        if not digits_entry[0].isdigit() or not (6 <= int(digits_entry[0]) <= 17):
+        digits = _parse_int(digits_entry[0], "digits", digits_entry[1])
+        if not 6 <= digits <= 17:
             raise ValidationError(f"{_where(digits_entry[1])}digits must be an integer in [6, 17]")
-        digits = int(digits_entry[0])
     out_entry = take("out")
     out = out_entry[0] if out_entry is not None else None
 
-    return SweepConfig(a=a_grid, b=b_grid, delta=delta, dt=dt, k=k_grid,
+    return SweepConfig(amplitude=amplitude, ab=ab, delta=delta, dt=dt, k=k_grid,
                        xi=xi, modes=modes, e0=e0, e1=e1, digits=digits, out=out)
 
 
@@ -247,10 +244,8 @@ def _fmt(value, digits: int) -> str:
 
 def _point_params(config: SweepConfig, ab: float, delta: float, dt: float | None,
                   k: int, xi: float, mode: Mode) -> ProtocolParams:
-    common = dict(e0=config.e0, e1=config.e1, prior=xi, mode=mode)
-    if config.b is not None:
-        return ProtocolParams.from_b(ab, delta, k, dt=dt, **common)
-    return ProtocolParams.from_a(ab, delta, k, dt=dt, **common)
+    build = ProtocolParams.from_a if config.amplitude == "a" else ProtocolParams.from_b
+    return build(ab, delta, k, dt=dt, e0=config.e0, e1=config.e1, prior=xi, mode=mode)
 
 
 def _overlap_exponent(params: ProtocolParams, auto_dt: bool,
@@ -283,11 +278,11 @@ def _point_rows(config: SweepConfig, overlaps: dict[ProtocolParams, float], ab: 
         report = protocol.run(params)
     except _POINT_ERRORS as exc:
         if params is None:
-            a, b = (ab, math.nan) if config.a is not None else (math.nan, ab)
-            dt = math.nan if dt is None else dt
+            point = {"a": math.nan, "b": math.nan, config.amplitude: ab,
+                     "dt": math.nan if dt is None else dt}
         else:
-            a, b, dt = params.a, params.b, params.dt
-        return None, [ReportRow(a=a, b=b, delta=delta, dt=dt, k=k, xi=xi, mode=mode.value,
+            point = {"a": params.a, "b": params.b, "dt": params.dt}
+        return None, [ReportRow(**point, delta=delta, k=k, xi=xi, mode=mode.value,
                                 error=str(exc)) for mode in config.modes]
     overlaps[params] = report.final_overlap
     return params, [_report_row(protocol.price(report, mode)) for mode in config.modes]
@@ -325,15 +320,10 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
     populated error column; the sweep itself never aborts. Rows come back
     sorted by parameter tuple, so equal configs produce identical row lists.
     """
-    ab_grid = config.a if config.a is not None else config.b
-    dt_grid: tuple[float | None, ...] = config.dt if config.dt is not None else (None,)
     overlaps: dict[ProtocolParams, float] = {}
     points = [
         _point_rows(config, overlaps, ab, delta, dt, k, xi)
-        for ab, delta, dt, k, xi in product(
-            sorted(ab_grid), sorted(config.delta),
-            sorted(dt_grid, key=lambda v: -1.0 if v is None else v),
-            sorted(config.k), sorted(config.xi))
+        for ab, delta, dt, k, xi in product(config.ab, config.delta, config.dt, config.k, config.xi)
     ]
     rows = []
     for params, point_rows in points:
@@ -434,14 +424,10 @@ def scaling_study(config: SweepConfig, quantity: str = "all") -> list[dict]:
     """
     quantities = sorted(series.SCALING_QUANTITIES) if quantity == "all" else [quantity]
     flags = {q: series.quantity_flag(q) for q in quantities}  # rejects unknown names
-    deltas = tuple(sorted(config.delta, reverse=True))
-    ab_grid = config.a if config.a is not None else config.b
-    dt_grid: tuple[float | None, ...] = config.dt if config.dt is not None else (None,)
+    deltas = config.delta[::-1]
     out_rows = []
-    for ab, dt, k, xi in product(sorted(ab_grid),
-                                 sorted(dt_grid, key=lambda v: -1.0 if v is None else v),
-                                 sorted(config.k), sorted(config.xi)):
-        template = _point_params(config, ab, max(deltas), dt, k, xi, Mode.EXACT)
+    for ab, dt, k, xi in product(config.ab, config.dt, config.k, config.xi):
+        template = _point_params(config, ab, deltas[0], dt, k, xi, Mode.EXACT)
         residuals: dict[str, list[float]] = {q: [] for q in quantities}
         for d in deltas:
             report = protocol.run(protocol.rescale_delta(template, d, auto_dt=config.auto_dt))
@@ -513,13 +499,11 @@ def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow
             walks[k, params.dt] = protocol.run(params)
         return walks[k, params.dt].total_cost
 
-    for k in sorted(config.k):
-        if config.auto_dt or len(config.dt) == 1:
-            objective(k, None if config.auto_dt else config.dt[0])
-        else:
-            for dt in sorted(config.dt):
-                objective(k, dt)
-            _golden_section(lambda dt: objective(k, dt), min(config.dt), max(config.dt))
+    for k in config.k:
+        for dt in config.dt:
+            objective(k, dt)
+        if len(config.dt) > 1:
+            _golden_section(lambda dt: objective(k, dt), config.dt[0], config.dt[-1])
     _, k_best, dt_best = min((report.total_cost, k, dt) for (k, dt), report in walks.items())
     report = walks[k_best, dt_best]
     exponent = _overlap_exponent(report.params, config.auto_dt,
@@ -581,7 +565,7 @@ def _add_common(sub: argparse.ArgumentParser, point_flags: bool = False):
         sub.add_argument("--k", type=int)
 
 
-def _config_from_args(args, need_dt_k: bool) -> SweepConfig:
+def _config_from_args(args) -> SweepConfig:
     if args.config is not None:
         text = Path(args.config).read_text(encoding="utf-8")
         cfg = parse_config(text)
@@ -591,8 +575,6 @@ def _config_from_args(args, need_dt_k: bool) -> SweepConfig:
             val = getattr(args, key, None)
             if val is not None:
                 entries[key] = (str(val), 0)
-        if need_dt_k and "k" not in entries:
-            entries["k"] = ("1", 0)
         cfg = _build_config(entries)
     overrides = {}
     if getattr(args, "mode", None):
@@ -603,11 +585,10 @@ def _config_from_args(args, need_dt_k: bool) -> SweepConfig:
 
 
 def _require_singletons(cfg: SweepConfig, command: str) -> tuple[float, float, float]:
-    ab_grid = cfg.a if cfg.a is not None else cfg.b
-    for name, grid in (("a/b", ab_grid), ("delta", cfg.delta), ("xi", cfg.xi)):
+    for name, grid in (("a/b", cfg.ab), ("delta", cfg.delta), ("xi", cfg.xi)):
         if len(grid) != 1:
             raise ValidationError(f"{command} requires a single value for {name}")
-    return ab_grid[0], cfg.delta[0], cfg.xi[0]
+    return cfg.ab[0], cfg.delta[0], cfg.xi[0]
 
 
 def _emit(text: str, out: str | None, suffix: str, quiet: bool) -> int:
@@ -622,22 +603,21 @@ def _emit(text: str, out: str | None, suffix: str, quiet: bool) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    cfg = _config_from_args(args, need_dt_k=False)
+    cfg = _config_from_args(args)
     ab, delta, xi = _require_singletons(cfg, "baseline")
-    _, b = protocol.amplitudes(delta, **{"a" if cfg.a is not None else "b": ab})
+    _, b = protocol.amplitudes(delta, **{cfg.amplitude: ab})
     lines = _baseline_lines(xi, b, delta, cfg.digits)
     return _emit("\n".join(lines) + "\n", cfg.out, ".txt", args.quiet)
 
 
 def _cmd_run(args) -> int:
-    cfg = _config_from_args(args, need_dt_k=True)
+    cfg = _config_from_args(args)
     ab, delta, xi = _require_singletons(cfg, "run")
-    if not cfg.auto_dt and len(cfg.dt) != 1:
+    if len(cfg.dt) != 1:
         raise ValidationError("run requires a single dt (or auto)")
     if len(cfg.k) != 1:
         raise ValidationError("run requires a single k")
-    params = _point_params(cfg, ab, delta, None if cfg.auto_dt else cfg.dt[0],
-                           cfg.k[0], xi, cfg.modes[0])
+    params = _point_params(cfg, ab, delta, cfg.dt[0], cfg.k[0], xi, cfg.modes[0])
     report = protocol.run(params)
     text = "\n".join(_render_run_report(protocol.price(report, mode), cfg.digits)
                      for mode in cfg.modes)
@@ -645,24 +625,20 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _config_from_args(args, need_dt_k=True)
+    cfg = _config_from_args(args)
     rows = run_sweep(cfg)
-    if cfg.out:
-        emit_report(rows, cfg.out, cfg.digits)
-    if not args.quiet:
-        sys.stdout.write(render_csv(rows, cfg.digits))
-        sys.stdout.write(render_summary(rows, cfg.digits))
-    return 0
+    _emit(render_csv(rows, cfg.digits), cfg.out, ".csv", args.quiet)
+    return _emit(render_summary(rows, cfg.digits), cfg.out, ".txt", args.quiet)
 
 
 def _cmd_scaling(args) -> int:
-    cfg = _config_from_args(args, need_dt_k=True)
+    cfg = _config_from_args(args)
     rows = scaling_study(cfg, args.quantity)
     return _emit(render_scaling_csv(rows, cfg.digits), cfg.out, ".csv", args.quiet)
 
 
 def _cmd_optimize(args) -> int:
-    cfg = _config_from_args(args, need_dt_k=True)
+    cfg = _config_from_args(args)
     if len(cfg.modes) != 1:
         raise ValidationError("optimize requires a single mode (exact or paper)")
     params, row = optimize(cfg, cfg.modes[0])

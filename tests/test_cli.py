@@ -41,11 +41,19 @@ def _count_walks(monkeypatch) -> list:
 
 def test_parse_config_grid_sizes():
     cfg = parse_config("delta=0.01,0.001\nk=1,5\nb=10\nxi=0.5\nmode=both")
-    assert cfg.delta == (0.01, 0.001)
+    assert cfg.delta == (0.001, 0.01)
     assert cfg.k == (1, 5)
-    assert cfg.b == (10.0,)
+    assert cfg.amplitude == "b" and cfg.ab == (10.0,)
     assert cfg.modes == (Mode.EXACT, Mode.PAPER)
     assert len(run_sweep(cfg)) == 2 * 2 * 1 * 1 * 2  # 4 tuples, two ledgers
+
+
+def test_parse_config_is_canonical():
+    shuffled = parse_config("a=0.999,0.99\ndelta=0.01,0.001,0.1\ndt=1.0,0.5\nk=20,1,5\nxi=0.7,0.3")
+    ordered = parse_config("a=0.99,0.999\ndelta=0.001,0.01,0.1\ndt=0.5,1.0\nk=1,5,20\nxi=0.3,0.7")
+    assert shuffled == ordered
+    assert parse_config("b=10\ndelta=0.01\ndt=auto").dt == (None,)
+    assert parse_config("b=10\ndelta=0.01").dt == (None,)
 
 
 def test_parse_config_auto_dt_solves_per_point():
@@ -74,6 +82,13 @@ def test_parse_config_errors_carry_line_numbers():
                       ("e1", "b=10\ndelta=0.01\ne1=-inf")):
         with pytest.raises(ValidationError, match=f"line 3.*finite.*'{key}'"):
             parse_config(text)
+    # Non-ASCII digits pass str.isdigit() but not int().
+    for key in ("k", "digits"):
+        with pytest.raises(ValidationError, match=f"line 3.*'{key}'"):
+            parse_config(f"b=10\ndelta=0.01\n{key}=\u00b2")
+    # A repeated grid value would be walked and reported twice.
+    with pytest.raises(ValidationError, match="line 2.*delta=0.001 is repeated"):
+        parse_config("b=10\ndelta=0.001,1e-3\nk=5,5\nmode=both")
 
 
 def test_parse_config_parameterization_rules():
