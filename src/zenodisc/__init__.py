@@ -16,7 +16,6 @@ from .protocol import (
     ProtocolParams,
     ProtocolReport,
     amplitudes,
-    default_direction,
     initial_states,
     price,
     rescale_delta,
@@ -33,7 +32,6 @@ from .qcore import (
     PureState,
     ValidationError,
     evolve,
-    inner_product,
     measure_binary,
     normalize,
     propagator,
@@ -59,12 +57,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "guess_only_cost", "helstrom_cost",
-    "LeafRecord", "Mode", "ProtocolParams", "ProtocolReport", "amplitudes", "default_direction",
-    "initial_states", "price", "rescale_delta", "run", "solve_orthogonality",
-    "total_cost_paper_mode",
+    "LeafRecord", "Mode", "ProtocolParams", "ProtocolReport", "amplitudes", "initial_states",
+    "price", "rescale_delta", "run", "solve_orthogonality", "total_cost_paper_mode",
     "DegenerateBranchError", "DegenerateVectorError", "HamiltonianSpec",
     "MeasurementDirection", "MeasurementOutcome", "PureState", "ValidationError",
-    "evolve", "inner_product", "measure_binary", "normalize", "propagator",
+    "evolve", "measure_binary", "normalize", "propagator",
     "EXPRESSIONS", "SUSPECT_FLAGS", "ScalingFit",
     "baseline_paper_convention", "fit_power_law", "fit_scaling", "k_step_state",
     "one_step_state", "one_step_survival", "original_cost", "overlap_k_paper",

@@ -12,17 +12,18 @@ cancellation spacing b / (2 k a) per point.
     k=1,5,20
     xi=0.5
     mode=both       # exact | paper | both
-    e0=1.0          # level energies of the Hamiltonian (defaults 1 and 2)
-    e1=2.0
     digits=17       # significant digits printed, 6 to 17
     out=results/study
+
+The keys ``e0`` and ``e1`` (the level energies, fixed at 1 and 2) are
+rejected: they enter only phases, so no reported number depends on them.
 
 Reports are a CSV (fixed header, LF endings) plus a plain-text adjudication
 summary; identical configs produce byte-identical files. Numbers are printed
 with 17 significant digits so fourth-order-in-delta differences survive a
 round trip.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure at top level.
+Exit codes: 0 success, 1 validation or i/o error.
 """
 
 from __future__ import annotations
@@ -39,21 +40,20 @@ from pathlib import Path
 from . import protocol, series
 from .helstrom import guess_only_cost, helstrom_cost
 from .protocol import Mode, ProtocolParams, ProtocolReport
-from .qcore import DegenerateBranchError, DegenerateVectorError, ValidationError
+from .qcore import ValidationError
 
 DEFAULT_DIGITS = 17
 
 _GRID_KEYS = ("a", "b", "delta", "dt", "k", "xi")
-_SCALAR_KEYS = ("mode", "e0", "e1", "digits", "out")
+_SCALAR_KEYS = ("mode", "digits", "out")
+# The fixed level energies: no reported number depends on them.
+_NO_EFFECT_KEYS = ("e0", "e1")
 
 SCALING_COLUMNS = (
     "quantity", "b", "k", "xi", "dt_rule",
     "exponent", "intercept", "n_floored", "indeterminate", "flag",
     "deltas", "residuals",
 )
-
-_POINT_ERRORS = (ValidationError, DegenerateBranchError, DegenerateVectorError)
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -68,8 +68,6 @@ class SweepConfig:
     k: tuple[int, ...]
     xi: tuple[float, ...]
     modes: tuple[Mode, ...]
-    e0: float = 1.0
-    e1: float = 2.0
     digits: int = DEFAULT_DIGITS
     out: str | None = None
 
@@ -156,6 +154,9 @@ def parse_config(text: str) -> SweepConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
+        if key in _NO_EFFECT_KEYS:
+            raise ValidationError(f"line {lineno}: key '{key}' has no effect: the level "
+                                  "energies enter only phases, so no number depends on them")
         if key not in _GRID_KEYS and key not in _SCALAR_KEYS:
             raise ValidationError(f"line {lineno}: unknown key '{key}'")
         if key in seen:
@@ -205,12 +206,6 @@ def _build_config(seen: dict[str, tuple[str, int]]) -> SweepConfig:
     if mode_entry is not None:
         modes = _parse_modes(mode_entry[0], lineno=mode_entry[1])
 
-    def scalar_float(key, default):
-        entry = take(key)
-        return default if entry is None else _parse_float(entry[0], key, entry[1])
-
-    e0 = scalar_float("e0", 1.0)
-    e1 = scalar_float("e1", 2.0)
     digits_entry = take("digits")
     digits = DEFAULT_DIGITS
     if digits_entry is not None:
@@ -221,7 +216,7 @@ def _build_config(seen: dict[str, tuple[str, int]]) -> SweepConfig:
     out = out_entry[0] if out_entry is not None else None
 
     return SweepConfig(amplitude=amplitude, ab=ab, delta=delta, dt=dt, k=k_grid,
-                       xi=xi, modes=modes, e0=e0, e1=e1, digits=digits, out=out)
+                       xi=xi, modes=modes, digits=digits, out=out)
 
 
 def _parse_modes(raw: str, lineno: int = 0) -> tuple[Mode, ...]:
@@ -245,13 +240,13 @@ def _fmt(value, digits: int) -> str:
 def _point_params(config: SweepConfig, ab: float, delta: float, dt: float | None,
                   k: int, xi: float, mode: Mode) -> ProtocolParams:
     build = ProtocolParams.from_a if config.amplitude == "a" else ProtocolParams.from_b
-    return build(ab, delta, k, dt=dt, e0=config.e0, e1=config.e1, prior=xi, mode=mode)
+    return build(ab, delta, k, dt=dt, prior=xi, mode=mode)
 
 
 def _overlap_exponent(params: ProtocolParams, auto_dt: bool,
                       overlaps: dict[ProtocolParams, float]) -> float | None:
     """Delta exponent of the ``final_overlap`` residual on the default grid
-    around ``params``; grid points missing from ``overlaps`` are walked and added.
+    around ``params``; grid points missing from ``overlaps`` are evaluated and added.
     """
     if params.b * max(series.DEFAULT_DELTAS) >= 1.0:
         return None  # default grid would leave the valid amplitude range
@@ -261,7 +256,7 @@ def _overlap_exponent(params: ProtocolParams, auto_dt: bool,
             if point not in overlaps:
                 overlaps[point] = protocol.run(point).final_overlap
         fit = series.fit_power_law(series.DEFAULT_DELTAS, [overlaps[point] for point in grid])
-    except _POINT_ERRORS:
+    except ValidationError:
         return None
     return fit.exponent
 
@@ -269,14 +264,14 @@ def _overlap_exponent(params: ProtocolParams, auto_dt: bool,
 def _point_rows(config: SweepConfig, overlaps: dict[ProtocolParams, float], ab: float,
                 delta: float, dt: float | None, k: int, xi: float
                 ) -> tuple[ProtocolParams | None, list[ReportRow]]:
-    """Walk one sweep point, record its final overlap, and price it under
+    """Evaluate one sweep point, record its final overlap, and price it under
     every configured ledger; a failed point gives one error row per ledger.
     """
     params = None
     try:
         params = _point_params(config, ab, delta, dt, k, xi, config.modes[0])
         report = protocol.run(params)
-    except _POINT_ERRORS as exc:
+    except ValidationError as exc:
         if params is None:
             point = {"a": math.nan, "b": math.nan, config.amplitude: ab,
                      "dt": math.nan if dt is None else dt}
@@ -314,9 +309,9 @@ def _row_sort_key(row: ReportRow):
 def run_sweep(config: SweepConfig) -> list[ReportRow]:
     """Evaluate the Cartesian product of the config grids.
 
-    Each point is walked once and priced under every ledger. The overlap
-    exponents are fitted after all points are walked, so they walk only the
-    grid points the sweep lacks. Per-point failures become rows with a
+    Each point is evaluated once and priced under every ledger. The overlap
+    exponents are fitted after all points are evaluated, so they evaluate
+    only the grid points the sweep lacks. Per-point failures become rows with a
     populated error column; the sweep itself never aborts. Rows come back
     sorted by parameter tuple, so equal configs produce identical row lists.
     """
@@ -418,8 +413,8 @@ def scaling_study(config: SweepConfig, quantity: str = "all") -> list[dict]:
 
     The config delta grid is the fit grid and needs at least 3 points over a
     decade. With an ``a`` grid, b is derived at the largest delta and then
-    held fixed across the fit. Each grid point is walked once and every
-    quantity's residual is read off that walk. Indeterminate fits are flagged
+    held fixed across the fit. Each grid point is evaluated once and every
+    quantity's residual is read off that report. Indeterminate fits are flagged
     in their row, not raised.
     """
     quantities = sorted(series.SCALING_QUANTITIES) if quantity == "all" else [quantity]
@@ -489,23 +484,23 @@ def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow
     smaller k, then smaller dt.
     """
     ab, delta, xi = _require_singletons(config, "optimize")
-    # Every (k, dt) evaluated is walked once and kept; the optimum is the
-    # least of them, and its row reuses its walk.
-    walks: dict[tuple[int, float], ProtocolReport] = {}
+    # Every (k, dt) evaluated is run once and kept; the optimum is the
+    # least of them, and its row reuses its report.
+    reports: dict[tuple[int, float], ProtocolReport] = {}
 
     def objective(k: int, dt: float | None) -> float:
         params = _point_params(config, ab, delta, dt, k, xi, mode)
-        if (k, params.dt) not in walks:
-            walks[k, params.dt] = protocol.run(params)
-        return walks[k, params.dt].total_cost
+        if (k, params.dt) not in reports:
+            reports[k, params.dt] = protocol.run(params)
+        return reports[k, params.dt].total_cost
 
     for k in config.k:
         for dt in config.dt:
             objective(k, dt)
         if len(config.dt) > 1:
             _golden_section(lambda dt: objective(k, dt), config.dt[0], config.dt[-1])
-    _, k_best, dt_best = min((report.total_cost, k, dt) for (k, dt), report in walks.items())
-    report = walks[k_best, dt_best]
+    _, k_best, dt_best = min((report.total_cost, k, dt) for (k, dt), report in reports.items())
+    report = reports[k_best, dt_best]
     exponent = _overlap_exponent(report.params, config.auto_dt,
                                  {report.params: report.final_overlap})
     return report.params, replace(_report_row(report), overlap_exponent=exponent)
@@ -547,22 +542,23 @@ def _render_run_report(report, digits: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The point flags of baseline and run with their types; dt is a number or 'auto'.
+_POINT_FLAGS = {"a": float, "b": float, "delta": float, "xi": float, "dt": str, "k": int}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; keep 1 for validation
         raise ValidationError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser, point_flags: bool = False):
+def _add_common(sub: argparse.ArgumentParser, point_flags: tuple[str, ...]):
     sub.add_argument("--config", help="path to a key=value config file")
     sub.add_argument("--out", help="output path prefix (.csv/.txt appended)")
     sub.add_argument("--mode", choices=["exact", "paper", "both"],
                      help="cost ledger (overrides config)")
     sub.add_argument("--quiet", action="store_true", help="suppress stdout")
-    if point_flags:
-        for flag in ("--a", "--b", "--delta", "--xi", "--e0", "--e1"):
-            sub.add_argument(flag, type=float)
-        sub.add_argument("--dt", help="spacing, or 'auto'")
-        sub.add_argument("--k", type=int)
+    for key in point_flags:
+        sub.add_argument(f"--{key}", type=_POINT_FLAGS[key])
 
 
 def _config_from_args(args) -> SweepConfig:
@@ -571,7 +567,7 @@ def _config_from_args(args) -> SweepConfig:
         cfg = parse_config(text)
     else:
         entries: dict[str, tuple[str, int]] = {}
-        for key in ("a", "b", "delta", "xi", "e0", "e1", "dt", "k"):
+        for key in _POINT_FLAGS:
             val = getattr(args, key, None)
             if val is not None:
                 entries[key] = (str(val), 0)
@@ -657,11 +653,12 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Exact laboratory for repeated-null-measurement state discrimination.")
     sub = parser.add_subparsers(dest="command", required=True)
     handlers = {
-        "baseline": (_cmd_baseline, True, "print both Helstrom baselines for a candidate pair"),
-        "run": (_cmd_run, True, "evaluate one protocol configuration"),
-        "sweep": (_cmd_sweep, False, "evaluate a parameter grid and emit CSV + summary"),
-        "scaling": (_cmd_scaling, False, "fit delta-scaling exponents of series residuals"),
-        "optimize": (_cmd_optimize, False, "search k and dt for the lowest total cost"),
+        "baseline": (_cmd_baseline, ("a", "b", "delta", "xi"),
+                     "print both Helstrom baselines for a candidate pair"),
+        "run": (_cmd_run, tuple(_POINT_FLAGS), "evaluate one protocol configuration"),
+        "sweep": (_cmd_sweep, (), "evaluate a parameter grid and emit CSV + summary"),
+        "scaling": (_cmd_scaling, (), "fit delta-scaling exponents of series residuals"),
+        "optimize": (_cmd_optimize, (), "search k and dt for the lowest total cost"),
     }
     for name, (handler, point_flags, help_text) in handlers.items():
         cmd = sub.add_parser(name, help=help_text)
@@ -681,9 +678,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DegenerateBranchError, DegenerateVectorError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,19 @@ branches terminate, the outcome tree has exactly k + 1 leaves: a click at
 step i (i = 1..k) or survival through all k steps. All branch probabilities
 are computed exactly; nothing is sampled.
 
+The tree has a closed form. The permutation P that swaps levels 1<->4 and
+2<->3 commutes with the Hamiltonian, fixes the probe (e2 + e3)/sqrt(2) and
+maps one candidate state onto the other, so a click is equally likely under
+either hypothesis and every click leaf keeps the prior as its posterior.
+The P-odd part of a candidate state rotates inside the span of e1 - e4 and
+e2 - e3 and is never measured. In the P-even part each step multiplies the
+e1 + e4 amplitude by c = cos(delta dt) and removes the probe component.
+With s = sin(delta dt), the click at step j has probability
+(a^2 / 2) s^2 c^(2 (j - 1)) under both hypotheses, the click mass of k steps
+is M_k = (a^2 / 2)(1 - c^(2 k)), and the survived pair has the overlap
+|b^2 delta^2 - M_k| / (1 - M_k). The level energies e0 and e1 enter only
+phases, so no reported number depends on them.
+
 Two cost ledgers are supported:
 
 * ``Mode.EXACT``: every leaf is charged its true Bayes cost at its own
@@ -26,13 +39,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
 from . import qcore
 from .helstrom import guess_only_cost, helstrom_cost
-from .qcore import HamiltonianSpec, MeasurementDirection, PureState, ValidationError
+from .qcore import MeasurementDirection, PureState, ValidationError
 
 # Candidate-state normalization a^2 + (b delta)^2 = 1 is enforced to this
 # tolerance; construction helpers hit it to machine precision anyway.
@@ -46,13 +60,6 @@ class Mode(enum.Enum):
     PAPER = "paper"
 
 
-def default_direction() -> MeasurementDirection:
-    """The fixed transverse probe direction (0,1,1,0,0)/sqrt(2)."""
-    vec = np.zeros(5, dtype=np.complex128)
-    vec[1] = vec[2] = 1.0 / math.sqrt(2.0)
-    return MeasurementDirection(vec)
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """One complete experiment definition.
@@ -62,21 +69,27 @@ class ProtocolParams:
     :meth:`from_b` or :meth:`from_a` to get the normalization right
     automatically, with dt=None solving the overlap-cancellation condition
     2*k*a*dt = b.
+
+    The level energies e0, e1 and the probe direction (0,1,1,0,0)/sqrt(2)
+    are fixed class constants, not fields: the closed-form tree reads none
+    of them (see the module docstring).
     """
+
+    e0: ClassVar[float] = 1.0
+    e1: ClassVar[float] = 2.0
+    direction: ClassVar[MeasurementDirection] = MeasurementDirection(
+        np.array([0.0, 1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0))
 
     a: float
     b: float
     delta: float
     dt: float
     k: int
-    e0: float = 1.0
-    e1: float = 2.0
     prior: float = 0.5
-    direction: MeasurementDirection = field(default_factory=default_direction)
     mode: Mode = Mode.EXACT
 
     def __post_init__(self):
-        for name in ("a", "b", "delta", "dt", "e0", "e1", "prior"):
+        for name in ("a", "b", "delta", "dt", "prior"):
             val = getattr(self, name)
             if not (isinstance(val, (int, float)) and math.isfinite(val)):
                 raise ValidationError(f"{name} must be a finite real number, got {val!r}")
@@ -95,8 +108,6 @@ class ProtocolParams:
             )
         if not isinstance(self.mode, Mode):
             raise ValidationError(f"mode must be a Mode, got {self.mode!r}")
-        if self.direction.dim != 5:
-            raise ValidationError("direction must have dimension 5")
 
     @classmethod
     def from_b(cls, b: float, delta: float, k: int, dt: float | None = None, **kwargs) -> "ProtocolParams":
@@ -143,9 +154,7 @@ def rescale_delta(params: ProtocolParams, delta: float, auto_dt: bool = False) -
     """
     return ProtocolParams.from_b(
         params.b, delta, params.k,
-        dt=None if auto_dt else params.dt,
-        e0=params.e0, e1=params.e1, prior=params.prior,
-        direction=params.direction, mode=params.mode,
+        dt=None if auto_dt else params.dt, prior=params.prior, mode=params.mode,
     )
 
 
@@ -181,7 +190,8 @@ class ProtocolReport:
     conditioned survival states after i steps, so entry 0 is the initial
     overlap b^2 delta^2; survival_trajectory[i] is the pair of cumulative
     survival probabilities after i steps. survived_pair holds the two
-    hypothesis-conditioned states of the survived leaf.
+    hypothesis-conditioned states of the survived leaf, without the phases
+    that e0 and e1 put on them.
     """
 
     params: ProtocolParams
@@ -231,100 +241,68 @@ def total_cost_paper_mode(params: ProtocolParams) -> float:
     return params.k * params.a**2 * params.dt**2 * params.delta**2 / 4.0
 
 
-def _branch(prior: float, p0: float, p1: float) -> tuple[float, float, float, float]:
-    """(p_given_h0, p_given_h1, marginal, posterior) of one leaf; the posterior
-    falls back to the prior on a zero-probability leaf."""
-    marginal = prior * p0 + (1.0 - prior) * p1
-    return p0, p1, marginal, prior * p0 / marginal if marginal > 0.0 else prior
+def run(params: ProtocolParams) -> ProtocolReport:
+    """Evaluate the full outcome tree in closed form and adjudicate the totals.
 
+    Everything follows from the closed forms of the module docstring,
+    evaluated as arrays over the steps j = 0..k with no step-by-step walk:
+    c^(2 j) = exp(j log1p(-s^2)), the click mass
+    M_j = -(a^2 / 2) expm1(j log1p(-s^2)), the cumulative survival 1 - M_j
+    of either hypothesis, and the overlap |b^2 delta^2 - M_j| / (1 - M_j).
+    expm1 keeps M_j accurate where the clicks are far below the rounding
+    of 1, as in the Zeno regime of many close probes. The survived state of
+    hypothesis 0 is
 
-def run(params: ProtocolParams,
-        initial_pair: tuple[PureState, PureState] | None = None) -> ProtocolReport:
-    """Evaluate the full outcome tree exactly and adjudicate the totals.
+        ((a/2)(c^k + cos k delta dt), -i (a/2) sin k delta dt,
+         i (a/2) sin k delta dt, (a/2)(c^k - cos k delta dt), b delta)
 
-    Both hypotheses are walked together as the two unit columns of one 5x2
-    array: each step evolves them, records the click branch, and projects the
-    columns onto the null outcome and renormalizes them. After step k the
-    survived leaf receives the terminal Helstrom measurement. A hypothesis
-    whose survival underflows the pruning floor clicks with all its
-    remaining weight and is no longer measured; once both have, the walk
-    stops early. The leaves are charged as :func:`price` charges them.
-
-    Cumulative survival is exp(sum of log1p(-click)) rather than a running
-    product of (1 - click): the product rounds each tiny click away against
-    1, which at k = 10^4 moves 1 - P(survive) by about 1e-13.
-
-    initial_pair overrides the default candidate states, e.g. to check
-    hypothesis-relabeling symmetry; both states must be 5-dimensional.
+    over sqrt(1 - M_k), and hypothesis 1 is its 1<->4, 2<->3 mirror. The
+    leaves are charged as :func:`price` charges them.
     """
-    spec = HamiltonianSpec(e0=params.e0, e1=params.e1, delta=params.delta)
-    m = params.direction.vector
-    if initial_pair is None:
-        s0, s1 = initial_states(params)
-    else:
-        s0, s1 = initial_pair
-        if s0.dim != 5 or s1.dim != 5:
-            raise ValidationError("initial states must have dimension 5")
-    prior = params.prior
+    # Params admit NORM_SLACK; the closed forms need a^2 + (b delta)^2 = 1 to
+    # rounding, or the survived pair fails PureState's unit-norm check.
+    norm = math.hypot(params.a, params.b * params.delta)
+    a, bd = params.a / norm, params.b * params.delta / norm
+    prior, k, x = params.prior, params.k, params.delta * params.dt
+    s2 = math.sin(x) ** 2
+    # log(c^2); log1p(-s^2) is -inf once s^2 rounds to 1, though c^2 is not 0.
+    log_c2 = math.log1p(-s2) if s2 < 1.0 else 2.0 * math.log(abs(math.cos(x)))
+    log_decay = np.arange(k + 1) * log_c2
+    half_a2 = 0.5 * a * a
+    clicks = (half_a2 * s2 * np.exp(log_decay[:-1])).tolist()
+    mass = -half_a2 * np.expm1(log_decay)
+    survival = 1.0 - mass
+    overlap_traj = (np.abs(bd * bd - mass) / survival).tolist()
+    survival = survival.tolist()
 
-    initial_overlap = abs(qcore.inner_product(s0, s1))
-    baseline_exact = helstrom_cost(prior, initial_overlap**2)
-    baseline_paper = helstrom_cost(prior, initial_overlap)
+    # c^k with its sign: the even amplitude flips at every step when c < 0.
+    ck = math.exp(0.5 * log_decay[-1]) * math.copysign(1.0, math.cos(x)) ** k
+    cos_kx, sin_kx = math.cos(k * x), math.sin(k * x)
+    s0 = np.array([0.5 * a * (ck + cos_kx), -0.5j * a * sin_kx, 0.5j * a * sin_kx,
+                   0.5 * a * (ck - cos_kx), bd]) / math.sqrt(survival[-1])
 
-    u = qcore.propagator(spec, params.dt)
-    m_conj, m_col = m.conj(), m[:, None]
-    cols = np.column_stack([s0.amplitudes, s1.amplitudes])
-    alive = np.ones(2, dtype=bool)
-    log_survival = np.zeros(2)
-    cum = np.ones(2)
-    branches: list[tuple[float, float, float, float]] = []
-    overlap_traj = [initial_overlap]
-    survival_traj = [(1.0, 1.0)]
-
-    for _ in range(params.k):
-        cols = u @ cols
-        amp = m_conj @ cols
-        click = np.minimum(amp.real**2 + amp.imag**2, 1.0)
-        residual = cols - m_col * amp
-        norm2 = np.sum(residual.real**2 + residual.imag**2, axis=0)
-        # The null branch is numerically dead on either signal: survival
-        # below the floor, or a residual too short to renormalize.
-        dying = alive & ((1.0 - click < qcore.PRUNE_FLOOR) | (norm2 < qcore.PRUNE_FLOOR))
-        alive &= ~dying
-        # A dying column clicks with all its remaining weight, a dead one
-        # never clicks; both survive with probability 0 from here on.
-        measured = np.where(alive, click, 0.0)
-        click = np.where(dying, 1.0, measured)
-        # Dead columns keep evolving unmeasured, as the overlap trajectory
-        # and the survived leaf read them.
-        cols = np.where(alive, residual / np.sqrt(np.where(alive, norm2, 1.0)), cols)
-
-        branches.append(_branch(prior, *(cum * click).tolist()))
-        log_survival = np.where(alive, log_survival + np.log1p(-measured), -np.inf)
-        cum = np.exp(log_survival)
-        overlap_traj.append(abs(complex(np.vdot(cols[:, 0], cols[:, 1]))))
-        survival_traj.append(tuple(cum.tolist()))
-        if not alive.any():
-            break
-
-    branches.append(_branch(prior, *cum.tolist()))
+    baseline_exact = helstrom_cost(prior, overlap_traj[0] ** 2)
+    baseline_paper = helstrom_cost(prior, overlap_traj[0])
+    # Each leaf is equally likely under both hypotheses, so its posterior is the prior.
+    branches = [(p, p, p, prior) for p in clicks]
+    branches.append((survival[-1],) * 3 + (prior,))
     return ProtocolReport(
         params=params,
-        survived_pair=(PureState(cols[:, 0].copy()), PureState(cols[:, 1].copy())),
+        survived_pair=(PureState(s0), PureState(s0[[3, 2, 1, 0, 4]])),
         baseline_exact=baseline_exact,
         baseline_paper=baseline_paper,
         paper_new_cost=total_cost_paper_mode(params),
         overlap_trajectory=tuple(overlap_traj),
-        survival_trajectory=tuple(survival_traj),
+        survival_trajectory=tuple(zip(survival, survival)),
         **_charge(params.mode, branches, overlap_traj[-1], baseline_exact, baseline_paper),
     )
 
 
 def price(report: ProtocolReport, mode: Mode) -> ProtocolReport:
-    """The walk behind ``report`` charged under the ledger ``mode``.
+    """The outcome tree behind ``report`` charged under the ledger ``mode``.
 
     Only the leaf costs, the total and the verdicts depend on the ledger, so
-    this equals :func:`run` with ``mode`` without walking the tree again.
+    this equals :func:`run` with ``mode`` without evaluating the tree again.
     """
     if mode is report.params.mode:
         return report

@@ -103,7 +103,7 @@ class HamiltonianSpec:
 
 @dataclass(frozen=True)
 class MeasurementDirection:
-    """A unit vector defining a rank-one projective (yes/no) measurement, compared by value."""
+    """A unit vector defining a rank-one projective (yes/no) measurement."""
 
     vector: np.ndarray
 
@@ -113,14 +113,6 @@ class MeasurementDirection:
             raise ValidationError("measurement direction must be unit norm")
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
-
-    def __eq__(self, other):
-        if not isinstance(other, MeasurementDirection):
-            return NotImplemented
-        return self.vector.tolist() == other.vector.tolist()
-
-    def __hash__(self):
-        return hash(tuple(self.vector.tolist()))
 
     @property
     def dim(self) -> int:
@@ -169,13 +161,6 @@ def evolve(spec: HamiltonianSpec, t: float, psi: PureState) -> PureState:
     if psi.dim != 5:
         raise ValidationError(f"evolution is defined on dimension 5, got {psi.dim}")
     return PureState(propagator(spec, t) @ psi.amplitudes)
-
-
-def inner_product(phi: PureState, psi: PureState) -> complex:
-    """Return <phi|psi>, conjugating the first argument."""
-    if phi.dim != psi.dim:
-        raise ValidationError(f"dimension mismatch: {phi.dim} vs {psi.dim}")
-    return complex(np.vdot(phi.amplitudes, psi.amplitudes))
 
 
 def normalize(vector) -> PureState:

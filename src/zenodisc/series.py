@@ -10,9 +10,9 @@ imaginary units between components are kept.
 
 The delta-scaling fits measure |exact - series| on a small delta grid and
 report the log-log slope, which is the empirical truncation order. Every
-residual is read off one protocol walk (the first click is its first leaf,
-the k-step state its survived pair), so one walk per grid point serves all
-quantities.
+residual is read off one protocol report (the first click is its first
+leaf, the k-step state its survived pair), so one evaluation per grid point
+serves all quantities.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import protocol, qcore
+from . import protocol
 from .helstrom import helstrom_cost
 from .protocol import ProtocolParams, ProtocolReport, rescale_delta
-from .qcore import HamiltonianSpec, ValidationError
+from .qcore import ValidationError
 
 # Residuals below this are double-precision noise, not series error.
 NOISE_FLOOR = 1e-14
@@ -166,7 +166,7 @@ def _magnitude_gap(exact: np.ndarray, approx: np.ndarray) -> float:
     return float(np.max(np.abs(np.abs(exact) - np.abs(approx))))
 
 
-# Residuals |exact - series| read off one walk (the one-step state and the
+# Residuals |exact - series| read off one report (the one-step state and the
 # baseline need only its params).
 
 def _residual_click_prob(report: ProtocolReport) -> float:
@@ -176,11 +176,12 @@ def _residual_click_prob(report: ProtocolReport) -> float:
 
 
 def _residual_one_step_state(report: ProtocolReport) -> float:
-    params = report.params
-    spec = HamiltonianSpec(params.e0, params.e1, params.delta)
-    s0, _ = protocol.initial_states(params)
-    exact = qcore.evolve(spec, params.dt, s0).amplitudes
-    return _magnitude_gap(exact, one_step_state(params, 0))
+    # The evolved state's magnitudes: (a, 0, 0, 0, b delta) rotates inside
+    # levels 1-2 by delta dt, and e0, e1 enter only phases.
+    p = report.params
+    x = p.delta * p.dt
+    exact = np.array([p.a * abs(math.cos(x)), p.a * abs(math.sin(x)), 0.0, 0.0, p.b * p.delta])
+    return _magnitude_gap(exact, one_step_state(p, 0))
 
 
 def _residual_k_step_state(report: ProtocolReport) -> float:
@@ -215,7 +216,7 @@ def _residual_baseline(report: ProtocolReport) -> float:
 @dataclass(frozen=True)
 class Expression:
     """One literal series expression with its doubt, if any, and the scaling
-    quantities whose series side it is (name -> residual read off a walk).
+    quantities whose series side it is (name -> residual read off a report).
     """
 
     name: str
@@ -290,7 +291,7 @@ def quantity_flag(quantity: str) -> str:
 
 
 def report_residual(quantity: str, report: ProtocolReport) -> float:
-    """|exact - series| for one named quantity, read off the walk ``report``."""
+    """|exact - series| for one named quantity, read off ``report``."""
     return _tested_expression(quantity).residuals[quantity](report)
 
 
@@ -302,7 +303,7 @@ def fit_scaling(quantity: str, deltas, template: ProtocolParams,
     fixed (a is re-derived from normalization); auto_dt re-solves the
     cancellation spacing at every grid point, otherwise dt is held fixed.
     """
-    _tested_expression(quantity)  # rejects an unknown name before any walk
+    _tested_expression(quantity)  # rejects an unknown name before any evaluation
     residuals = [report_residual(quantity, protocol.run(rescale_delta(template, d, auto_dt=auto_dt)))
                  for d in deltas]
     return fit_power_law(deltas, residuals)

@@ -59,21 +59,29 @@ def helstrom_trace_norm(rho0, rho1, prior: float) -> float:
     return 0.5 * (1.0 - float(np.sum(np.abs(np.linalg.eigvalsh(gamma)))))
 
 
+def candidate_pair(b: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The states (a, 0, 0, 0, b*delta) and (0, 0, 0, a, b*delta), a = sqrt(1 - (b*delta)^2)."""
+    a = math.sqrt(1.0 - (b * delta) ** 2)
+    return (np.array([a, 0, 0, 0, b * delta], dtype=np.complex128),
+            np.array([0, 0, 0, a, b * delta], dtype=np.complex128))
+
+
 def naive_run(b: float, delta: float, k: int, dt: float,
               e0: float = 1.0, e1: float = 2.0, xi: float = 0.5,
-              paper_ledger: bool = False) -> dict:
+              paper_ledger: bool = False, start=None) -> dict:
     """Reference protocol walk with dense-exponential evolution.
 
-    Returns leaf probabilities per hypothesis, the exact-ledger (or, with
-    paper_ledger, the idealized-ledger) total, the final conditioned overlap
-    magnitude, and the cumulative survival pair.
+    The walk starts from ``start``, a pair of unit 5-vectors for hypotheses
+    0 and 1, or by default from :func:`candidate_pair`. Returns leaf
+    probabilities per hypothesis, the exact-ledger (or, with paper_ledger,
+    the idealized-ledger) total, the final conditioned overlap magnitude,
+    the cumulative survival pair and the survived pair of states.
     """
-    a = math.sqrt(1.0 - (b * delta) ** 2)
     m = np.zeros(5, dtype=np.complex128)
     m[1] = m[2] = 1.0 / math.sqrt(2.0)
     u = scipy.linalg.expm(-1j * ham5(e0, e1, delta) * dt)
-    states = [np.array([a, 0, 0, 0, b * delta], dtype=np.complex128),
-              np.array([0, 0, 0, a, b * delta], dtype=np.complex128)]
+    states = [np.asarray(v, dtype=np.complex128)
+              for v in (candidate_pair(b, delta) if start is None else start)]
     cum = [1.0, 1.0]
     leaf_p0, leaf_p1 = [], []
     total = 0.0
@@ -107,6 +115,7 @@ def naive_run(b: float, delta: float, k: int, dt: float,
         "leaf_p1": leaf_p1,
         "final_overlap": overlap,
         "cumulative_survival": tuple(cum),
+        "survived_pair": tuple(states),
     }
 
 

@@ -33,16 +33,16 @@ def _criterion(number: int, description: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {number} failed: {description} {detail}"
 
 
-def random_params(rng, **overrides) -> ProtocolParams:
+def random_params(rng) -> tuple[ProtocolParams, tuple[float, float]]:
+    """Random valid params, and random level energies (e0, e1) for the oracle
+    walk, which the package has no input for."""
     delta = rng.uniform(1e-4, 0.2)
     bd = rng.uniform(0.0, 0.9)
-    kwargs = dict(
-        b=bd / delta, delta=delta, k=int(rng.integers(1, 9)),
-        dt=rng.uniform(0.1, 3.0), e0=rng.uniform(-2, 3), e1=rng.uniform(-2, 3),
-        prior=rng.uniform(0.05, 0.95),
-    )
-    kwargs.update(overrides)
-    return ProtocolParams.from_b(**kwargs)
+    k, dt = int(rng.integers(1, 9)), rng.uniform(0.1, 3.0)
+    energies = (rng.uniform(-2, 3), rng.uniform(-2, 3))
+    p = ProtocolParams.from_b(b=bd / delta, delta=delta, k=k, dt=dt,
+                              prior=rng.uniform(0.05, 0.95))
+    return p, energies
 
 
 def test_criterion_1_quadratic_baseline_from_cli(capsys):
@@ -81,8 +81,8 @@ def test_criterion_3_exact_click_probability():
     rng = np.random.default_rng(1001)
     worst = 0.0
     for _ in range(100):
-        p = random_params(rng)
-        click = protocol.run(p).leaves[0].p_given_h0  # the walk's first click
+        p, _ = random_params(rng)
+        click = protocol.run(p).leaves[0].p_given_h0  # the first click leaf
         worst = max(worst, abs(click - oracles.first_click_closed_form(p.a, p.delta, p.dt)))
     fit = series.fit_scaling("click_prob", DELTA_GRID,
                              ProtocolParams.from_b(10.0, 0.01, 1, dt=1.0))
@@ -103,7 +103,7 @@ def test_criterion_5_and_6_branch_tree_soundness_and_optimality_floor():
     worst_mass = worst_total = worst_swap = 0.0
     floor_ok = True
     for _ in range(200):
-        p = random_params(rng)
+        p, energies = random_params(rng)
         report = protocol.run(p)
         mass0 = math.fsum(l.p_given_h0 for l in report.leaves)
         mass1 = math.fsum(l.p_given_h1 for l in report.leaves)
@@ -112,10 +112,12 @@ def test_criterion_5_and_6_branch_tree_soundness_and_optimality_floor():
         worst_total = max(worst_total, abs(report.total_cost - resum))
         floor_ok &= report.total_cost >= report.baseline_exact - 1e-10
 
+        # Relabelling: the oracle walk from the swapped candidate pair.
         even = dataclasses.replace(p, prior=0.5)
-        s0, s1 = protocol.initial_states(even)
+        swapped = oracles.candidate_pair(even.b, even.delta)[::-1]
         swap_gap = abs(protocol.run(even).total_cost
-                       - protocol.run(even, initial_pair=(s1, s0)).total_cost)
+                       - oracles.naive_run(even.b, even.delta, even.k, even.dt, *energies,
+                                           even.prior, start=swapped)["total"])
         worst_swap = max(worst_swap, swap_gap)
     _criterion(5, "branch-tree soundness over 200 random parameter sets",
                worst_mass <= 1e-10 and worst_total <= 1e-12 and worst_swap <= 1e-12,

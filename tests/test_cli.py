@@ -8,7 +8,7 @@ import pytest
 from zenodisc import cli, protocol
 from zenodisc.cli import parse_config, render_csv, render_summary, run_sweep
 from zenodisc.protocol import Mode
-from zenodisc.qcore import DegenerateBranchError, ValidationError
+from zenodisc.qcore import ValidationError
 
 FIXTURE = """\
 # headline fixture
@@ -29,9 +29,9 @@ def _count_walks(monkeypatch) -> list:
     walked = []
     run = protocol.run
 
-    def counting_run(params, initial_pair=None):
+    def counting_run(params):
         walked.append(params)
-        return run(params, initial_pair)
+        return run(params)
 
     monkeypatch.setattr(protocol, "run", counting_run)
     return walked
@@ -77,11 +77,13 @@ def test_parse_config_errors_carry_line_numbers():
         parse_config("b=10\ndelta=\nxi=0.5")
     for key, text in (("b", "delta=0.01\nxi=0.5\nb=nan"),
                       ("delta", "b=10\nxi=0.5\ndelta=0.01,inf"),
-                      ("dt", "b=10\ndelta=0.01\ndt=0.5,inf"),
-                      ("e0", "b=10\ndelta=0.01\ne0=nan"),
-                      ("e1", "b=10\ndelta=0.01\ne1=-inf")):
+                      ("dt", "b=10\ndelta=0.01\ndt=0.5,inf")):
         with pytest.raises(ValidationError, match=f"line 3.*finite.*'{key}'"):
             parse_config(text)
+    # The level energies are fixed; a config that sets them is refused.
+    for key in ("e0", "e1"):
+        with pytest.raises(ValidationError, match=f"line 3: key '{key}' has no effect"):
+            parse_config(f"b=10\ndelta=0.01\n{key}=1.0")
     # Non-ASCII digits pass str.isdigit() but not int().
     for key in ("k", "digits"):
         with pytest.raises(ValidationError, match=f"line 3.*'{key}'"):
@@ -225,9 +227,9 @@ def test_optimize_refines_dt_on_a_bracket(monkeypatch):
     # Count every walk optimize makes, its overlap-exponent grid included.
     walked = []
 
-    def counting_run(params, initial_pair=None):
+    def counting_run(params):
         walked.append(params)
-        return protocol.run(params, initial_pair)
+        return protocol.run(params)
 
     monkeypatch.setattr(cli, "protocol", types.SimpleNamespace(
         run=counting_run, price=protocol.price, rescale_delta=protocol.rescale_delta))
@@ -320,14 +322,13 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
     assert cli.main(["nonsense"]) == 1
 
 
-def test_main_numerical_failure_exits_two(monkeypatch, capsys):
-    def boom(params, initial_pair=None):
-        raise DegenerateBranchError("forced for the exit-code contract")
-
-    monkeypatch.setattr(protocol, "run", boom)
-    code = cli.main(["run", "--b", "10", "--delta", "0.001", "--k", "1", "--dt", "1.0"])
-    assert code == 2
-    assert "numerical failure" in capsys.readouterr().err
+def test_main_rejects_flags_that_change_nothing(capsys):
+    # No baseline depends on k or dt, and no reported number on e0 or e1.
+    for argv in (["baseline", "--b", "10", "--delta", "0.01", "--k", "5"],
+                 ["baseline", "--b", "10", "--delta", "0.01", "--dt", "0.5"],
+                 ["run", "--b", "10", "--delta", "0.001", "--k", "1", "--e0", "1.0"]):
+        assert cli.main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_main_quiet_silences_stdout(capsys):

@@ -4,25 +4,31 @@ import math
 import numpy as np
 import pytest
 
-from zenodisc import protocol, qcore
+from zenodisc import protocol
 from zenodisc.protocol import Mode, ProtocolParams
-from zenodisc.qcore import PureState, ValidationError
+from zenodisc.qcore import ValidationError
 
 import oracles
 
 RNG = np.random.default_rng(99_173)
 
 
-def random_params(rng, mode=Mode.EXACT, prior=None, k_max=8) -> ProtocolParams:
+def random_params(rng, mode=Mode.EXACT, prior=None, k_max=8
+                  ) -> tuple[ProtocolParams, tuple[float, float]]:
+    """Random valid params, and random level energies (e0, e1) for the oracle
+    walk: the package has no such input, so each oracle comparison also shows
+    that they change nothing."""
     delta = rng.uniform(1e-4, 0.2)
     bd = rng.uniform(0.0, 0.9)
-    return ProtocolParams.from_b(
-        b=bd / delta, delta=delta, k=int(rng.integers(1, k_max + 1)),
-        dt=rng.uniform(0.1, 3.0),
-        e0=rng.uniform(-2, 3), e1=rng.uniform(-2, 3),
+    k = int(rng.integers(1, k_max + 1))
+    dt = rng.uniform(0.1, 3.0)
+    energies = (rng.uniform(-2, 3), rng.uniform(-2, 3))
+    p = ProtocolParams.from_b(
+        b=bd / delta, delta=delta, k=k, dt=dt,
         prior=rng.uniform(0.05, 0.95) if prior is None else prior,
         mode=mode,
     )
+    return p, energies
 
 
 # ----------------------------------------------------------- construction
@@ -43,12 +49,10 @@ def test_params_validation():
 def test_params_hash_and_compare_by_value():
     p = ProtocolParams.from_b(10.0, 0.01, k=5, dt=1.0)
     q = ProtocolParams.from_b(10.0, 0.01, k=5, dt=1.0)
-    assert p is not q and p.direction is not q.direction
+    assert p is not q
     assert p == q and hash(p) == hash(q)
     assert len({p, q}) == 1
     assert p != dataclasses.replace(p, mode=Mode.PAPER)
-    probe = qcore.MeasurementDirection(np.array([1, 0, 0, 0, 0], dtype=np.complex128))
-    assert p != dataclasses.replace(p, direction=probe)
 
 
 def test_from_b_normalizes():
@@ -73,13 +77,13 @@ def test_initial_states_examples():
     assert s0.amplitudes[4] == pytest.approx(0.1, abs=1e-14)
     assert s1.amplitudes[3] == pytest.approx(math.sqrt(0.99), abs=1e-14)
     assert s1.amplitudes[4] == pytest.approx(0.1, abs=1e-14)
-    assert qcore.inner_product(s0, s1) == pytest.approx((p.b * p.delta) ** 2, abs=1e-14)
+    assert np.vdot(s0.amplitudes, s1.amplitudes) == pytest.approx((p.b * p.delta) ** 2, abs=1e-14)
 
 
 def test_initial_states_orthogonal_when_b_zero():
     p = ProtocolParams(a=1.0, b=0.0, delta=0.05, dt=1.0, k=1)
     s0, s1 = protocol.initial_states(p)
-    assert abs(qcore.inner_product(s0, s1)) == 0.0
+    assert abs(np.vdot(s0.amplitudes, s1.amplitudes)) == 0.0
     assert np.allclose(s0.amplitudes, [1, 0, 0, 0, 0], atol=1e-15)
     assert np.allclose(s1.amplitudes, [0, 0, 0, 1, 0], atol=1e-15)
 
@@ -121,7 +125,7 @@ def test_step_delta_zero_never_clicks_off_support():
 
 def test_step_click_probability_closed_form():
     for _ in range(50):
-        p = random_params(RNG, k_max=1)
+        p, _ = random_params(RNG, k_max=1)
         click = protocol.run(p).leaves[0].p_given_h0
         assert click == pytest.approx(
             oracles.first_click_closed_form(p.a, p.delta, p.dt), abs=1e-12)
@@ -140,9 +144,9 @@ def test_step_survivor_transverse_components():
 
 def test_run_matches_independent_walk():
     for _ in range(25):
-        p = random_params(RNG)
+        p, energies = random_params(RNG)
         report = protocol.run(p)
-        ref = oracles.naive_run(p.b, p.delta, p.k, p.dt, p.e0, p.e1, p.prior)
+        ref = oracles.naive_run(p.b, p.delta, p.k, p.dt, *energies, p.prior)
         assert report.total_cost == pytest.approx(ref["total"], abs=1e-12)
         assert report.final_overlap == pytest.approx(ref["final_overlap"], abs=1e-12)
         for leaf, q0, q1 in zip(report.leaves, ref["leaf_p0"], ref["leaf_p1"]):
@@ -151,15 +155,40 @@ def test_run_matches_independent_walk():
 
 
 def test_run_paper_ledger_matches_independent_walk():
-    p = random_params(np.random.default_rng(5), mode=Mode.PAPER)
+    p, energies = random_params(np.random.default_rng(5), mode=Mode.PAPER)
     report = protocol.run(p)
-    ref = oracles.naive_run(p.b, p.delta, p.k, p.dt, p.e0, p.e1, p.prior,
-                            paper_ledger=True)
+    ref = oracles.naive_run(p.b, p.delta, p.k, p.dt, *energies, p.prior, paper_ledger=True)
     assert report.total_cost == pytest.approx(ref["total"], abs=1e-12)
 
 
+def test_run_matches_independent_walk_at_the_edges():
+    # At delta dt = pi/2, sin^2(delta dt) rounds to 1 and log1p(-sin^2) is
+    # -inf; at delta = 0 nothing clicks, so every click leaf has zero mass;
+    # with cos(delta dt) < 0 and k odd, c^k in the survived pair is negative.
+    edges = (ProtocolParams(a=1.0, b=0.0, delta=1.0, dt=math.pi / 2, k=4, prior=0.3),
+             ProtocolParams(a=1.0, b=0.0, delta=0.0, dt=1.7, k=4, prior=0.3),
+             ProtocolParams.from_b(2.0, 0.25, 5, dt=9.0, prior=0.3))
+    assert math.sin(edges[0].delta * edges[0].dt) ** 2 == 1.0
+    assert math.cos(edges[2].delta * edges[2].dt) < 0.0
+    for p in edges:
+        for mode in Mode:
+            report = protocol.run(dataclasses.replace(p, mode=mode))
+            ref = oracles.naive_run(p.b, p.delta, p.k, p.dt, xi=p.prior,
+                                    paper_ledger=mode is Mode.PAPER)
+            assert abs(report.total_cost - ref["total"]) <= 1e-12
+            assert abs(report.final_overlap - ref["final_overlap"]) <= 1e-12
+            assert len(report.leaves) == len(ref["leaf_p0"])
+            for leaf, q0, q1 in zip(report.leaves, ref["leaf_p0"], ref["leaf_p1"]):
+                assert abs(leaf.p_given_h0 - q0) <= 1e-12
+                assert abs(leaf.p_given_h1 - q1) <= 1e-12
+                assert all(math.isfinite(v) for v in (leaf.marginal, leaf.posterior,
+                                                      leaf.leaf_cost))
+            for got, want in zip(report.survived_pair, ref["survived_pair"]):
+                assert np.max(np.abs(np.abs(got.amplitudes) - np.abs(want))) <= 1e-12
+
+
 def test_run_leaf_structure_and_conservation():
-    p = random_params(np.random.default_rng(11))
+    p, _ = random_params(np.random.default_rng(11))
     report = protocol.run(p)
     assert len(report.leaves) == p.k + 1
     assert [leaf.kind for leaf in report.leaves] == ["click"] * p.k + ["survived"]
@@ -201,11 +230,13 @@ def test_run_symmetric_scenario_properties():
 
 
 def test_run_hypothesis_swap_invariance_at_even_prior():
-    p = dataclasses.replace(random_params(np.random.default_rng(17)), prior=0.5)
-    s0, s1 = protocol.initial_states(p)
+    # Relabelling the hypotheses swaps the start pair; the package has no
+    # start argument, so the oracle walk runs from the swapped pair.
+    p, energies = random_params(np.random.default_rng(17), prior=0.5)
+    swapped = oracles.candidate_pair(p.b, p.delta)[::-1]
     forward = protocol.run(p)
-    swapped = protocol.run(p, initial_pair=(s1, s0))
-    assert abs(forward.total_cost - swapped.total_cost) <= 1e-12
+    ref = oracles.naive_run(p.b, p.delta, p.k, p.dt, *energies, p.prior, start=swapped)
+    assert abs(forward.total_cost - ref["total"]) <= 1e-12
 
 
 def test_run_orthogonal_inputs_make_protocol_strictly_worse():
@@ -231,24 +262,6 @@ def test_run_paper_total_tracks_closed_form():
     assert abs(report.total_cost - closed) <= p.delta**3
 
 
-def test_run_prunes_dead_branches():
-    # Exactly representable geometry: both hypotheses sit on the probe
-    # direction and nothing evolves, so step 1 clicks with certainty and
-    # the null branch underflows the pruning floor.
-    probe = qcore.MeasurementDirection(np.array([1, 0, 0, 0, 0], dtype=np.complex128))
-    p = ProtocolParams(a=1.0, b=0.0, delta=0.0, dt=1.0, k=3,
-                       e0=0.0, e1=0.0, direction=probe)
-    on_probe = PureState(np.array([1, 0, 0, 0, 0], dtype=np.complex128))
-    report = protocol.run(p, initial_pair=(on_probe, on_probe))
-    assert len(report.leaves) == 2
-    click, survived = report.leaves
-    assert click.p_given_h0 == 1.0 and click.p_given_h1 == 1.0
-    assert survived.p_given_h0 == 0.0 and survived.p_given_h1 == 0.0
-    assert survived.posterior == p.prior  # a zero-mass leaf keeps the prior
-    assert report.total_cost == pytest.approx(0.5, abs=1e-15)
-    assert report.baseline_exact == pytest.approx(0.5, abs=1e-12)
-
-
 def test_run_zeno_regime_keeps_leaf_mass_and_meets_the_limit():
     # Many close probes at fixed total time T = k dt (Misra and Sudarshan):
     # k (1 - P(survive)) -> a^2 delta^2 T^2 / 2 up to O((delta T)^2). The
@@ -268,7 +281,7 @@ def test_run_zeno_regime_keeps_leaf_mass_and_meets_the_limit():
 def test_run_sanity_bounds_across_random_sets():
     rng = np.random.default_rng(4242)
     for _ in range(60):
-        p = random_params(rng)
+        p, _ = random_params(rng)
         report = protocol.run(p)
         assert report.total_cost >= report.baseline_exact - 1e-10
         assert report.total_cost <= min(p.prior, 1 - p.prior) + 1e-12

@@ -199,35 +199,16 @@ def test_probabilities_are_phase_insensitive(theta):
     assert abs(out0.survive_prob - out1.survive_prob) <= 1e-14
 
 
-# ------------------------------------------------- inner_product, normalize
-
-def test_inner_product_self_is_one():
-    psi = PureState(oracles.random_pure_state(RNG))
-    assert qcore.inner_product(psi, psi) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_inner_product_of_candidate_pair():
-    bd = 0.1
-    a = math.sqrt(1 - bd**2)
-    psi0 = state(a, 0, 0, 0, bd)
-    psi1 = state(0, 0, 0, a, bd)
-    assert qcore.inner_product(psi0, psi1) == pytest.approx(bd**2, abs=1e-15)
-
+# ------------------------------------------------------ overlap, normalize
 
 def test_inner_product_magnitude_invariant_under_joint_evolution():
     spec = HamiltonianSpec(0.3, 1.1, 0.6)
     phi = PureState(oracles.random_pure_state(RNG))
     psi = PureState(oracles.random_pure_state(RNG))
-    before = abs(qcore.inner_product(phi, psi))
-    after = abs(qcore.inner_product(qcore.evolve(spec, 1.3, phi),
-                                    qcore.evolve(spec, 1.3, psi)))
+    before = abs(np.vdot(phi.amplitudes, psi.amplitudes))
+    after = abs(np.vdot(qcore.evolve(spec, 1.3, phi).amplitudes,
+                        qcore.evolve(spec, 1.3, psi).amplitudes))
     assert after == pytest.approx(before, abs=1e-13)
-
-
-def test_inner_product_dimension_mismatch():
-    with pytest.raises(ValidationError):
-        qcore.inner_product(PureState(np.array([1.0, 0.0], dtype=np.complex128)),
-                            state(1, 0, 0, 0, 0))
 
 
 def test_normalize_examples():
