@@ -21,18 +21,15 @@ is M_k = (a^2 / 2)(1 - c^(2 k)), and the survived pair has the overlap
 |b^2 delta^2 - M_k| / (1 - M_k). The level energies e0 and e1 enter only
 phases, so no reported number depends on them.
 
-Two cost ledgers are supported:
-
-* ``Mode.EXACT``: every leaf is charged its true Bayes cost at its own
-  posterior. Click leaves collapse both hypotheses onto the measurement
-  direction, so their cost is min(posterior, 1 - posterior); the survived
-  leaf is charged the Helstrom cost of its conditioned state pair.
-* ``Mode.PAPER``: the idealized ledger in which a click costs exactly 1/2
-  and full survival costs 0. Its weighted total is what the closed form
-  ``total_cost_paper_mode`` approximates at second order in delta.
-
-The gap between the two ledgers on the same exact branch probabilities is
-the whole point of the laboratory.
+Two cost ledgers price the same tree. ``Mode.EXACT`` charges each leaf its
+true Bayes cost: min(xi, 1 - xi) at a click, whose posterior is the prior,
+and at survival the Helstrom cost H of the conditioned pair, so the total is
+M_k min(xi, 1 - xi) + (1 - M_k) H(xi, O_k^2) with O_k the survived overlap.
+``Mode.PAPER`` is the idealized ledger in which a click costs 1/2 and
+survival 0, so the total is M_k / 2; ``total_cost_paper_mode`` is its
+second-order value. A report stores only the tree, and its costs are views
+under ``params.mode``. The gap between the two ledgers on the same exact
+branch probabilities is the whole point of the laboratory.
 """
 
 from __future__ import annotations
@@ -182,33 +179,65 @@ class LeafRecord:
 
 @dataclass(frozen=True)
 class ProtocolReport:
-    """Totals, baselines, trajectories, and the verdict for one experiment.
+    """The outcome tree of one experiment; its ledger's numbers are views.
 
-    verdict_vs_exact and verdict_vs_paper are the signed differences between
-    total_cost and the two Helstrom baselines (positive: the protocol did
-    worse than that baseline). overlap_trajectory[i] is |<s0|s1>| of the
-    conditioned survival states after i steps, so entry 0 is the initial
-    overlap b^2 delta^2; survival_trajectory[i] is the pair of cumulative
-    survival probabilities after i steps. survived_pair holds the two
-    hypothesis-conditioned states of the survived leaf, without the phases
-    that e0 and e1 put on them.
+    clicks[j - 1] is the probability of the click at step j under either
+    hypothesis and click_mass their total M_k. overlap_trajectory[i] is
+    |<s0|s1>| of the conditioned survival states after i steps (entry 0 is
+    b^2 delta^2), survival_trajectory[i] the pair of cumulative survival
+    probabilities. survived_pair holds the two conditioned states of the
+    survived leaf, without the phases of e0 and e1. total_cost, the verdicts
+    (total_cost minus each baseline; positive: worse than that baseline) and
+    the leaves are computed under params.mode when read.
     """
 
     params: ProtocolParams
-    leaves: tuple[LeafRecord, ...]
+    clicks: tuple[float, ...]
+    click_mass: float
     survived_pair: tuple[PureState, PureState]
-    total_cost: float
     baseline_exact: float
     baseline_paper: float
-    paper_new_cost: float
     overlap_trajectory: tuple[float, ...]
     survival_trajectory: tuple[tuple[float, float], ...]
-    verdict_vs_exact: float
-    verdict_vs_paper: float
 
     @property
     def final_overlap(self) -> float:
         return self.overlap_trajectory[-1]
+
+    def _leaf_costs(self) -> tuple[float, float]:
+        """The cost of every click leaf and of the survived leaf under the ledger."""
+        if self.params.mode is Mode.PAPER:
+            return 0.5, 0.0
+        prior = self.params.prior
+        return guess_only_cost(prior), helstrom_cost(prior, self.final_overlap ** 2)
+
+    @property
+    def total_cost(self) -> float:
+        click_cost, survived_cost = self._leaf_costs()
+        return self.click_mass * click_cost + self.survival_trajectory[-1][0] * survived_cost
+
+    @property
+    def verdict_vs_exact(self) -> float:
+        return self.total_cost - self.baseline_exact
+
+    @property
+    def verdict_vs_paper(self) -> float:
+        return self.total_cost - self.baseline_paper
+
+    @property
+    def paper_new_cost(self) -> float:
+        return total_cost_paper_mode(self.params)
+
+    @property
+    def leaves(self) -> tuple[LeafRecord, ...]:
+        """The k click leaves in step order, then the survived leaf; every
+        posterior is the prior."""
+        prior = self.params.prior
+        click_cost, survived_cost = self._leaf_costs()
+        survived = self.survival_trajectory[-1][0]
+        return (*(LeafRecord("click", step, p, p, p, prior, click_cost)
+                  for step, p in enumerate(self.clicks, start=1)),
+                LeafRecord("survived", None, survived, survived, survived, prior, survived_cost))
 
 
 def initial_states(params: ProtocolParams) -> tuple[PureState, PureState]:
@@ -242,7 +271,7 @@ def total_cost_paper_mode(params: ProtocolParams) -> float:
 
 
 def run(params: ProtocolParams) -> ProtocolReport:
-    """Evaluate the full outcome tree in closed form and adjudicate the totals.
+    """Evaluate the full outcome tree in closed form.
 
     Everything follows from the closed forms of the module docstring,
     evaluated as arrays over the steps j = 0..k with no step-by-step walk:
@@ -256,20 +285,18 @@ def run(params: ProtocolParams) -> ProtocolReport:
         ((a/2)(c^k + cos k delta dt), -i (a/2) sin k delta dt,
          i (a/2) sin k delta dt, (a/2)(c^k - cos k delta dt), b delta)
 
-    over sqrt(1 - M_k), and hypothesis 1 is its 1<->4, 2<->3 mirror. The
-    leaves are charged as :func:`price` charges them.
+    over sqrt(1 - M_k), and hypothesis 1 is its 1<->4, 2<->3 mirror.
     """
     # Params admit NORM_SLACK; the closed forms need a^2 + (b delta)^2 = 1 to
     # rounding, or the survived pair fails PureState's unit-norm check.
     norm = math.hypot(params.a, params.b * params.delta)
     a, bd = params.a / norm, params.b * params.delta / norm
-    prior, k, x = params.prior, params.k, params.delta * params.dt
+    k, x = params.k, params.delta * params.dt
     s2 = math.sin(x) ** 2
     # log(c^2); log1p(-s^2) is -inf once s^2 rounds to 1, though c^2 is not 0.
     log_c2 = math.log1p(-s2) if s2 < 1.0 else 2.0 * math.log(abs(math.cos(x)))
     log_decay = np.arange(k + 1) * log_c2
     half_a2 = 0.5 * a * a
-    clicks = (half_a2 * s2 * np.exp(log_decay[:-1])).tolist()
     mass = -half_a2 * np.expm1(log_decay)
     survival = 1.0 - mass
     overlap_traj = (np.abs(bd * bd - mass) / survival).tolist()
@@ -281,56 +308,22 @@ def run(params: ProtocolParams) -> ProtocolReport:
     s0 = np.array([0.5 * a * (ck + cos_kx), -0.5j * a * sin_kx, 0.5j * a * sin_kx,
                    0.5 * a * (ck - cos_kx), bd]) / math.sqrt(survival[-1])
 
-    baseline_exact = helstrom_cost(prior, overlap_traj[0] ** 2)
-    baseline_paper = helstrom_cost(prior, overlap_traj[0])
-    # Each leaf is equally likely under both hypotheses, so its posterior is the prior.
-    branches = [(p, p, p, prior) for p in clicks]
-    branches.append((survival[-1],) * 3 + (prior,))
     return ProtocolReport(
         params=params,
+        clicks=tuple((half_a2 * s2 * np.exp(log_decay[:-1])).tolist()),
+        click_mass=float(mass[-1]),
         survived_pair=(PureState(s0), PureState(s0[[3, 2, 1, 0, 4]])),
-        baseline_exact=baseline_exact,
-        baseline_paper=baseline_paper,
-        paper_new_cost=total_cost_paper_mode(params),
+        baseline_exact=helstrom_cost(params.prior, overlap_traj[0] ** 2),
+        baseline_paper=helstrom_cost(params.prior, overlap_traj[0]),
         overlap_trajectory=tuple(overlap_traj),
         survival_trajectory=tuple(zip(survival, survival)),
-        **_charge(params.mode, branches, overlap_traj[-1], baseline_exact, baseline_paper),
     )
 
 
 def price(report: ProtocolReport, mode: Mode) -> ProtocolReport:
     """The outcome tree behind ``report`` charged under the ledger ``mode``.
 
-    Only the leaf costs, the total and the verdicts depend on the ledger, so
-    this equals :func:`run` with ``mode`` without evaluating the tree again.
+    Only the ledger's views depend on the mode, so this equals :func:`run`
+    with ``mode`` without evaluating the tree again.
     """
-    if mode is report.params.mode:
-        return report
-    branches = [(leaf.p_given_h0, leaf.p_given_h1, leaf.marginal, leaf.posterior)
-                for leaf in report.leaves]
-    return replace(report, params=replace(report.params, mode=mode),
-                   **_charge(mode, branches, report.final_overlap,
-                             report.baseline_exact, report.baseline_paper))
-
-
-def _charge(mode: Mode, branches: list[tuple[float, float, float, float]],
-            final_overlap: float, baseline_exact: float, baseline_paper: float) -> dict:
-    """The ledger's fields of a report: the charged leaves, total and verdicts.
-
-    branches holds (p_given_h0, p_given_h1, marginal, posterior) per leaf,
-    the clicks in step order and the survived leaf last; final_overlap is
-    |<s0|s1>| of the survived pair.
-    """
-    *clicks, (_, _, _, survived_post) = branches
-    if mode is Mode.PAPER:
-        costs = [0.5] * len(clicks) + [0.0]
-    else:
-        costs = [guess_only_cost(post) for _, _, _, post in clicks]
-        costs.append(helstrom_cost(survived_post, final_overlap**2))
-    steps = [*range(1, len(clicks) + 1), None]
-    leaves = tuple(
-        LeafRecord("click" if step else "survived", step, *branch, cost)
-        for step, branch, cost in zip(steps, branches, costs))
-    total = math.fsum(leaf.marginal * leaf.leaf_cost for leaf in leaves)
-    return dict(leaves=leaves, total_cost=total, verdict_vs_exact=total - baseline_exact,
-                verdict_vs_paper=total - baseline_paper)
+    return replace(report, params=replace(report.params, mode=mode))

@@ -10,9 +10,9 @@ imaginary units between components are kept.
 
 The delta-scaling fits measure |exact - series| on a small delta grid and
 report the log-log slope, which is the empirical truncation order. Every
-residual is read off one protocol report (the first click is its first
-leaf, the k-step state its survived pair), so one evaluation per grid point
-serves all quantities.
+residual is read off one protocol report (the first click probability is
+its ``clicks[0]``, the k-step state its survived pair), so one evaluation
+per grid point serves all quantities.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def _magnitude_gap(exact: np.ndarray, approx: np.ndarray) -> float:
 def _residual_click_prob(report: ProtocolReport) -> float:
     params = report.params
     series_val = 0.5 * params.a**2 * params.delta**2 * params.dt**2
-    return abs(report.leaves[0].p_given_h0 - series_val)
+    return abs(report.clicks[0] - series_val)
 
 
 def _residual_one_step_state(report: ProtocolReport) -> float:
@@ -190,7 +190,7 @@ def _residual_k_step_state(report: ProtocolReport) -> float:
 
 
 def _residual_survival_step(report: ProtocolReport) -> float:
-    return abs((1.0 - report.leaves[0].p_given_h0) - one_step_survival(report.params))
+    return abs((1.0 - report.clicks[0]) - one_step_survival(report.params))
 
 
 def _residual_survival_k(report: ProtocolReport) -> float:

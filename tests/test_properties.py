@@ -2,14 +2,15 @@
 
 Each property must hold on the whole valid domain, not only the fixture:
 pricing one tree under the other ledger is a run under that ledger, the
-tree agrees with the independent dense-exponential walk of the oracles, the
-exact ledger never beats the Helstrom floor, the paper total is half the
-click mass, the leaf masses sum to one, relabelling the hypotheses at an
-even prior matches the oracle walk from the swapped pair, swapping the
-prior for its complement leaves the total unchanged, and many close probes
-at a fixed total time meet the Misra-Sudarshan limit. The oracle
-comparisons run up to k = 200, the others up to k = 10^4. Rounding bounds count one rounding per
-leaf: (k + 1) eps, or 2 (k + 1) eps where two sums meet.
+charged leaves sum to the closed-form total, the tree agrees with the
+independent dense-exponential walk of the oracles, the exact ledger never
+beats the Helstrom floor, the paper total is half the click mass, the leaf
+masses sum to one, relabelling the hypotheses at an even prior matches the
+oracle walk from the swapped pair, swapping the prior for its complement
+leaves the total unchanged, and many close probes at a fixed total time
+meet the Misra-Sudarshan limit. The oracle comparisons run up to k = 200,
+the others up to k = 10^4. Rounding bounds count one rounding per leaf:
+(k + 1) eps, or 2 (k + 1) eps where two sums meet.
 """
 
 import dataclasses
@@ -49,17 +50,31 @@ def _other(mode: Mode) -> Mode:
     return Mode.PAPER if mode is Mode.EXACT else Mode.EXACT
 
 
+# The ledger's numbers are properties of the report, not fields, so they are
+# compared by name next to the stored fields.
+LEDGER_VIEWS = ("total_cost", "verdict_vs_exact", "verdict_vs_paper", "paper_new_cost", "leaves")
+
+
 @settings(max_examples=60, deadline=None)
 @given(valid_params())
 def test_pricing_a_walk_equals_running_that_ledger(p):
     priced = protocol.price(protocol.run(p), _other(p.mode))
     ran = protocol.run(dataclasses.replace(p, mode=_other(p.mode)))
-    for f in dataclasses.fields(ran):
-        if f.name == "survived_pair":
+    for name in (*(f.name for f in dataclasses.fields(ran)), *LEDGER_VIEWS):
+        if name == "survived_pair":
             for got, want in zip(priced.survived_pair, ran.survived_pair):
                 assert np.array_equal(got.amplitudes, want.amplitudes)
         else:
-            assert getattr(priced, f.name) == getattr(ran, f.name), f.name
+            assert getattr(priced, name) == getattr(ran, name), name
+
+
+# The leaves that `zenodisc run` prints sum to the total it prints.
+@settings(max_examples=60, deadline=None)
+@given(valid_params())
+def test_leaves_sum_to_the_total(p):
+    report = protocol.run(p)
+    resum = math.fsum(leaf.marginal * leaf.leaf_cost for leaf in report.leaves)
+    assert abs(resum - report.total_cost) <= (p.k + 1) * EPS
 
 
 # The oracle walk has level energies as inputs and the package does not, so
