@@ -506,13 +506,14 @@ def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow
     return report.params, replace(_report_row(report), overlap_exponent=exponent)
 
 
-def _baseline_lines(xi: float, b: float, delta: float, digits: int) -> list[str]:
+def _baseline_lines(xi: float, a: float, b: float, delta: float, digits: int) -> list[str]:
     overlap = (b * delta) ** 2
+    exact = helstrom_cost(xi, overlap ** 2, a * a * (1.0 + overlap))
     return [
         f"overlap |<psi0|psi1>|        = {_fmt(overlap, digits)}",
         f"transition prob (standard)   = {_fmt(overlap ** 2, digits)}",
-        f"baseline_exact               = {_fmt(helstrom_cost(xi, overlap ** 2), digits)}",
-        f"baseline_paper               = {_fmt(helstrom_cost(xi, overlap), digits)}",
+        f"baseline_exact               = {_fmt(exact, digits)}",
+        f"baseline_paper               = {_fmt(helstrom_cost(xi, overlap, a * a), digits)}",
         f"quadratic form b^2 delta^2/4 = {_fmt(0.25 * overlap, digits)}",
         f"guess_only_cost              = {_fmt(guess_only_cost(xi), digits)}",
     ]
@@ -601,8 +602,8 @@ def _emit(text: str, out: str | None, suffix: str, quiet: bool) -> int:
 def _cmd_baseline(args) -> int:
     cfg = _config_from_args(args)
     ab, delta, xi = _require_singletons(cfg, "baseline")
-    _, b = protocol.amplitudes(delta, **{cfg.amplitude: ab})
-    lines = _baseline_lines(xi, b, delta, cfg.digits)
+    a, b = protocol.amplitudes(delta, **{cfg.amplitude: ab})
+    lines = _baseline_lines(xi, a, b, delta, cfg.digits)
     return _emit("\n".join(lines) + "\n", cfg.out, ".txt", args.quiet)
 
 

@@ -98,6 +98,10 @@ class ProtocolParams:
             raise ValidationError(f"delta must be nonnegative, got {self.delta!r}")
         if not (0.0 <= self.prior <= 1.0):
             raise ValidationError(f"prior must lie in [0, 1], got {self.prior!r}")
+        x = self.delta * self.dt
+        if not all(math.isfinite(v) for v in (self.dt * self.dt, self.delta * self.delta, self.k * x * x)):
+            raise ValidationError(f"dt^2, delta^2 and k (delta dt)^2 must be finite, got dt={self.dt!r}, "
+                                  f"delta={self.delta!r}, k={self.k!r}")
         residual = self.a**2 + (self.b * self.delta) ** 2 - 1.0
         if abs(residual) > NORM_SLACK:
             raise ValidationError(
@@ -186,15 +190,17 @@ class ProtocolReport:
     |<s0|s1>| of the conditioned survival states after i steps (entry 0 is
     b^2 delta^2), survival_trajectory[i] the pair of cumulative survival
     probabilities. survived_pair holds the two conditioned states of the
-    survived leaf, without the phases of e0 and e1. total_cost, the verdicts
-    (total_cost minus each baseline; positive: worse than that baseline) and
-    the leaves are computed under params.mode when read.
+    survived leaf, without the phases of e0 and e1, and final_gap is 1 - O_k
+    in closed form, which keeps its digits as the pair nears parallel.
+    total_cost, the verdicts (total_cost minus each baseline; positive: worse
+    than that baseline) and the leaves are computed under params.mode when read.
     """
 
     params: ProtocolParams
     clicks: tuple[float, ...]
     click_mass: float
     survived_pair: tuple[PureState, PureState]
+    final_gap: float
     baseline_exact: float
     baseline_paper: float
     overlap_trajectory: tuple[float, ...]
@@ -209,7 +215,8 @@ class ProtocolReport:
         if self.params.mode is Mode.PAPER:
             return 0.5, 0.0
         prior = self.params.prior
-        return guess_only_cost(prior), helstrom_cost(prior, self.final_overlap ** 2)
+        gap = self.final_gap
+        return guess_only_cost(prior), helstrom_cost(prior, self.final_overlap ** 2, gap * (2.0 - gap))
 
     @property
     def total_cost(self) -> float:
@@ -296,10 +303,10 @@ def run(params: ProtocolParams) -> ProtocolReport:
     # log(c^2); log1p(-s^2) is -inf once s^2 rounds to 1, though c^2 is not 0.
     log_c2 = math.log1p(-s2) if s2 < 1.0 else 2.0 * math.log(abs(math.cos(x)))
     log_decay = np.arange(k + 1) * log_c2
-    half_a2 = 0.5 * a * a
+    half_a2, bd2 = 0.5 * a * a, bd * bd
     mass = -half_a2 * np.expm1(log_decay)
     survival = 1.0 - mass
-    overlap_traj = (np.abs(bd * bd - mass) / survival).tolist()
+    overlap_traj = (np.abs(bd2 - mass) / survival).tolist()
     survival = survival.tolist()
 
     # c^k with its sign: the even amplitude flips at every step when c < 0.
@@ -308,13 +315,17 @@ def run(params: ProtocolParams) -> ProtocolReport:
     s0 = np.array([0.5 * a * (ck + cos_kx), -0.5j * a * sin_kx, 0.5j * a * sin_kx,
                    0.5 * a * (ck - cos_kx), bd]) / math.sqrt(survival[-1])
 
+    # 1 - O_k = (1 - M_k - |b^2 delta^2 - M_k|) / (1 - M_k) cancels near parallel;
+    # a^2 + b^2 delta^2 = 1 turns the numerator into a sum of positive terms.
+    gap = (2.0 * bd2 + a * a * math.exp(log_decay[-1]) if mass[-1] >= bd2 else a * a) / survival[-1]
     return ProtocolReport(
         params=params,
         clicks=tuple((half_a2 * s2 * np.exp(log_decay[:-1])).tolist()),
         click_mass=float(mass[-1]),
         survived_pair=(PureState(s0), PureState(s0[[3, 2, 1, 0, 4]])),
-        baseline_exact=helstrom_cost(params.prior, overlap_traj[0] ** 2),
-        baseline_paper=helstrom_cost(params.prior, overlap_traj[0]),
+        final_gap=gap,
+        baseline_exact=helstrom_cost(params.prior, bd2 * bd2, a * a * (1.0 + bd2)),
+        baseline_paper=helstrom_cost(params.prior, bd2, a * a),
         overlap_trajectory=tuple(overlap_traj),
         survival_trajectory=tuple(zip(survival, survival)),
     )

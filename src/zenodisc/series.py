@@ -101,7 +101,7 @@ def baseline_paper_convention(params: ProtocolParams) -> float:
     The alternative convention squares the overlap; that baseline is
     ``ProtocolReport.baseline_exact``. Reports print both side by side.
     """
-    return helstrom_cost(params.prior, (params.b * params.delta) ** 2)
+    return helstrom_cost(params.prior, (params.b * params.delta) ** 2, params.a**2)
 
 
 def original_cost(params: ProtocolParams) -> float:

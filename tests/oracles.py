@@ -39,8 +39,24 @@ def first_click_closed_form(a: float, delta: float, dt: float) -> float:
     return 0.5 * a**2 * math.sin(delta * dt) ** 2
 
 
-def helstrom_inline(prior: float, transition: float) -> float:
-    return 0.5 * (1.0 - math.sqrt(max(1.0 - 4.0 * prior * (1.0 - prior) * transition, 0.0)))
+def helstrom_inline(prior: float, transition: float, complement: float | None = None) -> float:
+    """2 xi (1 - xi) T / (1 + sqrt((1 - 2 xi)^2 + 4 xi (1 - xi)(1 - T))).
+
+    The complement 1 - T defaults to 1 - transition, which is exact enough
+    where T is small (the baselines); near-parallel pairs need it passed.
+    """
+    rest = 1.0 - transition if complement is None else complement
+    w = prior * (1.0 - prior)
+    return 2.0 * w * transition / (1.0 + math.sqrt((1.0 - 2.0 * prior) ** 2 + 4.0 * w * rest))
+
+
+def gram_complement(u, v) -> float:
+    """1 - |<u|v>|^2 of two unit vectors from the Lagrange identity
+    |u|^2 |v|^2 - |<u|v>|^2 = sum over i < j of |u_i v_j - u_j v_i|^2, a sum
+    of squares that keeps its digits when u and v are nearly parallel.
+    """
+    w = np.outer(u, v)
+    return float(np.sum(np.abs(np.triu(w - w.T, 1)) ** 2))
 
 
 def density(vec) -> np.ndarray:
@@ -106,7 +122,7 @@ def naive_run(b: float, delta: float, k: int, dt: float,
     post = xi * cum[0] / marg if marg > 0.0 else xi
     overlap = abs(np.vdot(states[0], states[1]))
     if not paper_ledger:
-        total += marg * helstrom_inline(post, overlap**2)
+        total += marg * helstrom_inline(post, overlap**2, gram_complement(*states))
     leaf_p0.append(cum[0])
     leaf_p1.append(cum[1])
     return {

@@ -158,7 +158,8 @@ def test_criterion_8_mixed_vs_pure_cross_formula():
         psi1 = oracles.random_pure_state(rng)
         prior = rng.uniform()
         gap = abs(oracles.helstrom_trace_norm(oracles.density(psi0), oracles.density(psi1), prior)
-                  - helstrom.helstrom_cost(prior, abs(np.vdot(psi0, psi1)) ** 2))
+                  - helstrom.helstrom_cost(prior, abs(np.vdot(psi0, psi1)) ** 2,
+                                           oracles.gram_complement(psi0, psi1)))
         worst = max(worst, gap)
     _criterion(8, "trace-norm and closed-form Helstrom costs agree on 1000 pure pairs",
                worst <= 1e-12, f"worst gap {worst:.3e}")

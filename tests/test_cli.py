@@ -123,6 +123,13 @@ def test_run_sweep_records_failures_as_rows():
     assert errors[0].delta == 0.2
 
 
+def test_run_sweep_records_overflowing_points_as_rows():
+    # delta^2 overflows at both points, and delta dt at the second.
+    rows = run_sweep(parse_config("a=1\ndelta=1e200\ndt=1,1e200\nk=1"))
+    assert [r.dt for r in rows] == [1.0, 1e200]
+    assert all("must be finite" in r.error for r in rows)
+
+
 def test_run_sweep_is_deterministic_and_sorted():
     cfg = parse_config(FIXTURE)
     rows1 = run_sweep(cfg)
@@ -319,6 +326,12 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
     assert "delta = 0 requires a = 1" in capsys.readouterr().err
     assert cli.main(["baseline", "--b", "200", "--delta", "0.01"]) == 1
     assert "|b*delta| = 2.0 exceeds 1" in capsys.readouterr().err
+    # Finite inputs whose phase delta dt or squares overflow.
+    for point in (["--a", "1", "--delta", "1e200", "--dt", "1e200"],
+                  ["--b", "10", "--delta", "1e-3", "--dt", "1e300"],
+                  ["--a", "1", "--delta", "1e-160", "--dt", "1e160"]):
+        assert cli.main(["run", *point, "--k", "1"]) == 1
+        assert "must be finite" in capsys.readouterr().err
     assert cli.main(["nonsense"]) == 1
 
 

@@ -16,44 +16,46 @@ RNG = np.random.default_rng(31415)
 
 def test_helstrom_pure_orthogonal_is_free():
     for prior in (0.0, 0.3, 0.5, 1.0):
-        assert helstrom.helstrom_cost(prior, 0.0) == 0.0
+        assert helstrom.helstrom_cost(prior, 0.0, 1.0) == 0.0
 
 
 def test_helstrom_pure_identical_states_cost_half():
-    assert helstrom.helstrom_cost(0.5, 1.0) == pytest.approx(0.5, abs=1e-15)
+    assert helstrom.helstrom_cost(0.5, 1.0, 0.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_helstrom_pure_three_four_five():
     # overlap 0.6 at even prior: (1 - sqrt(1 - 0.36)) / 2 = 0.1
-    assert helstrom.helstrom_cost(0.5, 0.6**2) == pytest.approx(0.1, abs=1e-14)
+    assert helstrom.helstrom_cost(0.5, 0.6**2, 0.8**2) == pytest.approx(0.1, abs=1e-14)
 
 
 def test_helstrom_cost_validates_inputs():
     with pytest.raises(ValidationError):
-        helstrom.helstrom_cost(1.2, 0.5)
+        helstrom.helstrom_cost(1.2, 0.5, 0.5)
     with pytest.raises(ValidationError):
-        helstrom.helstrom_cost(0.5, 1.5)
+        helstrom.helstrom_cost(0.5, 1.5, -0.5)
+    with pytest.raises(ValidationError, match="sum to 1"):
+        helstrom.helstrom_cost(0.5, 0.3, 0.3)
 
 
 @settings(max_examples=100, deadline=None)
 @given(xi=st.floats(0, 1), t1=st.floats(0, 1), t2=st.floats(0, 1))
 def test_helstrom_cost_monotone_and_bounded(xi, t1, t2):
     lo, hi = sorted((t1, t2))
-    assert helstrom.helstrom_cost(xi, lo) <= helstrom.helstrom_cost(xi, hi) + 1e-15
-    assert helstrom.helstrom_cost(xi, hi) <= helstrom.guess_only_cost(xi) + 1e-15
+    assert helstrom.helstrom_cost(xi, lo, 1.0 - lo) <= helstrom.helstrom_cost(xi, hi, 1.0 - hi) + 1e-15
+    assert helstrom.helstrom_cost(xi, hi, 1.0 - hi) <= helstrom.guess_only_cost(xi) + 1e-15
 
 
 @settings(max_examples=100, deadline=None)
 @given(xi=st.floats(0, 1), t=st.floats(0, 1))
 def test_helstrom_cost_prior_symmetry(xi, t):
-    assert helstrom.helstrom_cost(xi, t) == pytest.approx(
-        helstrom.helstrom_cost(1.0 - xi, t), abs=1e-15)
+    assert helstrom.helstrom_cost(xi, t, 1.0 - t) == pytest.approx(
+        helstrom.helstrom_cost(1.0 - xi, t, 1.0 - t), abs=1e-15)
 
 
 def test_helstrom_cost_free_at_certain_prior():
     for t in (0.0, 0.4, 1.0):
-        assert helstrom.helstrom_cost(0.0, t) == 0.0
-        assert helstrom.helstrom_cost(1.0, t) == 0.0
+        assert helstrom.helstrom_cost(0.0, t, 1.0 - t) == 0.0
+        assert helstrom.helstrom_cost(1.0, t, 1.0 - t) == 0.0
 
 
 # ------------------------------------------------------------ mixed states
@@ -80,7 +82,8 @@ def test_helstrom_mixed_agrees_with_pure_formula():
         psi1 = oracles.random_pure_state(RNG)
         prior = RNG.uniform()
         mixed = oracles.helstrom_trace_norm(oracles.density(psi0), oracles.density(psi1), prior)
-        pure = helstrom.helstrom_cost(prior, abs(np.vdot(psi0, psi1)) ** 2)
+        pure = helstrom.helstrom_cost(prior, abs(np.vdot(psi0, psi1)) ** 2,
+                                      oracles.gram_complement(psi0, psi1))
         worst = max(worst, abs(mixed - pure))
     assert worst <= 1e-12
 

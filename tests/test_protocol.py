@@ -44,6 +44,8 @@ def test_params_validation():
         ProtocolParams(a=1.0, b=0.0, delta=-0.1, dt=1.0, k=1)  # negative delta
     with pytest.raises(ValidationError):
         ProtocolParams(a=1.0, b=0.0, delta=0.0, dt=1.0, k=1, prior=1.5)
+    with pytest.raises(ValidationError, match="must be finite"):
+        ProtocolParams(a=1.0, b=0.0, delta=1e200, dt=1e200, k=1)  # delta dt overflows
 
 
 def test_params_hash_and_compare_by_value():
@@ -185,6 +187,27 @@ def test_run_matches_independent_walk_at_the_edges():
                                                       leaf.leaf_cost))
             for got, want in zip(report.survived_pair, ref["survived_pair"]):
                 assert np.max(np.abs(np.abs(got.amplitudes) - np.abs(want))) <= 1e-12
+
+
+# (1 - sqrt(1 - x)) / 2 cancels at both ends of the Helstrom form. At a
+# nearly certain prior it priced the survived leaf at 0 and put the total
+# below the floor; with b = 0 the survived pair nears parallel, and 1 - O_k^2
+# rounded from O_k loses the digits the survived leaf's cost needs.
+def test_exact_total_meets_the_floor_at_a_nearly_certain_prior():
+    p = ProtocolParams.from_b(10 / 3, 0.1875, 1, dt=3.0, prior=1.0 - 1.1e-16)
+    report = protocol.run(p)
+    assert report.total_cost >= report.baseline_exact
+
+
+# The package reads no level energies; each e1 is one on whose oracle
+# rounding path the cancelling form missed by more than 1e-12.
+@pytest.mark.parametrize("k, e1", [(61, 1.0), (80, 2.0), (110, 2.0), (155, 2.0)])
+def test_run_matches_independent_walk_for_a_near_parallel_survived_pair(k, e1):
+    p = ProtocolParams(a=1.0, b=0.0, delta=0.1875, dt=3.0, k=k)
+    report = protocol.run(p)
+    ref = oracles.naive_run(p.b, p.delta, p.k, p.dt, 1.0, e1)
+    assert 1.0 - report.final_overlap < 1e-8
+    assert abs(report.total_cost - ref["total"]) <= 1e-12
 
 
 def test_run_leaf_structure_and_conservation():
