@@ -2,8 +2,9 @@
 
 Nothing here imports the package under test. Evolution goes through a dense
 Pade matrix exponential, the protocol walk is a plain Python reimplementation
-with its own Bayes bookkeeping, the Helstrom form is written out inline, and
-the mixed-state Helstrom cost goes through the trace norm, so agreement with
+with its own Bayes bookkeeping, the Helstrom form is written out inline
+with 1 - T taken from the walk's states by the Lagrange identity, and the
+mixed-state Helstrom cost goes through the trace norm, so agreement with
 the package is a genuine cross-check rather than the same code evaluated
 twice.
 """

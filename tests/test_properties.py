@@ -95,7 +95,7 @@ def test_walk_agrees_with_the_oracle_walk(p, e0, e1):
 
 @settings(max_examples=60, deadline=None)
 @given(valid_params(mode=st.just(Mode.EXACT)))
-# A nearly certain prior, where the Helstrom form cancels.
+# A nearly certain prior: 4 xi (1 - xi) T is tiny.
 @example(ProtocolParams.from_b(10 / 3, 0.1875, 1, dt=3.0, prior=1.0 - 1.1e-16))
 def test_exact_ledger_never_beats_the_helstrom_floor(p):
     report = protocol.run(p)
@@ -125,7 +125,7 @@ def test_leaf_masses_sum_to_one(p):
 @settings(max_examples=60, deadline=None)
 @given(valid_params(prior=st.just(0.5), k_max=ORACLE_K_MAX), st.floats(-2.0, 3.0),
        st.floats(-2.0, 3.0))
-# b = 0: the survived pair is nearly parallel, where the Helstrom form cancels.
+# b = 0: the survived pair is nearly parallel, O_k -> 1.
 @example(ProtocolParams(a=1.0, b=0.0, delta=0.1875, dt=3.0, k=61), 1.0, 1.0)
 def test_relabelling_the_hypotheses_keeps_the_total_at_an_even_prior(p, e0, e1):
     swapped = oracles.candidate_pair(p.b, p.delta)[::-1]

@@ -189,18 +189,17 @@ def test_run_matches_independent_walk_at_the_edges():
                 assert np.max(np.abs(np.abs(got.amplitudes) - np.abs(want))) <= 1e-12
 
 
-# (1 - sqrt(1 - x)) / 2 cancels at both ends of the Helstrom form. At a
-# nearly certain prior it priced the survived leaf at 0 and put the total
-# below the floor; with b = 0 the survived pair nears parallel, and 1 - O_k^2
-# rounded from O_k loses the digits the survived leaf's cost needs.
+# The two ends where the Helstrom cost can lose its digits: a nearly certain
+# prior makes 4 xi (1 - xi) T tiny, and b = 0 drives the survived pair
+# towards parallel, where 1 - O_k^2 must not be rounded from O_k.
 def test_exact_total_meets_the_floor_at_a_nearly_certain_prior():
     p = ProtocolParams.from_b(10 / 3, 0.1875, 1, dt=3.0, prior=1.0 - 1.1e-16)
     report = protocol.run(p)
     assert report.total_cost >= report.baseline_exact
 
 
-# The package reads no level energies; each e1 is one on whose oracle
-# rounding path the cancelling form missed by more than 1e-12.
+# The package reads no level energies; each e1 gives an oracle rounding path
+# on which (1 - sqrt(1 - x)) / 2 misses by more than 1e-12.
 @pytest.mark.parametrize("k, e1", [(61, 1.0), (80, 2.0), (110, 2.0), (155, 2.0)])
 def test_run_matches_independent_walk_for_a_near_parallel_survived_pair(k, e1):
     p = ProtocolParams(a=1.0, b=0.0, delta=0.1875, dt=3.0, k=k)
