@@ -37,9 +37,11 @@ from dataclasses import dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 
+import numpy as np
+
 from . import protocol, series
 from .helstrom import guess_only_cost, helstrom_cost
-from .protocol import Mode, ProtocolParams, ProtocolReport
+from .protocol import Mode, ProtocolParams
 from .qcore import ValidationError
 
 DEFAULT_DIGITS = 17
@@ -243,59 +245,39 @@ def _point_params(config: SweepConfig, ab: float, delta: float, dt: float | None
     return build(ab, delta, k, dt=dt, prior=xi, mode=mode)
 
 
-def _overlap_exponent(params: ProtocolParams, auto_dt: bool,
-                      overlaps: dict[ProtocolParams, float]) -> float | None:
-    """Delta exponent of the ``final_overlap`` residual on the default grid
-    around ``params``; grid points missing from ``overlaps`` are evaluated and added.
-    """
-    if params.b * max(series.DEFAULT_DELTAS) >= 1.0:
-        return None  # default grid would leave the valid amplitude range
-    try:
-        grid = [protocol.rescale_delta(params, d, auto_dt=auto_dt) for d in series.DEFAULT_DELTAS]
-        for point in grid:
-            if point not in overlaps:
-                overlaps[point] = protocol.run(point).final_overlap
-        fit = series.fit_power_law(series.DEFAULT_DELTAS, [overlaps[point] for point in grid])
-    except ValidationError:
-        return None
-    return fit.exponent
-
-
-def _point_rows(config: SweepConfig, overlaps: dict[ProtocolParams, float], ab: float,
-                delta: float, dt: float | None, k: int, xi: float
-                ) -> tuple[ProtocolParams | None, list[ReportRow]]:
-    """Evaluate one sweep point, record its final overlap, and price it under
-    every configured ledger; a failed point gives one error row per ledger.
-    """
-    params = None
-    try:
-        params = _point_params(config, ab, delta, dt, k, xi, config.modes[0])
-        report = protocol.run(params)
-    except ValidationError as exc:
-        if params is None:
-            point = {"a": math.nan, "b": math.nan, config.amplitude: ab,
-                     "dt": math.nan if dt is None else dt}
-        else:
-            point = {"a": params.a, "b": params.b, "dt": params.dt}
-        return None, [ReportRow(**point, delta=delta, k=k, xi=xi, mode=mode.value,
-                                error=str(exc)) for mode in config.modes]
-    overlaps[params] = report.final_overlap
-    return params, [_report_row(protocol.price(report, mode)) for mode in config.modes]
-
-
-def _report_row(report: ProtocolReport) -> ReportRow:
-    params = report.params
-    return ReportRow(
-        a=params.a, b=params.b, delta=params.delta, dt=params.dt, k=params.k,
-        xi=params.prior, mode=params.mode.value,
-        total_cost=report.total_cost,
-        baseline_exact=report.baseline_exact,
-        baseline_paper=report.baseline_paper,
-        paper_new_cost=report.paper_new_cost,
-        final_overlap=report.final_overlap,
-        verdict_vs_baseline_exact=report.verdict_vs_exact,
-        verdict_vs_baseline_paper=report.verdict_vs_paper,
-    )
+def _rows(points: list[ProtocolParams], modes: tuple[Mode, ...], auto_dt: bool) -> list[ReportRow]:
+    """The rows of valid ``points`` under each of ``modes``, from one :func:`protocol.tree`
+    pass over their final step. The final overlap depends on neither xi nor delta, so
+    one fit on the default delta grid, evaluated in the same pass, gives the overlap
+    exponent of each (b, dt or auto, k); None where that grid leaves the valid range."""
+    n, keys, grids = len(points), [(p.b, None if auto_dt else p.dt, p.k) for p in points], {}
+    for key, params in zip(keys, points):
+        if key not in grids and params.b * max(series.DEFAULT_DELTAS) < 1.0:
+            try:
+                grids[key] = [protocol.rescale_delta(params, d, auto_dt=auto_dt)
+                              for d in series.DEFAULT_DELTAS]
+            except ValidationError:
+                pass
+    evaluated = points + [q for grid in grids.values() for q in grid]
+    a, bd, x = np.array([protocol.normalised(q) for q in evaluated]).reshape(-1, 3).T
+    mass, survival, overlap, gap = protocol.tree(a, bd, x, np.array([float(q.k) for q in evaluated]))
+    fit_overlaps = overlap[n:].reshape(-1, len(series.DEFAULT_DELTAS)).tolist()
+    fits = {key: series.fit_power_law(series.DEFAULT_DELTAS, overlaps).exponent
+            for key, overlaps in zip(grids, fit_overlaps)}
+    prior, overlap, rows = np.array([p.prior for p in points]), overlap[:n], []
+    base_exact, base_paper = protocol.baselines(prior, a[:n], bd[:n])
+    shared = [column.tolist() for column in (base_exact, base_paper, overlap)]
+    for mode in modes:
+        total = protocol.ledger(mode, prior, mass[:n], survival[:n], overlap, gap[:n])[2]
+        for p, key, b_exact, b_paper, o, t, v_exact, v_paper in zip(points, keys, *shared, *(
+                column.tolist() for column in (total, total - base_exact, total - base_paper))):
+            rows.append(ReportRow(
+                a=p.a, b=p.b, delta=p.delta, dt=p.dt, k=p.k, xi=p.prior, mode=mode.value,
+                total_cost=t, baseline_exact=b_exact, baseline_paper=b_paper,
+                paper_new_cost=protocol.total_cost_paper_mode(p), final_overlap=o,
+                overlap_exponent=fits.get(key), verdict_vs_baseline_exact=v_exact,
+                verdict_vs_baseline_paper=v_paper))
+    return rows
 
 
 def _row_sort_key(row: ReportRow):
@@ -309,21 +291,23 @@ def _row_sort_key(row: ReportRow):
 def run_sweep(config: SweepConfig) -> list[ReportRow]:
     """Evaluate the Cartesian product of the config grids.
 
-    Each point is evaluated once and priced under every ledger. The overlap
-    exponents are fitted after all points are evaluated, so they evaluate
-    only the grid points the sweep lacks. Per-point failures become rows with a
-    populated error column; the sweep itself never aborts. Rows come back
-    sorted by parameter tuple, so equal configs produce identical row lists.
+    Each point is validated as a ``ProtocolParams``; a failing point becomes one row
+    per ledger with a populated error column, and the sweep never aborts. The valid
+    points are evaluated in one array pass with no per-step array (:func:`_rows`),
+    with one exponent fit per (b, dt or auto, k): the final overlap depends on neither
+    xi nor delta. Rows come back sorted by parameter tuple, so equal configs give
+    identical row lists.
     """
-    overlaps: dict[ProtocolParams, float] = {}
-    points = [
-        _point_rows(config, overlaps, ab, delta, dt, k, xi)
-        for ab, delta, dt, k, xi in product(config.ab, config.delta, config.dt, config.k, config.xi)
-    ]
-    rows = []
-    for params, point_rows in points:
-        exponent = None if params is None else _overlap_exponent(params, config.auto_dt, overlaps)
-        rows += [replace(row, overlap_exponent=exponent) for row in point_rows]
+    rows, points = [], []
+    for ab, delta, dt, k, xi in product(config.ab, config.delta, config.dt, config.k, config.xi):
+        try:
+            points.append(_point_params(config, ab, delta, dt, k, xi, config.modes[0]))
+        except ValidationError as exc:
+            point = {"a": math.nan, "b": math.nan, config.amplitude: ab,
+                     "dt": math.nan if dt is None else dt}
+            rows += [ReportRow(**point, delta=delta, k=k, xi=xi, mode=mode.value, error=str(exc))
+                     for mode in config.modes]
+    rows += _rows(points, config.modes, config.auto_dt)
     rows.sort(key=_row_sort_key)
     return rows
 
@@ -484,26 +468,24 @@ def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow
     smaller k, then smaller dt.
     """
     ab, delta, xi = _require_singletons(config, "optimize")
-    # Every (k, dt) evaluated is run once and kept; the optimum is the
-    # least of them, and its row reuses its report.
-    reports: dict[tuple[int, float], ProtocolReport] = {}
+    # Every (k, dt) evaluated is run once and its total kept; the optimum is
+    # the least of them, and its row is priced as a sweep's rows are.
+    totals: dict[tuple[int, float], tuple[float, ProtocolParams]] = {}
 
     def objective(k: int, dt: float | None) -> float:
         params = _point_params(config, ab, delta, dt, k, xi, mode)
-        if (k, params.dt) not in reports:
-            reports[k, params.dt] = protocol.run(params)
-        return reports[k, params.dt].total_cost
+        if (k, params.dt) not in totals:
+            totals[k, params.dt] = protocol.run(params).total_cost, params
+        return totals[k, params.dt][0]
 
     for k in config.k:
         for dt in config.dt:
             objective(k, dt)
         if len(config.dt) > 1:
             _golden_section(lambda dt: objective(k, dt), config.dt[0], config.dt[-1])
-    _, k_best, dt_best = min((report.total_cost, k, dt) for (k, dt), report in reports.items())
-    report = reports[k_best, dt_best]
-    exponent = _overlap_exponent(report.params, config.auto_dt,
-                                 {report.params: report.final_overlap})
-    return report.params, replace(_report_row(report), overlap_exponent=exponent)
+    _, k_best, dt_best = min((total, k, dt) for (k, dt), (total, _) in totals.items())
+    params = totals[k_best, dt_best][1]
+    return params, _rows([params], (mode,), config.auto_dt)[0]
 
 
 def _baseline_lines(xi: float, a: float, b: float, delta: float, digits: int) -> list[str]:

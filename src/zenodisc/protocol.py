@@ -36,13 +36,14 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
 from . import qcore
-from .helstrom import guess_only_cost, helstrom_cost
+from .helstrom import guess_only_cost, helstrom_cost, square
 from .qcore import MeasurementDirection, PureState, ValidationError
 
 # Candidate-state normalization a^2 + (b delta)^2 = 1 is enforced to this
@@ -210,18 +211,10 @@ class ProtocolReport:
     def final_overlap(self) -> float:
         return self.overlap_trajectory[-1]
 
-    def _leaf_costs(self) -> tuple[float, float]:
-        """The cost of every click leaf and of the survived leaf under the ledger."""
-        if self.params.mode is Mode.PAPER:
-            return 0.5, 0.0
-        prior = self.params.prior
-        gap = self.final_gap
-        return guess_only_cost(prior), helstrom_cost(prior, self.final_overlap ** 2, gap * (2.0 - gap))
-
     @property
     def total_cost(self) -> float:
-        click_cost, survived_cost = self._leaf_costs()
-        return self.click_mass * click_cost + self.survival_trajectory[-1][0] * survived_cost
+        return ledger(self.params.mode, self.params.prior, self.click_mass,
+                      self.survival_trajectory[-1][0], self.final_overlap, self.final_gap)[2]
 
     @property
     def verdict_vs_exact(self) -> float:
@@ -240,8 +233,9 @@ class ProtocolReport:
         """The k click leaves in step order, then the survived leaf; every
         posterior is the prior."""
         prior = self.params.prior
-        click_cost, survived_cost = self._leaf_costs()
         survived = self.survival_trajectory[-1][0]
+        click_cost, survived_cost, _ = ledger(self.params.mode, prior, self.click_mass, survived,
+                                              self.final_overlap, self.final_gap)
         return (*(LeafRecord("click", step, p, p, p, prior, click_cost)
                   for step, p in enumerate(self.clicks, start=1)),
                 LeafRecord("survived", None, survived, survived, survived, prior, survived_cost))
@@ -277,12 +271,55 @@ def total_cost_paper_mode(params: ProtocolParams) -> float:
     return params.k * params.a**2 * params.dt**2 * params.delta**2 / 4.0
 
 
+def normalised(params: ProtocolParams) -> tuple[float, float, float]:
+    """a and b delta of ``params`` rescaled to unit norm, which the closed forms
+    need to rounding (params admit NORM_SLACK), and x = delta dt."""
+    bd = params.b * params.delta
+    norm = math.hypot(params.a, bd)
+    return params.a / norm, bd / norm, params.delta * params.dt
+
+
+def _decay(x: float) -> tuple[float, float]:
+    """s^2 and log c^2; log1p(-s^2) is -inf once s^2 rounds to 1, though c^2 is not 0."""
+    s2 = math.sin(x) ** 2
+    return s2, math.log1p(-s2) if s2 < 1.0 else 2.0 * math.log(abs(math.cos(x)))
+
+
+def tree(a, bd, x, steps):
+    """M_j, 1 - M_j, O_j and 1 - O_j at j = ``steps``, entry by entry over broadcast arrays
+    of :func:`normalised` values (see :func:`run`); log c^2 takes ``math`` per entry of x."""
+    log_c2 = _decay(x)[1] if isinstance(x, float) else np.asarray(np.frompyfunc(_decay, 1, 2)(x)[1], float)
+    log_decay = steps * log_c2
+    a2, bd2 = a * a, bd * bd
+    mass = -(0.5 * a * a) * np.expm1(log_decay)
+    survival = 1.0 - mass
+    # 1 - O_j = (1 - M_j - |b^2 delta^2 - M_j|) / (1 - M_j) cancels near parallel;
+    # a^2 + b^2 delta^2 = 1 turns the numerator into a sum of positive terms.
+    gap, far = a2 / survival, mass >= bd2
+    if far.any():  # exp only when some entry takes this branch
+        gap = np.where(far, (2.0 * bd2 + a2 * np.exp(log_decay)) / survival, gap)
+    return mass, survival, np.abs(bd2 - mass) / survival, gap
+
+
+def baselines(prior, a, bd):
+    """(baseline_exact, baseline_paper): T = b^4 delta^4 and b^2 delta^2 of :func:`normalised`."""
+    bd2 = bd * bd
+    return helstrom_cost(prior, bd2 * bd2, a * a * (1.0 + bd2)), helstrom_cost(prior, bd2, a * a)
+
+
+def ledger(mode: Mode, prior, mass, survival, overlap, gap):
+    """Click-leaf cost, survived-leaf cost and total under ``mode`` of floats or arrays of :func:`tree`."""
+    click, survived = (0.5, 0.0) if mode is Mode.PAPER else (
+        guess_only_cost(prior), helstrom_cost(prior, square(overlap), gap * (2.0 - gap)))
+    return click, survived, mass * click + survival * survived
+
+
 def run(params: ProtocolParams) -> ProtocolReport:
     """Evaluate the full outcome tree in closed form.
 
     Everything follows from the closed forms of the module docstring,
-    evaluated as arrays over the steps j = 0..k with no step-by-step walk:
-    c^(2 j) = exp(j log1p(-s^2)), the click mass
+    evaluated by :func:`tree` over the steps j = 0..k with no step-by-step
+    walk: c^(2 j) = exp(j log1p(-s^2)), the click mass
     M_j = -(a^2 / 2) expm1(j log1p(-s^2)), the cumulative survival 1 - M_j
     of either hypothesis, and the overlap |b^2 delta^2 - M_j| / (1 - M_j).
     expm1 keeps M_j accurate where the clicks are far below the rounding
@@ -294,39 +331,33 @@ def run(params: ProtocolParams) -> ProtocolReport:
 
     over sqrt(1 - M_k), and hypothesis 1 is its 1<->4, 2<->3 mirror.
     """
-    # Params admit NORM_SLACK; the closed forms need a^2 + (b delta)^2 = 1 to
-    # rounding, or the survived pair fails PureState's unit-norm check.
-    norm = math.hypot(params.a, params.b * params.delta)
-    a, bd = params.a / norm, params.b * params.delta / norm
-    k, x = params.k, params.delta * params.dt
-    s2 = math.sin(x) ** 2
-    # log(c^2); log1p(-s^2) is -inf once s^2 rounds to 1, though c^2 is not 0.
-    log_c2 = math.log1p(-s2) if s2 < 1.0 else 2.0 * math.log(abs(math.cos(x)))
-    log_decay = np.arange(k + 1) * log_c2
-    half_a2, bd2 = 0.5 * a * a, bd * bd
-    mass = -half_a2 * np.expm1(log_decay)
-    survival = 1.0 - mass
-    overlap_traj = (np.abs(bd2 - mass) / survival).tolist()
-    survival = survival.tolist()
+    (a, bd, x), k = normalised(params), params.k
+    s2, log_c2 = _decay(x)
+    try:
+        if (k + 1) * 8 > sys.maxsize:  # past numpy's index range arange may come back empty
+            raise MemoryError
+        mass, survival, overlap, gap = tree(a, bd, x, np.arange(k + 1))
+        # Each array is dropped once read, which keeps the heap small at large k.
+        mass, gap, overlap, survival = float(mass[-1]), float(gap[-1]), overlap.tolist(), survival.tolist()
+        clicks = (0.5 * a * a * s2 * np.exp(np.arange(k) * log_c2)).tolist()
+    except MemoryError:
+        raise ValidationError(f"k = {k}: its {k + 1} per-step values cannot be allocated") from None
 
     # c^k with its sign: the even amplitude flips at every step when c < 0.
-    ck = math.exp(0.5 * log_decay[-1]) * math.copysign(1.0, math.cos(x)) ** k
+    ck = math.exp(0.5 * (k * log_c2)) * math.copysign(1.0, math.cos(x)) ** k
     cos_kx, sin_kx = math.cos(k * x), math.sin(k * x)
     s0 = np.array([0.5 * a * (ck + cos_kx), -0.5j * a * sin_kx, 0.5j * a * sin_kx,
                    0.5 * a * (ck - cos_kx), bd]) / math.sqrt(survival[-1])
-
-    # 1 - O_k = (1 - M_k - |b^2 delta^2 - M_k|) / (1 - M_k) cancels near parallel;
-    # a^2 + b^2 delta^2 = 1 turns the numerator into a sum of positive terms.
-    gap = (2.0 * bd2 + a * a * math.exp(log_decay[-1]) if mass[-1] >= bd2 else a * a) / survival[-1]
+    baseline_exact, baseline_paper = baselines(params.prior, a, bd)
     return ProtocolReport(
         params=params,
-        clicks=tuple((half_a2 * s2 * np.exp(log_decay[:-1])).tolist()),
-        click_mass=float(mass[-1]),
+        clicks=tuple(clicks),
+        click_mass=mass,
         survived_pair=(PureState(s0), PureState(s0[[3, 2, 1, 0, 4]])),
         final_gap=gap,
-        baseline_exact=helstrom_cost(params.prior, bd2 * bd2, a * a * (1.0 + bd2)),
-        baseline_paper=helstrom_cost(params.prior, bd2, a * a),
-        overlap_trajectory=tuple(overlap_traj),
+        baseline_exact=baseline_exact,
+        baseline_paper=baseline_paper,
+        overlap_trajectory=tuple(overlap),
         survival_trajectory=tuple(zip(survival, survival)),
     )
 

@@ -130,6 +130,20 @@ def test_run_sweep_records_overflowing_points_as_rows():
     assert all("must be finite" in r.error for r in rows)
 
 
+def test_run_sweep_evaluates_a_point_too_large_to_walk():
+    # A sweep builds no per-step arrays, so k = 10^18 is evaluated next to the
+    # failing b * delta > 1 points.
+    rows = run_sweep(parse_config(
+        "b=10\ndelta=0.2,0.01\ndt=1e-12\nk=5,1000000000000000000\nxi=0.5\nmode=both"))
+    assert len(rows) == 8
+    assert [r.delta for r in rows if r.error] == [0.2] * 4
+    huge = [r for r in rows if r.k == 10**18 and not r.error]
+    assert [r.mode for r in huge] == ["exact", "paper"]
+    assert all(math.isfinite(r.total_cost) and math.isfinite(r.overlap_exponent) for r in huge)
+    # k (delta dt)^2 = 1e-10, so the paper total meets its second-order value.
+    assert huge[1].total_cost == pytest.approx(huge[1].paper_new_cost, rel=1e-9)
+
+
 def test_run_sweep_is_deterministic_and_sorted():
     cfg = parse_config(FIXTURE)
     rows1 = run_sweep(cfg)
@@ -140,14 +154,23 @@ def test_run_sweep_is_deterministic_and_sorted():
 
 
 def test_run_sweep_walks_each_point_once(monkeypatch):
-    # 6 sweep points plus the 3 exponent-grid points at delta = 10^-2.5; both
-    # ledgers are priced from one walk and the exponent fits reuse the sweep's
-    # walks at delta = 1e-2 and 1e-3.
+    # The 6 sweep points and their exponent grids are evaluated in one array
+    # pass with no walk, and the final overlap depends on neither xi nor
+    # delta, so one fit serves each (b, auto dt, k): 3 fits for 6 points.
     walked = _count_walks(monkeypatch)
+    fitted = []
+    fit = cli.series.fit_power_law
+
+    def counting_fit(deltas, residuals):
+        fitted.append(tuple(residuals))
+        return fit(deltas, residuals)
+
+    monkeypatch.setattr(cli.series, "fit_power_law", counting_fit)
     rows = run_sweep(parse_config(ADJUDICATE["FIXTURE"]))
     monkeypatch.undo()
     assert len(rows) == 12 and not any(r.error for r in rows)
-    assert len(walked) == len(set(walked)) <= 12
+    assert walked == []
+    assert len(fitted) == len(set(fitted)) == 3
 
 
 def test_scaling_study_walks_each_delta_once(monkeypatch):
@@ -239,7 +262,9 @@ def test_optimize_refines_dt_on_a_bracket(monkeypatch):
         return protocol.run(params)
 
     monkeypatch.setattr(cli, "protocol", types.SimpleNamespace(
-        run=counting_run, price=protocol.price, rescale_delta=protocol.rescale_delta))
+        run=counting_run, price=protocol.price, rescale_delta=protocol.rescale_delta,
+        normalised=protocol.normalised, tree=protocol.tree, baselines=protocol.baselines,
+        ledger=protocol.ledger, total_cost_paper_mode=protocol.total_cost_paper_mode))
     params, row = cli.optimize(cfg, Mode.PAPER)
     monkeypatch.undo()
     assert len(walked) == len(set(walked))  # each point walked once
@@ -332,6 +357,9 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
                   ["--a", "1", "--delta", "1e-160", "--dt", "1e160"]):
         assert cli.main(["run", *point, "--k", "1"]) == 1
         assert "must be finite" in capsys.readouterr().err
+    # A k whose per-step arrays cannot be allocated; a sweep evaluates it.
+    assert cli.main(["run", "--b", "10", "--delta", "0.01", "--dt", "1e-12", "--k", str(10**18)]) == 1
+    assert "cannot be allocated" in capsys.readouterr().err
     assert cli.main(["nonsense"]) == 1
 
 

@@ -14,14 +14,16 @@ the others up to k = 10^4. Rounding bounds count one rounding per leaf:
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zenodisc import protocol
+from zenodisc import cli, protocol, series
 from zenodisc.protocol import Mode, ProtocolParams
+from zenodisc.qcore import ValidationError
 
 import oracles
 
@@ -157,3 +159,80 @@ def test_many_close_probes_meet_the_zeno_limit(delta, bd, total_time, k):
     limit = p.a**2 * delta**2 * total_time**2 / 2.0
     got = k * (1.0 - report.leaves[-1].marginal)
     assert abs(got - limit) <= (delta * total_time) ** 2 * limit
+
+
+def _grid(draw, elements) -> tuple:
+    return tuple(sorted(draw(st.lists(elements, min_size=1, max_size=2, unique=True))))
+
+
+@st.composite
+def sweep_configs(draw):
+    """Small grids of either amplitude, auto or explicit dt and priors with
+    the ends 0 and 1. Some points fail: b delta > 1, a = 0 or a = 1 under
+    auto dt, delta = 0 with a < 1."""
+    amplitude = draw(st.sampled_from(("a", "b")))
+    edges = st.sampled_from((0.0, 1.0))
+    ab = _grid(draw, edges | st.floats(0.0, 1.0) if amplitude == "a" else st.floats(0.0, 20.0))
+    dt = (None,) if draw(st.booleans()) else _grid(draw, st.floats(0.01, 3.0))
+    return cli.SweepConfig(
+        amplitude=amplitude, ab=ab, delta=_grid(draw, st.just(0.0) | st.floats(1e-4, 0.1)), dt=dt,
+        k=_grid(draw, st.integers(1, K_MAX)), xi=_grid(draw, edges | st.floats(0.0, 1.0)),
+        modes=draw(st.sampled_from(((Mode.EXACT,), (Mode.PAPER,), (Mode.EXACT, Mode.PAPER)))))
+
+
+def _walked_exponent(params: ProtocolParams, auto_dt: bool) -> float | None:
+    """The overlap exponent from one walk per point of the default delta grid."""
+    if params.b * max(series.DEFAULT_DELTAS) >= 1.0:
+        return None
+    try:
+        overlaps = [protocol.run(protocol.rescale_delta(params, d, auto_dt=auto_dt)).final_overlap
+                    for d in series.DEFAULT_DELTAS]
+        return series.fit_power_law(series.DEFAULT_DELTAS, overlaps).exponent
+    except ValidationError:
+        return None
+
+
+def _report_row(report: protocol.ProtocolReport, exponent: float | None) -> cli.ReportRow:
+    p = report.params
+    return cli.ReportRow(
+        a=p.a, b=p.b, delta=p.delta, dt=p.dt, k=p.k, xi=p.prior, mode=p.mode.value,
+        total_cost=report.total_cost, baseline_exact=report.baseline_exact,
+        baseline_paper=report.baseline_paper, paper_new_cost=report.paper_new_cost,
+        final_overlap=report.final_overlap, overlap_exponent=exponent,
+        verdict_vs_baseline_exact=report.verdict_vs_exact,
+        verdict_vs_baseline_paper=report.verdict_vs_paper)
+
+
+def _walked_rows(config: cli.SweepConfig) -> list[cli.ReportRow]:
+    """The sweep's rows point by point: every valid point walked and priced
+    under each ledger, every failing point one error row per ledger."""
+    build = ProtocolParams.from_a if config.amplitude == "a" else ProtocolParams.from_b
+    rows = []
+    for ab, delta, dt, k, xi in itertools.product(config.ab, config.delta, config.dt, config.k,
+                                                  config.xi):
+        try:
+            params = build(ab, delta, k, dt=dt, prior=xi)
+        except ValidationError as exc:
+            point = {"a": math.nan, "b": math.nan, config.amplitude: ab,
+                     "dt": math.nan if dt is None else dt}
+            rows += [cli.ReportRow(**point, delta=delta, k=k, xi=xi, mode=mode.value, error=str(exc))
+                     for mode in config.modes]
+            continue
+        report = protocol.run(params)
+        exponent = _walked_exponent(params, config.auto_dt)
+        rows += [_report_row(protocol.price(report, mode), exponent) for mode in config.modes]
+    return sorted(rows, key=cli._row_sort_key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_configs())
+def test_sweep_rows_equal_the_rows_of_each_walk(config):
+    got, want = cli.run_sweep(config), _walked_rows(config)
+    assert len(got) == len(want)
+    for row, ref in zip(got, want):
+        for field in dataclasses.fields(row):
+            value, expected = getattr(row, field.name), getattr(ref, field.name)
+            # NaN stands for the amplitude an error row has not derived, or
+            # for the exponent of a fit whose residuals are all floored.
+            assert value == expected or (isinstance(value, float) and math.isnan(value)
+                                         and math.isnan(expected)), field.name

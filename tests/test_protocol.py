@@ -300,6 +300,15 @@ def test_run_zeno_regime_keeps_leaf_mass_and_meets_the_limit():
         assert abs(got - limit) <= (delta * total_time) ** 2 * limit
 
 
+# At k = 10^18 malloc refuses the per-step arrays at once. From 2^63 - 2 on,
+# numpy's arange returns an empty array instead of refusing.
+@pytest.mark.parametrize("k", [10**18, 2**63 - 2])
+def test_run_rejects_a_k_whose_step_arrays_cannot_be_allocated(k):
+    p = ProtocolParams.from_b(10.0, 0.01, k, dt=1e-12)
+    with pytest.raises(ValidationError, match="cannot be allocated"):
+        protocol.run(p)
+
+
 def test_run_sanity_bounds_across_random_sets():
     rng = np.random.default_rng(4242)
     for _ in range(60):
