@@ -250,7 +250,8 @@ def _rows(points: list[ProtocolParams], modes: tuple[Mode, ...], auto_dt: bool) 
     pass over their final step. The final overlap depends on neither xi nor delta, so
     one fit on the default delta grid, evaluated in the same pass, gives the overlap
     exponent of each (b, dt or auto, k); None where that grid leaves the valid range."""
-    n, keys, grids = len(points), [(p.b, None if auto_dt else p.dt, p.k) for p in points], {}
+    keys = [(p.b, None if auto_dt else p.dt, p.k) for p in points]
+    grids = {}
     for key, params in zip(keys, points):
         if key not in grids and params.b * max(series.DEFAULT_DELTAS) < 1.0:
             try:
@@ -260,23 +261,27 @@ def _rows(points: list[ProtocolParams], modes: tuple[Mode, ...], auto_dt: bool) 
                 pass
     evaluated = points + [q for grid in grids.values() for q in grid]
     a, bd, x = np.array([protocol.normalised(q) for q in evaluated]).reshape(-1, 3).T
-    mass, survival, overlap, gap = protocol.tree(a, bd, x, np.array([float(q.k) for q in evaluated]))
-    fit_overlaps = overlap[n:].reshape(-1, len(series.DEFAULT_DELTAS)).tolist()
-    fits = {key: series.fit_power_law(series.DEFAULT_DELTAS, overlaps).exponent
-            for key, overlaps in zip(grids, fit_overlaps)}
-    prior, overlap, rows = np.array([p.prior for p in points]), overlap[:n], []
+    steps = np.array([float(q.k) for q in evaluated])
+    mass, survival, overlap, gap = protocol.tree(a, bd, x, steps)
+    # The first len(points) entries are the sweep's points, the rest the fit grids.
+    n = len(points)
+    grid_overlaps = overlap[n:].reshape(-1, len(series.DEFAULT_DELTAS)).tolist()
+    exponents = {key: series.fit_power_law(series.DEFAULT_DELTAS, overlaps).exponent
+                 for key, overlaps in zip(grids, grid_overlaps)}
+    prior = np.array([p.prior for p in points])
+    final_overlap = overlap[:n]
     base_exact, base_paper = protocol.baselines(prior, a[:n], bd[:n])
-    shared = [column.tolist() for column in (base_exact, base_paper, overlap)]
+    rows = []
     for mode in modes:
-        total = protocol.ledger(mode, prior, mass[:n], survival[:n], overlap, gap[:n])[2]
-        for p, key, b_exact, b_paper, o, t, v_exact, v_paper in zip(points, keys, *shared, *(
-                column.tolist() for column in (total, total - base_exact, total - base_paper))):
+        total = protocol.ledger(mode, prior, mass[:n], survival[:n], final_overlap, gap[:n])[2]
+        columns = {"total_cost": total, "baseline_exact": base_exact, "baseline_paper": base_paper,
+                   "final_overlap": final_overlap, "verdict_vs_baseline_exact": total - base_exact,
+                   "verdict_vs_baseline_paper": total - base_paper}
+        for p, key, *values in zip(points, keys, *(column.tolist() for column in columns.values())):
             rows.append(ReportRow(
                 a=p.a, b=p.b, delta=p.delta, dt=p.dt, k=p.k, xi=p.prior, mode=mode.value,
-                total_cost=t, baseline_exact=b_exact, baseline_paper=b_paper,
-                paper_new_cost=protocol.total_cost_paper_mode(p), final_overlap=o,
-                overlap_exponent=fits.get(key), verdict_vs_baseline_exact=v_exact,
-                verdict_vs_baseline_paper=v_paper))
+                paper_new_cost=protocol.total_cost_paper_mode(p), overlap_exponent=exponents.get(key),
+                **dict(zip(columns, values))))
     return rows
 
 

@@ -22,23 +22,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .qcore import ValidationError
 
 
-# Python's operations on floats, and numpy's entry-by-entry ones on arrays.
-_FLOAT_OPS = (bool, min, max, math.sqrt)
-_ARRAY_OPS = (np.all, np.minimum, np.maximum, np.sqrt)
-
-
-def square(value):
-    """``value ** 2`` rounded as C pow rounds it, entry by entry for an array;
-    numpy's ** on an array multiplies, which rounds differently about once in 1000."""
-    return np.float_power(value, 2.0) if isinstance(value, np.ndarray) else value ** 2
-
-
-def helstrom_cost(prior, transition_probability, complement):
+def helstrom_cost(prior: float, transition_probability: float, complement: float) -> float:
     """Minimum Bayes 0-1 cost of a pure pair from the prior xi, T and 1 - T.
 
     Evaluates 2 xi (1 - xi) T / (1 + sqrt((1 - 2 xi)^2 + 4 xi (1 - xi)(1 - T))),
@@ -46,26 +33,22 @@ def helstrom_cost(prior, transition_probability, complement):
     small T loses nothing, and near-parallel pairs keep the digits of the
     caller's 1 - T, so callers pass it in closed form. T and 1 - T must lie
     in [0, 1] and sum to 1 within 1e-9. Which quantity plays T is the
-    caller's choice; see the module docstring. Arrays broadcast, and each
-    entry is checked and equals the cost of its entries given as floats.
+    caller's choice; see the module docstring.
     """
-    arrays = np.ndarray in map(type, (prior, transition_probability, complement))
-    every, lesser, greater, sqrt = _ARRAY_OPS if arrays else _FLOAT_OPS
-    if not every((0.0 <= prior) & (prior <= 1.0)):
+    if not (0.0 <= prior <= 1.0):
         raise ValidationError(f"prior must lie in [0, 1], got {prior!r}")
     for name, val in (("transition probability", transition_probability), ("complement", complement)):
-        if not every((-1e-12 <= val) & (val <= 1.0 + 1e-12)):
+        if not (-1e-12 <= val <= 1.0 + 1e-12):
             raise ValidationError(f"{name} must lie in [0, 1], got {val!r}")
-    if not every(abs(transition_probability + complement - 1.0) <= 1e-9):
+    if abs(transition_probability + complement - 1.0) > 1e-9:
         raise ValidationError(f"T = {transition_probability!r} and 1 - T = {complement!r} do not sum to 1")
-    t, rest = lesser(greater(transition_probability, 0.0), 1.0), lesser(greater(complement, 0.0), 1.0)
+    t, rest = min(max(transition_probability, 0.0), 1.0), min(max(complement, 0.0), 1.0)
     spread = prior * (1.0 - prior)
-    return 2.0 * spread * t / (1.0 + sqrt(square(1.0 - 2.0 * prior) + 4.0 * spread * rest))
+    return 2.0 * spread * t / (1.0 + math.sqrt((1.0 - 2.0 * prior) ** 2 + 4.0 * spread * rest))
 
 
-def guess_only_cost(prior):
+def guess_only_cost(prior: float) -> float:
     """Bayes cost when no measurement information is available: min(xi, 1 - xi)."""
-    every, lesser, _, _ = _ARRAY_OPS if isinstance(prior, np.ndarray) else _FLOAT_OPS
-    if not every((0.0 <= prior) & (prior <= 1.0)):
+    if not (0.0 <= prior <= 1.0):
         raise ValidationError(f"prior must lie in [0, 1], got {prior!r}")
-    return lesser(prior, 1.0 - prior)
+    return min(prior, 1.0 - prior)

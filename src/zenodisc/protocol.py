@@ -43,7 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import qcore
-from .helstrom import guess_only_cost, helstrom_cost, square
+from .helstrom import guess_only_cost, helstrom_cost
 from .qcore import MeasurementDirection, PureState, ValidationError
 
 # Candidate-state normalization a^2 + (b delta)^2 = 1 is enforced to this
@@ -285,11 +285,18 @@ def _decay(x: float) -> tuple[float, float]:
     return s2, math.log1p(-s2) if s2 < 1.0 else 2.0 * math.log(abs(math.cos(x)))
 
 
+def _each(fn, *args):
+    """``fn`` of floats entry by entry over broadcast arrays, as an object array, so each
+    entry rounds as ``fn`` rounds it; floats go to ``fn`` without the ufunc's 2-3 us."""
+    if np.ndarray in map(type, args):
+        return np.frompyfunc(fn, len(args), 1)(*args)
+    return fn(*args)
+
+
 def tree(a, bd, x, steps):
     """M_j, 1 - M_j, O_j and 1 - O_j at j = ``steps``, entry by entry over broadcast arrays
     of :func:`normalised` values (see :func:`run`); log c^2 takes ``math`` per entry of x."""
-    log_c2 = _decay(x)[1] if isinstance(x, float) else np.asarray(np.frompyfunc(_decay, 1, 2)(x)[1], float)
-    log_decay = steps * log_c2
+    log_decay = steps * np.asarray(_each(lambda v: _decay(v)[1], x), float)
     a2, bd2 = a * a, bd * bd
     mass = -(0.5 * a * a) * np.expm1(log_decay)
     survival = 1.0 - mass
@@ -304,13 +311,17 @@ def tree(a, bd, x, steps):
 def baselines(prior, a, bd):
     """(baseline_exact, baseline_paper): T = b^4 delta^4 and b^2 delta^2 of :func:`normalised`."""
     bd2 = bd * bd
-    return helstrom_cost(prior, bd2 * bd2, a * a * (1.0 + bd2)), helstrom_cost(prior, bd2, a * a)
+    return _each(helstrom_cost, prior, bd2 * bd2, a * a * (1.0 + bd2)), _each(helstrom_cost, prior, bd2, a * a)
+
+
+def _survived_cost(prior: float, overlap: float, gap: float) -> float:
+    return helstrom_cost(prior, overlap ** 2, gap * (2.0 - gap))
 
 
 def ledger(mode: Mode, prior, mass, survival, overlap, gap):
     """Click-leaf cost, survived-leaf cost and total under ``mode`` of floats or arrays of :func:`tree`."""
     click, survived = (0.5, 0.0) if mode is Mode.PAPER else (
-        guess_only_cost(prior), helstrom_cost(prior, square(overlap), gap * (2.0 - gap)))
+        _each(guess_only_cost, prior), _each(_survived_cost, prior, overlap, gap))
     return click, survived, mass * click + survival * survived
 
 
@@ -333,15 +344,16 @@ def run(params: ProtocolParams) -> ProtocolReport:
     """
     (a, bd, x), k = normalised(params), params.k
     s2, log_c2 = _decay(x)
+    too_many = f"k = {k}: its {k + 1} per-step values cannot be allocated"
+    if (k + 1) * 8 > sys.maxsize:  # past numpy's index range arange may come back empty
+        raise ValidationError(too_many)
     try:
-        if (k + 1) * 8 > sys.maxsize:  # past numpy's index range arange may come back empty
-            raise MemoryError
         mass, survival, overlap, gap = tree(a, bd, x, np.arange(k + 1))
         # Each array is dropped once read, which keeps the heap small at large k.
         mass, gap, overlap, survival = float(mass[-1]), float(gap[-1]), overlap.tolist(), survival.tolist()
         clicks = (0.5 * a * a * s2 * np.exp(np.arange(k) * log_c2)).tolist()
     except MemoryError:
-        raise ValidationError(f"k = {k}: its {k + 1} per-step values cannot be allocated") from None
+        raise ValidationError(too_many) from None
 
     # c^k with its sign: the even amplitude flips at every step when c < 0.
     ck = math.exp(0.5 * (k * log_c2)) * math.copysign(1.0, math.cos(x)) ** k
