@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import protocol, series
-from .helstrom import guess_only_cost, helstrom_cost
+from .helstrom import guess_only_cost
 from .protocol import Mode, ProtocolParams
 from .qcore import ValidationError
 
@@ -473,14 +473,14 @@ def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow
     smaller k, then smaller dt.
     """
     ab, delta, xi = _require_singletons(config, "optimize")
-    # Every (k, dt) evaluated is run once and its total kept; the optimum is
-    # the least of them, and its row is priced as a sweep's rows are.
+    # Every (k, dt) tried is priced once at its final step, as a sweep prices
+    # it; the least total is the optimum, whose row is priced as a sweep row.
     totals: dict[tuple[int, float], tuple[float, ProtocolParams]] = {}
 
     def objective(k: int, dt: float | None) -> float:
         params = _point_params(config, ab, delta, dt, k, xi, mode)
         if (k, params.dt) not in totals:
-            totals[k, params.dt] = protocol.run(params).total_cost, params
+            totals[k, params.dt] = protocol.ledger(mode, xi, *protocol.final_step(params))[2], params
         return totals[k, params.dt][0]
 
     for k in config.k:
@@ -491,19 +491,6 @@ def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow
     _, k_best, dt_best = min((total, k, dt) for (k, dt), (total, _) in totals.items())
     params = totals[k_best, dt_best][1]
     return params, _rows([params], (mode,), config.auto_dt)[0]
-
-
-def _baseline_lines(xi: float, a: float, b: float, delta: float, digits: int) -> list[str]:
-    overlap = (b * delta) ** 2
-    exact = helstrom_cost(xi, overlap ** 2, a * a * (1.0 + overlap))
-    return [
-        f"overlap |<psi0|psi1>|        = {_fmt(overlap, digits)}",
-        f"transition prob (standard)   = {_fmt(overlap ** 2, digits)}",
-        f"baseline_exact               = {_fmt(exact, digits)}",
-        f"baseline_paper               = {_fmt(helstrom_cost(xi, overlap, a * a), digits)}",
-        f"quadratic form b^2 delta^2/4 = {_fmt(0.25 * overlap, digits)}",
-        f"guess_only_cost              = {_fmt(guess_only_cost(xi), digits)}",
-    ]
 
 
 def _render_run_report(report, digits: int) -> str:
@@ -589,8 +576,18 @@ def _emit(text: str, out: str | None, suffix: str, quiet: bool) -> int:
 def _cmd_baseline(args) -> int:
     cfg = _config_from_args(args)
     ab, delta, xi = _require_singletons(cfg, "baseline")
-    a, b = protocol.amplitudes(delta, **{cfg.amplitude: ab})
-    lines = _baseline_lines(xi, a, b, delta, cfg.digits)
+    # dt and k enter neither baseline: any valid pair gives run's normalised amplitudes.
+    params = _point_params(cfg, ab, delta, 1.0, 1, xi, Mode.EXACT)
+    exact, paper = protocol.baselines(xi, *protocol.normalised(params)[:2])
+    overlap, digits = (params.b * delta) ** 2, cfg.digits
+    lines = [
+        f"overlap |<psi0|psi1>|        = {_fmt(overlap, digits)}",
+        f"transition prob (standard)   = {_fmt(overlap ** 2, digits)}",
+        f"baseline_exact               = {_fmt(exact, digits)}",
+        f"baseline_paper               = {_fmt(paper, digits)}",
+        f"quadratic form b^2 delta^2/4 = {_fmt(0.25 * overlap, digits)}",
+        f"guess_only_cost              = {_fmt(guess_only_cost(xi), digits)}",
+    ]
     return _emit("\n".join(lines) + "\n", cfg.out, ".txt", args.quiet)
 
 

@@ -91,8 +91,8 @@ class ProtocolParams:
             val = getattr(self, name)
             if not (isinstance(val, (int, float)) and math.isfinite(val)):
                 raise ValidationError(f"{name} must be a finite real number, got {val!r}")
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValidationError(f"k must be an integer >= 1, got {self.k!r}")
+        if not isinstance(self.k, int) or not 1 <= self.k <= sys.float_info.max:
+            raise ValidationError(f"k must be an integer in [1, {sys.float_info.max:.4g}], got {self.k!r}")
         if self.dt <= 0.0:
             raise ValidationError(f"dt must be positive, got {self.dt!r}")
         if self.delta < 0.0:
@@ -189,12 +189,13 @@ class ProtocolReport:
     clicks[j - 1] is the probability of the click at step j under either
     hypothesis and click_mass their total M_k. overlap_trajectory[i] is
     |<s0|s1>| of the conditioned survival states after i steps (entry 0 is
-    b^2 delta^2), survival_trajectory[i] the pair of cumulative survival
-    probabilities. survived_pair holds the two conditioned states of the
-    survived leaf, without the phases of e0 and e1, and final_gap is 1 - O_k
-    in closed form, which keeps its digits as the pair nears parallel.
-    total_cost, the verdicts (total_cost minus each baseline; positive: worse
-    than that baseline) and the leaves are computed under params.mode when read.
+    b^2 delta^2), survival[i] the cumulative survival probability, the same
+    under either hypothesis (survival_trajectory pairs it up when read).
+    survived_pair holds the two conditioned states of the survived leaf,
+    without the phases of e0 and e1, and final_gap is 1 - O_k in closed
+    form, which keeps its digits as the pair nears parallel. total_cost, the
+    verdicts (total_cost minus each baseline; positive: worse than that
+    baseline) and the leaves are computed under params.mode when read.
     """
 
     params: ProtocolParams
@@ -205,7 +206,11 @@ class ProtocolReport:
     baseline_exact: float
     baseline_paper: float
     overlap_trajectory: tuple[float, ...]
-    survival_trajectory: tuple[tuple[float, float], ...]
+    survival: tuple[float, ...]
+
+    @property
+    def survival_trajectory(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.survival, self.survival))
 
     @property
     def final_overlap(self) -> float:
@@ -214,7 +219,7 @@ class ProtocolReport:
     @property
     def total_cost(self) -> float:
         return ledger(self.params.mode, self.params.prior, self.click_mass,
-                      self.survival_trajectory[-1][0], self.final_overlap, self.final_gap)[2]
+                      self.survival[-1], self.final_overlap, self.final_gap)[2]
 
     @property
     def verdict_vs_exact(self) -> float:
@@ -233,7 +238,7 @@ class ProtocolReport:
         """The k click leaves in step order, then the survived leaf; every
         posterior is the prior."""
         prior = self.params.prior
-        survived = self.survival_trajectory[-1][0]
+        survived = self.survival[-1]
         click_cost, survived_cost, _ = ledger(self.params.mode, prior, self.click_mass, survived,
                                               self.final_overlap, self.final_gap)
         return (*(LeafRecord("click", step, p, p, p, prior, click_cost)
@@ -252,8 +257,8 @@ def initial_states(params: ProtocolParams) -> tuple[PureState, PureState]:
 
 def solve_orthogonality(a: float, b: float, k: int) -> float:
     """Spacing dt = b / (2 k a) solving the cancellation condition 2*k*a*dt = b."""
-    if not isinstance(k, int) or k < 1:
-        raise ValidationError(f"k must be an integer >= 1, got {k!r}")
+    if not isinstance(k, int) or not 1 <= k <= sys.float_info.max:
+        raise ValidationError(f"k must be an integer in [1, {sys.float_info.max:.4g}], got {k!r}")
     if not a > 0.0:
         raise ValidationError(f"a must be positive, got {a!r}")
     if not b > 0.0:
@@ -293,19 +298,28 @@ def _each(fn, *args):
     return fn(*args)
 
 
+def _columns(a, bd, x, steps):
+    """log c^(2 j), M_j, 1 - M_j and O_j of :func:`tree`, without the gap."""
+    log_decay = steps * np.asarray(_each(lambda v: _decay(v)[1], x), float)
+    mass = -(0.5 * a * a) * np.expm1(log_decay)
+    survival = 1.0 - mass
+    return log_decay, mass, survival, np.abs(bd * bd - mass) / survival
+
+
 def tree(a, bd, x, steps):
     """M_j, 1 - M_j, O_j and 1 - O_j at j = ``steps``, entry by entry over broadcast arrays
     of :func:`normalised` values (see :func:`run`); log c^2 takes ``math`` per entry of x."""
-    log_decay = steps * np.asarray(_each(lambda v: _decay(v)[1], x), float)
+    log_decay, mass, survival, overlap = _columns(a, bd, x, steps)
     a2, bd2 = a * a, bd * bd
-    mass = -(0.5 * a * a) * np.expm1(log_decay)
-    survival = 1.0 - mass
     # 1 - O_j = (1 - M_j - |b^2 delta^2 - M_j|) / (1 - M_j) cancels near parallel;
     # a^2 + b^2 delta^2 = 1 turns the numerator into a sum of positive terms.
-    gap, far = a2 / survival, mass >= bd2
-    if far.any():  # exp only when some entry takes this branch
-        gap = np.where(far, (2.0 * bd2 + a2 * np.exp(log_decay)) / survival, gap)
-    return mass, survival, np.abs(bd2 - mass) / survival, gap
+    gap = np.where(mass >= bd2, (2.0 * bd2 + a2 * np.exp(log_decay)) / survival, a2 / survival)
+    return mass, survival, overlap, gap
+
+
+def final_step(params: ProtocolParams) -> tuple[float, float, float, float]:
+    """:func:`tree` of ``params`` at its final step k, as a sweep evaluates it."""
+    return tuple(map(float, tree(*normalised(params), float(params.k))))
 
 
 def baselines(prior, a, bd):
@@ -328,9 +342,9 @@ def ledger(mode: Mode, prior, mass, survival, overlap, gap):
 def run(params: ProtocolParams) -> ProtocolReport:
     """Evaluate the full outcome tree in closed form.
 
-    Everything follows from the closed forms of the module docstring,
-    evaluated by :func:`tree` over the steps j = 0..k with no step-by-step
-    walk: c^(2 j) = exp(j log1p(-s^2)), the click mass
+    Everything follows from the closed forms of the module docstring, taken
+    by :func:`final_step` and, without its gap, over the steps j = 0..k with
+    no step-by-step walk: c^(2 j) = exp(j log1p(-s^2)), the click mass
     M_j = -(a^2 / 2) expm1(j log1p(-s^2)), the cumulative survival 1 - M_j
     of either hypothesis, and the overlap |b^2 delta^2 - M_j| / (1 - M_j).
     expm1 keeps M_j accurate where the clicks are far below the rounding
@@ -347,10 +361,11 @@ def run(params: ProtocolParams) -> ProtocolReport:
     too_many = f"k = {k}: its {k + 1} per-step values cannot be allocated"
     if (k + 1) * 8 > sys.maxsize:  # past numpy's index range arange may come back empty
         raise ValidationError(too_many)
+    mass, _, _, gap = final_step(params)
     try:
-        mass, survival, overlap, gap = tree(a, bd, x, np.arange(k + 1))
+        _, _, survival, overlap = _columns(a, bd, x, np.arange(k + 1))
         # Each array is dropped once read, which keeps the heap small at large k.
-        mass, gap, overlap, survival = float(mass[-1]), float(gap[-1]), overlap.tolist(), survival.tolist()
+        survival, overlap = survival.tolist(), overlap.tolist()
         clicks = (0.5 * a * a * s2 * np.exp(np.arange(k) * log_c2)).tolist()
     except MemoryError:
         raise ValidationError(too_many) from None
@@ -370,7 +385,7 @@ def run(params: ProtocolParams) -> ProtocolReport:
         baseline_exact=baseline_exact,
         baseline_paper=baseline_paper,
         overlap_trajectory=tuple(overlap),
-        survival_trajectory=tuple(zip(survival, survival)),
+        survival=tuple(survival),
     )
 
 

@@ -194,8 +194,7 @@ def _residual_survival_step(report: ProtocolReport) -> float:
 
 
 def _residual_survival_k(report: ProtocolReport) -> float:
-    exact = report.survival_trajectory[-1][0]
-    return abs(exact - survival_k_paper(report.params))
+    return abs(report.survival[-1] - survival_k_paper(report.params))
 
 
 def _residual_overlap_vs_series(report: ProtocolReport) -> float:

@@ -1,4 +1,5 @@
 import math
+import random
 import runpy
 import types
 from pathlib import Path
@@ -130,6 +131,18 @@ def test_run_sweep_records_overflowing_points_as_rows():
     assert all("must be finite" in r.error for r in rows)
 
 
+def test_run_sweep_records_a_k_beyond_the_float_range_as_rows():
+    # k (delta dt)^2 and the spacing b / (2 k a) cannot be formed in floats
+    # at k = 5 * 10^400; the point is a row, the sweep goes on.
+    huge = 5 * 10**400
+    for dt in ("0.5", "auto"):
+        rows = run_sweep(parse_config(f"b=10\ndelta=0.01\ndt={dt}\nk=1,{huge}\nmode=both"))
+        assert [(r.k, r.mode) for r in rows] == [(1, "exact"), (1, "paper"),
+                                                 (huge, "exact"), (huge, "paper")]
+        assert [bool(r.error) for r in rows] == [False, False, True, True]
+        assert all(math.isfinite(r.total_cost) for r in rows[:2])
+
+
 def test_run_sweep_evaluates_a_point_too_large_to_walk():
     # A sweep builds no per-step arrays, so k = 10^18 is evaluated next to the
     # failing b * delta > 1 points.
@@ -254,21 +267,27 @@ def test_optimize_refines_dt_on_a_bracket(monkeypatch):
     # Idealized cost grows with both k and dt here, so the smallest corner
     # of the search region is optimal and golden refinement must not lose it.
     cfg = parse_config("b=10\ndelta=0.001\ndt=0.2,5.0\nk=1,2\nxi=0.5\nmode=paper")
-    # Count every walk optimize makes, its overlap-exponent grid included.
-    walked = []
+    # Count every walk and every trial evaluation optimize makes.
+    walked, evaluated = [], []
 
     def counting_run(params):
         walked.append(params)
         return protocol.run(params)
 
+    def counting_final_step(params):
+        evaluated.append(params)
+        return protocol.final_step(params)
+
     monkeypatch.setattr(cli, "protocol", types.SimpleNamespace(
-        run=counting_run, price=protocol.price, rescale_delta=protocol.rescale_delta,
-        normalised=protocol.normalised, tree=protocol.tree, baselines=protocol.baselines,
-        ledger=protocol.ledger, total_cost_paper_mode=protocol.total_cost_paper_mode))
+        run=counting_run, final_step=counting_final_step, price=protocol.price,
+        rescale_delta=protocol.rescale_delta, normalised=protocol.normalised, tree=protocol.tree,
+        baselines=protocol.baselines, ledger=protocol.ledger,
+        total_cost_paper_mode=protocol.total_cost_paper_mode))
     params, row = cli.optimize(cfg, Mode.PAPER)
     monkeypatch.undo()
-    assert len(walked) == len(set(walked))  # each point walked once
-    assert params in walked
+    assert walked == []  # trials are priced at their final step, not walked
+    assert len({(p.k, p.dt) for p in evaluated}) == len(evaluated)  # each (k, dt) once
+    assert params in evaluated
     assert params.k == 1
     assert params.dt == pytest.approx(0.2, abs=1e-6)
     grid_costs = [protocol.run(cli._point_params(cfg, 10.0, 0.001, dt, k, 0.5, Mode.PAPER)).total_cost
@@ -296,6 +315,24 @@ def test_main_baseline_prints_both_conventions(capsys):
     assert values["baseline_exact"] == pytest.approx(
         0.5 * (1 - math.sqrt(1 - 0.01**2)), abs=1e-15)
     assert values["guess_only_cost"] == 0.5
+
+
+def test_main_baseline_prints_the_baselines_of_run(capsys):
+    # Both subcommands price the baselines from the same normalised amplitudes.
+    def baselines(argv):
+        assert cli.main(argv) == 0
+        return [line.split("=", 1)[1].strip() for line in capsys.readouterr().out.splitlines()
+                if line.startswith("baseline_")]
+
+    rng = random.Random(1)
+    for i in range(400):
+        delta = 10 ** rng.uniform(-3.0, -0.3)
+        point = ["--delta", repr(delta), "--xi", repr(rng.random())]
+        point += (["--a", repr(rng.uniform(0.3, 1.0))] if i % 2 else
+                  ["--b", repr(rng.uniform(0.0, 0.95) / delta)])
+        printed = baselines(["baseline", *point])
+        assert len(printed) == 2
+        assert printed == baselines(["run", *point, "--k", "1", "--dt", "1.0"])
 
 
 def test_main_run_both_modes(capsys):
@@ -360,6 +397,10 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
     # A k whose per-step arrays cannot be allocated; a sweep evaluates it.
     assert cli.main(["run", "--b", "10", "--delta", "0.01", "--dt", "1e-12", "--k", str(10**18)]) == 1
     assert "cannot be allocated" in capsys.readouterr().err
+    # A k beyond the float range, with explicit and with auto dt.
+    for dt in ("0.5", "auto"):
+        assert cli.main(["run", "--b", "10", "--delta", "0.01", "--dt", dt, "--k", "5" + "0" * 400]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
     assert cli.main(["nonsense"]) == 1
 
 

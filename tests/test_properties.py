@@ -2,8 +2,10 @@
 
 Each property must hold on the whole valid domain, not only the fixture:
 pricing one tree under the other ledger is a run under that ledger, the
-charged leaves sum to the closed-form total, the tree agrees with the
-independent dense-exponential walk of the oracles, the exact ledger never
+final-step price of an optimize trial is the total of the run, the
+survival trajectory pairs up the stored survival, the charged leaves sum
+to the closed-form total, the tree agrees with the independent
+dense-exponential walk of the oracles, the exact ledger never
 beats the Helstrom floor, the paper total is half the click mass, the leaf
 masses sum to one, relabelling the hypotheses at an even prior matches the
 oracle walk from the swapped pair, swapping the prior for its complement
@@ -68,6 +70,17 @@ def test_pricing_a_walk_equals_running_that_ledger(p):
                 assert np.array_equal(got.amplitudes, want.amplitudes)
         else:
             assert getattr(priced, name) == getattr(ran, name), name
+
+
+# optimize prices its trials at their final step, and the optimum's row is
+# priced as a sweep row, so a trial's total must be the total of its run.
+@settings(max_examples=60, deadline=None)
+@given(valid_params(prior=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))))
+def test_final_step_price_equals_the_run_total(p):
+    report = protocol.run(p)
+    assert protocol.ledger(p.mode, p.prior, *protocol.final_step(p))[2] == report.total_cost
+    s = report.survival
+    assert report.survival_trajectory == tuple(zip(s, s))
 
 
 # The leaves that `zenodisc run` prints sum to the total it prints.
