@@ -49,7 +49,6 @@ from .series import (
     original_cost,
     overlap_k_paper,
     quantity_flag,
-    report_residual,
     survival_k_paper,
 )
 
@@ -65,6 +64,6 @@ __all__ = [
     "EXPRESSIONS", "SUSPECT_FLAGS", "ScalingFit",
     "baseline_paper_convention", "fit_power_law", "fit_scaling", "k_step_state",
     "one_step_state", "one_step_survival", "original_cost", "overlap_k_paper",
-    "quantity_flag", "report_residual", "survival_k_paper",
+    "quantity_flag", "survival_k_paper",
     "__version__",
 ]

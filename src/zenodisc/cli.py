@@ -34,7 +34,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -137,11 +137,15 @@ def _parse_grid(entry: tuple[str, int], key: str, ok, rule: str, parse=_parse_fl
 
 
 def _parse_int(raw: str, key: str, lineno: int) -> int:
-    """Parse ASCII digits with an optional leading '+'."""
+    """Parse ASCII digits with an optional leading '+'; a long value is echoed shortened."""
     digits = raw[1:] if raw.startswith("+") else raw
+    shown = raw if len(raw) <= 40 else f"{raw[:20]}... ({len(raw)} characters)"
     if not (digits.isascii() and digits.isdigit()):
-        raise ValidationError(f"{_where(lineno)}'{raw}' is not a positive integer for '{key}'")
-    return int(digits)
+        raise ValidationError(f"{_where(lineno)}'{shown}' is not a positive integer for '{key}'")
+    try:
+        return int(digits)
+    except ValueError:  # past Python's limit on the digits of an int read from text
+        raise ValidationError(f"{_where(lineno)}'{shown}' has too many digits for '{key}'") from None
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -265,9 +269,8 @@ def _rows(points: list[ProtocolParams], modes: tuple[Mode, ...], auto_dt: bool) 
     mass, survival, overlap, gap = protocol.tree(a, bd, x, steps)
     # The first len(points) entries are the sweep's points, the rest the fit grids.
     n = len(points)
-    grid_overlaps = overlap[n:].reshape(-1, len(series.DEFAULT_DELTAS)).tolist()
-    exponents = {key: series.fit_power_law(series.DEFAULT_DELTAS, overlaps).exponent
-                 for key, overlaps in zip(grids, grid_overlaps)}
+    fits = series.fit_power_laws(series.DEFAULT_DELTAS, overlap[n:].reshape(-1, len(series.DEFAULT_DELTAS)))
+    exponents = {key: fit.exponent for key, fit in zip(grids, fits)}
     prior = np.array([p.prior for p in points])
     final_overlap = overlap[:n]
     base_exact, base_paper = protocol.baselines(prior, a[:n], bd[:n])
@@ -317,13 +320,14 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
     return rows
 
 
-def render_csv(rows: list[ReportRow], digits: int = DEFAULT_DIGITS) -> str:
+def _csv(header: tuple[str, ...], rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(getattr(row, col), digits) for col in CSV_COLUMNS])
+    csv.writer(buf, lineterminator="\n").writerows(chain([header], rows))  # no list of all rows
     return buf.getvalue()
+
+
+def render_csv(rows: list[ReportRow], digits: int = DEFAULT_DIGITS) -> str:
+    return _csv(CSV_COLUMNS, ([_fmt(getattr(row, col), digits) for col in CSV_COLUMNS] for row in rows))
 
 
 def _group_rows(rows: list[ReportRow]):
@@ -402,42 +406,28 @@ def scaling_study(config: SweepConfig, quantity: str = "all") -> list[dict]:
 
     The config delta grid is the fit grid and needs at least 3 points over a
     decade. With an ``a`` grid, b is derived at the largest delta and then
-    held fixed across the fit. Each grid point is evaluated once and every
-    quantity's residual is read off that report. Indeterminate fits are flagged
-    in their row, not raised.
+    held fixed across the fit. The study is one :func:`series.scaling_fits` pass: one
+    evaluation per grid point, one fit call. Indeterminate fits are flagged, not raised.
     """
     quantities = sorted(series.SCALING_QUANTITIES) if quantity == "all" else [quantity]
     flags = {q: series.quantity_flag(q) for q in quantities}  # rejects unknown names
     deltas = config.delta[::-1]
-    out_rows = []
-    for ab, dt, k, xi in product(config.ab, config.dt, config.k, config.xi):
-        template = _point_params(config, ab, deltas[0], dt, k, xi, Mode.EXACT)
-        residuals: dict[str, list[float]] = {q: [] for q in quantities}
-        for d in deltas:
-            report = protocol.run(protocol.rescale_delta(template, d, auto_dt=config.auto_dt))
-            for q in quantities:
-                residuals[q].append(series.report_residual(q, report))
-        for q in quantities:
-            fit = series.fit_power_law(deltas, residuals[q])
-            out_rows.append({
-                "quantity": q, "b": template.b, "k": k, "xi": xi,
-                "dt_rule": "auto" if config.auto_dt else template.dt,
-                "exponent": fit.exponent, "intercept": fit.intercept,
-                "n_floored": fit.n_floored, "indeterminate": fit.indeterminate,
-                "flag": flags[q],
-                "deltas": ";".join(_fmt(d, config.digits) for d in fit.sample_deltas),
-                "residuals": ";".join(_fmt(r, config.digits) for r in fit.residuals),
-            })
-    return out_rows
+    templates = [_point_params(config, ab, deltas[0], dt, k, xi, Mode.EXACT)
+                 for ab, dt, k, xi in product(config.ab, config.dt, config.k, config.xi)]
+    fits = series.scaling_fits(quantities, deltas, templates, config.auto_dt)
+    deltas_text = ";".join(_fmt(d, config.digits) for d in deltas)  # every fit's sample_deltas
+    return [{"quantity": q, "b": template.b, "k": template.k, "xi": template.prior,
+             "dt_rule": "auto" if config.auto_dt else template.dt,
+             "exponent": fit.exponent, "intercept": fit.intercept,
+             "n_floored": fit.n_floored, "indeterminate": fit.indeterminate,
+             "flag": flags[q],
+             "deltas": deltas_text,
+             "residuals": ";".join(_fmt(r, config.digits) for r in fit.residuals)}
+            for (template, q), fit in zip(product(templates, quantities), fits)]
 
 
 def render_scaling_csv(rows: list[dict], digits: int = DEFAULT_DIGITS) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SCALING_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row[col], digits) for col in SCALING_COLUMNS])
-    return buf.getvalue()
+    return _csv(SCALING_COLUMNS, ([_fmt(row[col], digits) for col in SCALING_COLUMNS] for row in rows))
 
 
 def _golden_section(f, lo: float, hi: float, tol: float = 1e-10,
@@ -517,8 +507,8 @@ def _render_run_report(report, digits: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The point flags of baseline and run with their types; dt is a number or 'auto'.
-_POINT_FLAGS = {"a": float, "b": float, "delta": float, "xi": float, "dt": str, "k": int}
+# The point flags of baseline and run; dt ('auto' or a number) and k are read as in a config.
+_POINT_FLAGS = {"a": float, "b": float, "delta": float, "xi": float, "dt": str, "k": str}
 
 
 class _Parser(argparse.ArgumentParser):

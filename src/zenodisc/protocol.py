@@ -339,6 +339,17 @@ def ledger(mode: Mode, prior, mass, survival, overlap, gap):
     return click, survived, mass * click + survival * survived
 
 
+def survived_state(a: float, bd: float, x: float, k: int, survival: float) -> np.ndarray:
+    """The survived state of hypothesis 0 from :func:`normalised` values, k and 1 - M_k:
+    ((a/2)(c^k + cos k delta dt), -i (a/2) sin k delta dt, i (a/2) sin k delta dt,
+    (a/2)(c^k - cos k delta dt), b delta) / sqrt(1 - M_k); hypothesis 1 is its mirror."""
+    # c^k with its sign: the even amplitude flips at every step when c < 0.
+    ck = math.exp(0.5 * (k * _decay(x)[1])) * math.copysign(1.0, math.cos(x)) ** k
+    cos_kx, sin_kx = math.cos(k * x), math.sin(k * x)
+    return np.array([0.5 * a * (ck + cos_kx), -0.5j * a * sin_kx, 0.5j * a * sin_kx,
+                     0.5 * a * (ck - cos_kx), bd]) / math.sqrt(survival)
+
+
 def run(params: ProtocolParams) -> ProtocolReport:
     """Evaluate the full outcome tree in closed form.
 
@@ -348,13 +359,8 @@ def run(params: ProtocolParams) -> ProtocolReport:
     M_j = -(a^2 / 2) expm1(j log1p(-s^2)), the cumulative survival 1 - M_j
     of either hypothesis, and the overlap |b^2 delta^2 - M_j| / (1 - M_j).
     expm1 keeps M_j accurate where the clicks are far below the rounding
-    of 1, as in the Zeno regime of many close probes. The survived state of
-    hypothesis 0 is
-
-        ((a/2)(c^k + cos k delta dt), -i (a/2) sin k delta dt,
-         i (a/2) sin k delta dt, (a/2)(c^k - cos k delta dt), b delta)
-
-    over sqrt(1 - M_k), and hypothesis 1 is its 1<->4, 2<->3 mirror.
+    of 1, as in the Zeno regime of many close probes. The survived pair is
+    :func:`survived_state` and its mirror.
     """
     (a, bd, x), k = normalised(params), params.k
     s2, log_c2 = _decay(x)
@@ -370,11 +376,7 @@ def run(params: ProtocolParams) -> ProtocolReport:
     except MemoryError:
         raise ValidationError(too_many) from None
 
-    # c^k with its sign: the even amplitude flips at every step when c < 0.
-    ck = math.exp(0.5 * (k * log_c2)) * math.copysign(1.0, math.cos(x)) ** k
-    cos_kx, sin_kx = math.cos(k * x), math.sin(k * x)
-    s0 = np.array([0.5 * a * (ck + cos_kx), -0.5j * a * sin_kx, 0.5j * a * sin_kx,
-                   0.5 * a * (ck - cos_kx), bd]) / math.sqrt(survival[-1])
+    s0 = survived_state(a, bd, x, k, survival[-1])
     baseline_exact, baseline_paper = baselines(params.prior, a, bd)
     return ProtocolReport(
         params=params,

@@ -10,9 +10,11 @@ imaginary units between components are kept.
 
 The delta-scaling fits measure |exact - series| on a small delta grid and
 report the log-log slope, which is the empirical truncation order. Every
-residual is read off one protocol report (the first click probability is
-its ``clicks[0]``, the k-step state its survived pair), so one evaluation
-per grid point serves all quantities.
+residual reads one :class:`FinalStep` record of its grid point: the first
+click probability and, at the final step, the survival, the survived overlap
+and the survived state. :func:`scaling_fits` takes the records of a whole
+study from one :func:`protocol.tree` call, with no report or per-step array,
+and fits every residual column with one least-squares solve.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import protocol
 from .helstrom import helstrom_cost
-from .protocol import ProtocolParams, ProtocolReport, rescale_delta
+from .protocol import ProtocolParams, rescale_delta
 from .qcore import ValidationError
 
 # Residuals below this are double-precision noise, not series error.
@@ -42,13 +45,10 @@ def one_step_state(params: ProtocolParams, hypothesis: int) -> np.ndarray:
     hypothesis 0. Phases e^{i E t} are stripped, the relative imaginary unit
     on the transverse component is kept.
     """
-    _check_hypothesis(hypothesis)
     a, b, d, dt = params.a, params.b, params.delta, params.dt
     lead = a * (1.0 - 0.5 * dt**2 * d**2)
     off = 1j * d * a * dt
-    if hypothesis == 0:
-        return np.array([lead, off, 0.0, 0.0, d * b], dtype=np.complex128)
-    return np.array([0.0, 0.0, off, lead, d * b], dtype=np.complex128)
+    return _mirrored(np.array([lead, off, 0.0, 0.0, d * b], dtype=np.complex128), hypothesis)
 
 
 def k_step_state(params: ProtocolParams, hypothesis: int) -> np.ndarray:
@@ -58,17 +58,14 @@ def k_step_state(params: ProtocolParams, hypothesis: int) -> np.ndarray:
     (1 - a^2 delta^2 dt^2 / 2)^(-k/2). The fourth component is written with
     the sign it is written with; magnitude comparisons are sign-blind.
     """
-    _check_hypothesis(hypothesis)
     a, b, d, dt, k = params.a, params.b, params.delta, params.dt, params.k
     pref = (1.0 - 0.5 * a**2 * d**2 * dt**2) ** (-k / 2.0)
     lead = a * (1.0 - 0.25 * k * (k + 1) * dt**2 * d**2)
     off = 0.5j * k * d * a * dt
     fourth = -0.25 * k * (k - 1) * d**2 * a * dt**2
-    if hypothesis == 0:
-        comps = [lead, off, -off, fourth, d * b]
-    else:
-        comps = [fourth, -off, off, lead, d * b]
-    return pref * np.array(comps, dtype=np.complex128)
+    if not all(math.isfinite(abs(pref * c)) for c in (lead, off, fourth)):
+        raise OverflowError(f"k_step_state overflows at k={k!r}")
+    return pref * _mirrored(np.array([lead, off, -off, fourth, d * b], dtype=np.complex128), hypothesis)
 
 
 def one_step_survival(params: ProtocolParams) -> float:
@@ -135,87 +132,102 @@ class ScalingFit:
     indeterminate: bool
 
 
-def fit_power_law(deltas, residuals) -> ScalingFit:
-    """Fit residual ~ C * delta^p on a grid; see ScalingFit for flooring rules."""
+def fit_power_laws(deltas, columns) -> list[ScalingFit]:
+    """:func:`fit_power_law` of each residual column on one delta grid, in one ``np.polyfit``."""
     ds = tuple(float(d) for d in deltas)
-    rs = tuple(float(r) for r in residuals)
-    if len(ds) != len(rs):
+    cols = [tuple(float(r) for r in rs) for rs in columns]
+    if any(len(rs) != len(ds) for rs in cols):
         raise ValidationError("deltas and residuals must have equal length")
     if len(ds) < 3:
         raise ValidationError("scaling fits need at least 3 grid points")
-    if max(ds) / min(ds) < 10.0 - 1e-9:
-        raise ValidationError("delta grid must span at least one decade")
     if any(d <= 0.0 for d in ds):
         raise ValidationError("delta grid entries must be positive")
-    if any(r < 0.0 for r in rs):
+    if max(ds) / min(ds) < 10.0 - 1e-9:
+        raise ValidationError("delta grid must span at least one decade")
+    if any(r < 0.0 for rs in cols for r in rs):
         raise ValidationError("residuals must be nonnegative")
-    floored = [max(r, NOISE_FLOOR) for r in rs]
-    n_floored = sum(1 for r in rs if r < NOISE_FLOOR)
-    if n_floored == len(rs):
-        return ScalingFit(math.nan, math.nan, ds, rs, n_floored, True)
-    slope, intercept = np.polyfit(np.log(ds), np.log(floored), 1)
-    return ScalingFit(float(slope), float(intercept), ds, rs, n_floored, False)
+    logs = np.log(np.maximum(np.array(cols).reshape(len(cols), len(ds)), NOISE_FLOOR))
+    # Non-finite columns stay out of the solve and fit NaN; all-floored ones are indeterminate.
+    finite = np.isfinite(logs).all(axis=1)
+    coefs = np.polyfit(np.log(ds), np.where(finite, logs.T, 0.0), 1).T.tolist()
+    n_floored = [sum(1 for r in rs if r < NOISE_FLOOR) for rs in cols]
+    return [ScalingFit(*(c if ok and n < len(ds) else (math.nan, math.nan)), ds, rs, n, n == len(ds))
+            for rs, c, ok, n in zip(cols, coefs, finite.tolist(), n_floored)]
 
 
-def _check_hypothesis(hypothesis: int) -> None:
+def fit_power_law(deltas, residuals) -> ScalingFit:
+    """Fit residual ~ C * delta^p on a grid; see ScalingFit for flooring rules."""
+    return fit_power_laws(deltas, [residuals])[0]
+
+
+def _mirrored(comps: np.ndarray, hypothesis: int) -> np.ndarray:
+    """The components of hypothesis 0, or for hypothesis 1 their 1<->4, 2<->3 mirror."""
     if hypothesis not in (0, 1):
         raise ValidationError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
+    return comps[[3, 2, 1, 0, 4]] if hypothesis else comps
 
 
 def _magnitude_gap(exact: np.ndarray, approx: np.ndarray) -> float:
     return float(np.max(np.abs(np.abs(exact) - np.abs(approx))))
 
 
-# Residuals |exact - series| read off one report (the one-step state and the
+class FinalStep(NamedTuple):
+    """What the residuals read of one grid point; all but the first click are at step k."""
+
+    params: ProtocolParams
+    first_click: float  # 0.5 a^2 s^2, the click probability of step 1
+    survival: float
+    overlap: float
+    survived: np.ndarray  # the state of hypothesis 0, :func:`protocol.survived_state`
+
+
+# Residuals |exact - series| of one FinalStep (the one-step state and the
 # baseline need only its params).
 
-def _residual_click_prob(report: ProtocolReport) -> float:
-    params = report.params
-    series_val = 0.5 * params.a**2 * params.delta**2 * params.dt**2
-    return abs(report.clicks[0] - series_val)
+def _residual_click_prob(point: FinalStep) -> float:
+    p = point.params
+    return abs(point.first_click - 0.5 * p.a**2 * p.delta**2 * p.dt**2)
 
 
-def _residual_one_step_state(report: ProtocolReport) -> float:
+def _residual_one_step_state(point: FinalStep) -> float:
     # The evolved state's magnitudes: (a, 0, 0, 0, b delta) rotates inside
     # levels 1-2 by delta dt, and e0, e1 enter only phases.
-    p = report.params
+    p = point.params
     x = p.delta * p.dt
     exact = np.array([p.a * abs(math.cos(x)), p.a * abs(math.sin(x)), 0.0, 0.0, p.b * p.delta])
     return _magnitude_gap(exact, one_step_state(p, 0))
 
 
-def _residual_k_step_state(report: ProtocolReport) -> float:
-    exact = report.survived_pair[0].amplitudes
-    return _magnitude_gap(exact, k_step_state(report.params, 0))
+def _residual_k_step_state(point: FinalStep) -> float:
+    return _magnitude_gap(point.survived, k_step_state(point.params, 0))
 
 
-def _residual_survival_step(report: ProtocolReport) -> float:
-    return abs((1.0 - report.clicks[0]) - one_step_survival(report.params))
+def _residual_survival_step(point: FinalStep) -> float:
+    return abs((1.0 - point.first_click) - one_step_survival(point.params))
 
 
-def _residual_survival_k(report: ProtocolReport) -> float:
-    return abs(report.survival[-1] - survival_k_paper(report.params))
+def _residual_survival_k(point: FinalStep) -> float:
+    return abs(point.survival - survival_k_paper(point.params))
 
 
-def _residual_overlap_vs_series(report: ProtocolReport) -> float:
-    return abs(report.final_overlap - abs(overlap_k_paper(report.params)))
+def _residual_overlap_vs_series(point: FinalStep) -> float:
+    return abs(point.overlap - abs(overlap_k_paper(point.params)))
 
 
-def _residual_final_overlap(report: ProtocolReport) -> float:
+def _residual_final_overlap(point: FinalStep) -> float:
     # Deviation from the claimed exact cancellation to zero.
-    return report.final_overlap
+    return point.overlap
 
 
-def _residual_baseline(report: ProtocolReport) -> float:
-    params = report.params
-    quadratic = 0.25 * (params.b * params.delta) ** 2
-    return abs(baseline_paper_convention(params) - quadratic)
+def _residual_baseline(point: FinalStep) -> float:
+    p = point.params
+    return abs(baseline_paper_convention(p) - 0.25 * (p.b * p.delta) ** 2)
 
 
 @dataclass(frozen=True)
 class Expression:
     """One literal series expression with its doubt, if any, and the scaling
-    quantities whose series side it is (name -> residual read off a report).
+    quantities whose series side it is (name -> residual of a FinalStep).
     """
 
     name: str
@@ -223,7 +235,7 @@ class Expression:
     evaluate: Callable
     stated_error_order: int
     suspect: str | None = None
-    residuals: dict[str, Callable[[ProtocolReport], float]] = field(default_factory=dict)
+    residuals: dict[str, Callable[[FinalStep], float]] = field(default_factory=dict)
 
     @property
     def implemented_by(self) -> str:
@@ -289,20 +301,37 @@ def quantity_flag(quantity: str) -> str:
     return entry.name if entry.suspect else ""
 
 
-def report_residual(quantity: str, report: ProtocolReport) -> float:
-    """|exact - series| for one named quantity, read off ``report``."""
-    return _tested_expression(quantity).residuals[quantity](report)
+def _residual(quantity: str, point: FinalStep) -> float:
+    """|exact - series| of ``quantity`` at ``point``; a ValidationError where it overflows."""
+    try:
+        value = SCALING_QUANTITIES[quantity].residuals[quantity](point)
+        if math.isfinite(value):
+            return value
+    except ArithmeticError:
+        pass
+    p = point.params
+    raise ValidationError(f"{quantity} overflows at b={p.b!r}, delta={p.delta!r}, dt={p.dt!r}, k={p.k!r}")
 
 
-def fit_scaling(quantity: str, deltas, template: ProtocolParams,
-                auto_dt: bool = False) -> ScalingFit:
-    """Empirical truncation order of one quantity over a delta grid.
+def scaling_fits(quantities, deltas, templates, auto_dt: bool = False) -> list[ScalingFit]:
+    """The fit of each quantity over the delta grid for each template, template-major.
 
-    The template is moved across the grid with b, k, and the prior held
-    fixed (a is re-derived from normalization); auto_dt re-solves the
-    cancellation spacing at every grid point, otherwise dt is held fixed.
-    """
-    _tested_expression(quantity)  # rejects an unknown name before any evaluation
-    residuals = [report_residual(quantity, protocol.run(rescale_delta(template, d, auto_dt=auto_dt)))
-                 for d in deltas]
-    return fit_power_law(deltas, residuals)
+    Each template moves across the grid with b, k and the prior held (a re-derived) and dt
+    held or, with auto_dt, re-solved per point. One :func:`protocol.tree` call over the final
+    step of all points gives their FinalStep records; one :func:`fit_power_laws` fits them."""
+    for q in quantities:
+        _tested_expression(q)  # rejects an unknown name before any evaluation
+    points = [rescale_delta(t, d, auto_dt=auto_dt) for t in templates for d in deltas]
+    a, bd, x = np.array([protocol.normalised(p) for p in points]).reshape(-1, 3).T
+    _, survival, overlap, _ = protocol.tree(a, bd, x, np.array([float(p.k) for p in points]))
+    records = [FinalStep(p, 0.5 * ai * ai * math.sin(xi) ** 2, si, oi,
+                         protocol.survived_state(ai, bdi, xi, p.k, si))
+               for p, ai, bdi, xi, si, oi in zip(points, *(v.tolist() for v in (a, bd, x, survival, overlap)))]
+    n = len(deltas)
+    return fit_power_laws(deltas, [[_residual(q, r) for r in records[t * n:(t + 1) * n]]
+                                   for t in range(len(templates)) for q in quantities])
+
+
+def fit_scaling(quantity: str, deltas, template: ProtocolParams, auto_dt: bool = False) -> ScalingFit:
+    """Empirical truncation order of one quantity over a delta grid (see :func:`scaling_fits`)."""
+    return scaling_fits([quantity], deltas, [template], auto_dt)[0]

@@ -166,34 +166,53 @@ def test_run_sweep_is_deterministic_and_sorted():
     assert keys == sorted(keys)
 
 
+def _count_fits(monkeypatch) -> list:
+    """Record the residual columns of every series.fit_power_laws call."""
+    fitted = []
+    fit = cli.series.fit_power_laws
+
+    def counting_fit(deltas, columns):
+        fitted.append([tuple(column) for column in columns])
+        return fit(deltas, columns)
+
+    monkeypatch.setattr(cli.series, "fit_power_laws", counting_fit)
+    return fitted
+
+
 def test_run_sweep_walks_each_point_once(monkeypatch):
     # The 6 sweep points and their exponent grids are evaluated in one array
     # pass with no walk, and the final overlap depends on neither xi nor
-    # delta, so one fit serves each (b, auto dt, k): 3 fits for 6 points.
+    # delta, so one column serves each (b, auto dt, k): one batched fit of
+    # 3 columns for 6 points.
     walked = _count_walks(monkeypatch)
-    fitted = []
-    fit = cli.series.fit_power_law
-
-    def counting_fit(deltas, residuals):
-        fitted.append(tuple(residuals))
-        return fit(deltas, residuals)
-
-    monkeypatch.setattr(cli.series, "fit_power_law", counting_fit)
+    fitted = _count_fits(monkeypatch)
     rows = run_sweep(parse_config(ADJUDICATE["FIXTURE"]))
     monkeypatch.undo()
     assert len(rows) == 12 and not any(r.error for r in rows)
     assert walked == []
-    assert len(fitted) == len(set(fitted)) == 3
+    assert len(fitted) == 1
+    assert len(fitted[0]) == len(set(fitted[0])) == 3
 
 
 def test_scaling_study_walks_each_delta_once(monkeypatch):
-    # 3 templates (k = 1, 5, 20) times 3 deltas, every quantity read off the
-    # same walk.
+    # 3 templates (k = 1, 5, 20) times 3 deltas, evaluated in one tree call
+    # with no walk, and every (template, quantity) column fitted in one call.
     walked = _count_walks(monkeypatch)
+    fitted = _count_fits(monkeypatch)
+    trees = []
+    tree = protocol.tree
+
+    def counting_tree(a, bd, x, steps):
+        trees.append(len(steps))
+        return tree(a, bd, x, steps)
+
+    monkeypatch.setattr(protocol, "tree", counting_tree)
     fits = cli.scaling_study(parse_config(ADJUDICATE["SCALING"]), "all")
     monkeypatch.undo()
     assert len(fits) == 3 * len(cli.series.SCALING_QUANTITIES)
-    assert len(walked) == len(set(walked)) == 9
+    assert walked == []
+    assert trees == [9]
+    assert len(fitted) == 1 and len(fitted[0]) == len(fits)
 
 
 def test_scaling_study_rejects_unknown_quantity():
@@ -374,6 +393,47 @@ def test_main_scaling_rejects_short_grid(tmp_path, capsys):
     code = cli.main(["scaling", "--config", str(cfg_path)])
     assert code == 1
     assert "at least 3" in capsys.readouterr().err
+
+
+def test_main_scaling_reports_an_overflowing_series_form(tmp_path, capsys):
+    # (1 - a^2 delta^2 dt^2 / 2)^(-k/2) of k_step_state overflows at this valid
+    # point; the study stops with a validation error naming the quantity and
+    # the point, whichever quantities it fits.
+    cfg_path = tmp_path / "overflow.cfg"
+    cfg_path.write_text("b=1\ndelta=0.1,0.03,0.01\ndt=1\nk=10000000\n")
+    for quantity in ("all", "k_step_state"):
+        assert cli.main(["scaling", "--config", str(cfg_path), "--quantity", quantity]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: k_step_state overflows at b=1.0, delta=0.1, dt=1.0, k=10000000")
+    # The other quantities of the same point are finite.
+    assert cli.main(["scaling", "--config", str(cfg_path), "--quantity", "survival_k"]) == 0
+    capsys.readouterr()
+
+
+def test_k_step_state_overflow_is_a_validation_error():
+    template = protocol.ProtocolParams.from_b(1.0, 0.1, 10**7, dt=1.0)
+    with pytest.raises(ValidationError, match="k_step_state overflows at .*k=10000000"):
+        cli.series.fit_scaling("k_step_state", (0.1, 0.03, 0.01), template)
+    # k (k + 1) / 4 overflows too once the prefactor rounds to 1 (dt = auto).
+    huge = protocol.ProtocolParams.from_b(10.0, 0.01, 10**200)
+    with pytest.raises(ValidationError, match="k_step_state overflows"):
+        cli.series.fit_scaling("k_step_state", cli.series.DEFAULT_DELTAS, huge, auto_dt=True)
+
+
+def test_main_rejects_an_integer_past_the_digit_limit(tmp_path, capsys):
+    # int() reads at most 4300 digits from text; the value is echoed shortened.
+    k = "5" + "0" * 5000
+    for command, text in (("sweep", "b=10\ndelta=0.01\ndt=auto\nk=1,{k}\nmode=both\n"),
+                          ("scaling", "b=10\ndelta=0.01,0.0031622776601683794,0.001\ndt=auto\nk=1,{k}\n")):
+        cfg_path = tmp_path / f"{command}.cfg"
+        cfg_path.write_text(text.format(k=k))
+        assert cli.main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: '50000000000000000000...") and "too many digits for 'k'" in err
+        assert len(err) < 200
+    assert cli.main(["run", "--b", "10", "--delta", "0.01", "--k", k]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: '50000000000000000000...") and len(err) < 200
 
 
 def test_main_validation_failures_exit_one(tmp_path, capsys):

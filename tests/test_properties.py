@@ -9,8 +9,9 @@ dense-exponential walk of the oracles, the exact ledger never
 beats the Helstrom floor, the paper total is half the click mass, the leaf
 masses sum to one, relabelling the hypotheses at an even prior matches the
 oracle walk from the swapped pair, swapping the prior for its complement
-leaves the total unchanged, and many close probes at a fixed total time
-meet the Misra-Sudarshan limit. The oracle comparisons run up to k = 200,
+leaves the total unchanged, many close probes at a fixed total time
+meet the Misra-Sudarshan limit, and a scaling study's rows are those of one
+walk per grid point with one fit per column. The oracle comparisons run up to k = 200,
 the others up to k = 10^4. Rounding bounds count one rounding per leaf:
 (k + 1) eps, or 2 (k + 1) eps where two sums meet.
 """
@@ -20,7 +21,7 @@ import itertools
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zenodisc import cli, protocol, series
@@ -249,3 +250,84 @@ def test_sweep_rows_equal_the_rows_of_each_walk(config):
             # for the exponent of a fit whose residuals are all floored.
             assert value == expected or (isinstance(value, float) and math.isnan(value)
                                          and math.isnan(expected)), field.name
+
+
+# The scaling residuals as they were read off one report per grid point.
+_REPORT_RESIDUALS = {
+    "baseline": lambda r: abs(series.baseline_paper_convention(r.params)
+                              - 0.25 * (r.params.b * r.params.delta) ** 2),
+    "click_prob": lambda r: abs(r.clicks[0] - 0.5 * r.params.a**2 * r.params.delta**2 * r.params.dt**2),
+    "final_overlap": lambda r: r.final_overlap,
+    "k_step_state": lambda r: float(np.max(np.abs(np.abs(r.survived_pair[0].amplitudes)
+                                                  - np.abs(series.k_step_state(r.params, 0))))),
+    "one_step_state": lambda r: float(np.max(np.abs(
+        np.array([r.params.a * abs(math.cos(r.params.delta * r.params.dt)),
+                  r.params.a * abs(math.sin(r.params.delta * r.params.dt)), 0.0, 0.0,
+                  r.params.b * r.params.delta]) - np.abs(series.one_step_state(r.params, 0))))),
+    "overlap_vs_series": lambda r: abs(r.final_overlap - abs(series.overlap_k_paper(r.params))),
+    "survival_k": lambda r: abs(r.survival[-1] - series.survival_k_paper(r.params)),
+    "survival_step": lambda r: abs((1.0 - r.clicks[0]) - series.one_step_survival(r.params)),
+}
+
+
+def _walked_scaling_rows(config: cli.SweepConfig, quantity: str) -> list[dict]:
+    """The scaling study point by point: one protocol.run per grid point, each
+    residual read off its report, and one np.polyfit per (template, quantity)."""
+    build = ProtocolParams.from_a if config.amplitude == "a" else ProtocolParams.from_b
+    quantities = sorted(_REPORT_RESIDUALS) if quantity == "all" else [quantity]
+    deltas = config.delta[::-1]
+    rows = []
+    for ab, dt, k, xi in itertools.product(config.ab, config.dt, config.k, config.xi):
+        template = build(ab, deltas[0], k, dt=dt, prior=xi)
+        reports = [protocol.run(protocol.rescale_delta(template, d, auto_dt=config.auto_dt))
+                   for d in deltas]
+        for q in quantities:
+            residuals = [_REPORT_RESIDUALS[q](r) for r in reports]
+            n_floored = sum(1 for r in residuals if r < series.NOISE_FLOOR)
+            exponent = intercept = math.nan
+            if n_floored < len(deltas):
+                floored = [max(r, series.NOISE_FLOOR) for r in residuals]
+                exponent, intercept = np.polyfit(np.log(deltas), np.log(floored), 1).tolist()
+            rows.append({
+                "quantity": q, "b": template.b, "k": k, "xi": xi,
+                "dt_rule": "auto" if config.auto_dt else template.dt,
+                "exponent": exponent, "intercept": intercept, "n_floored": n_floored,
+                "indeterminate": n_floored == len(deltas), "flag": series.quantity_flag(q),
+                "deltas": ";".join(cli._fmt(d, config.digits) for d in deltas),
+                "residuals": ";".join(cli._fmt(r, config.digits) for r in residuals)})
+    return rows
+
+
+@st.composite
+def scaling_configs(draw):
+    """a or b grids, auto or explicit dt, 3 to 5 deltas over one to two decades
+    and k up to 10^4. b delta stays below 1 at the largest delta, and every
+    point is valid."""
+    top = draw(st.floats(1e-3, 0.05))
+    inner = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3, unique=True))
+    span = 10.0 ** draw(st.floats(1.0, 2.0))
+    deltas = tuple(sorted({top, top / span, *(top / span**u for u in inner)}))
+    assume(len(deltas) >= 3)
+    amplitude = draw(st.sampled_from(("a", "b")))
+    if amplitude == "a":
+        ab = _grid(draw, st.floats(0.3, 0.9999))
+    else:
+        ab = tuple(sorted({bd / top for bd in draw(st.lists(st.floats(0.01, 0.95), min_size=1,
+                                                              max_size=2, unique=True))}))
+    dt = (None,) if draw(st.booleans()) else _grid(draw, st.floats(0.01, 3.0))
+    return cli.SweepConfig(amplitude=amplitude, ab=ab, delta=deltas, dt=dt,
+                           k=_grid(draw, st.integers(1, K_MAX)), xi=_grid(draw, st.floats(0.0, 1.0)),
+                           modes=(Mode.EXACT,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scaling_configs(), st.sampled_from(sorted(series.SCALING_QUANTITIES) + ["all"]))
+def test_scaling_rows_equal_the_rows_of_each_walk(config, quantity):
+    got, want = cli.scaling_study(config, quantity), _walked_scaling_rows(config, quantity)
+    assert len(got) == len(want)
+    for row, ref in zip(got, want):
+        assert row.keys() == ref.keys()
+        for name, value in row.items():
+            # NaN stands for the exponent and intercept of an indeterminate fit.
+            assert value == ref[name] or (isinstance(value, float) and math.isnan(value)
+                                          and math.isnan(ref[name])), name
