@@ -16,26 +16,13 @@ from .protocol import (
     ProtocolParams,
     ProtocolReport,
     amplitudes,
-    initial_states,
     price,
     rescale_delta,
     run,
     solve_orthogonality,
     total_cost_paper_mode,
 )
-from .qcore import (
-    DegenerateBranchError,
-    DegenerateVectorError,
-    HamiltonianSpec,
-    MeasurementDirection,
-    MeasurementOutcome,
-    PureState,
-    ValidationError,
-    evolve,
-    measure_binary,
-    normalize,
-    propagator,
-)
+from .qcore import PureState, ValidationError
 from .series import (
     EXPRESSIONS,
     SUSPECT_FLAGS,
@@ -56,11 +43,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "guess_only_cost", "helstrom_cost",
-    "LeafRecord", "Mode", "ProtocolParams", "ProtocolReport", "amplitudes", "initial_states",
+    "LeafRecord", "Mode", "ProtocolParams", "ProtocolReport", "amplitudes",
     "price", "rescale_delta", "run", "solve_orthogonality", "total_cost_paper_mode",
-    "DegenerateBranchError", "DegenerateVectorError", "HamiltonianSpec",
-    "MeasurementDirection", "MeasurementOutcome", "PureState", "ValidationError",
-    "evolve", "measure_binary", "normalize", "propagator",
+    "PureState", "ValidationError",
     "EXPRESSIONS", "SUSPECT_FLAGS", "ScalingFit",
     "baseline_paper_convention", "fit_power_law", "fit_scaling", "k_step_state",
     "one_step_state", "one_step_survival", "original_cost", "overlap_k_paper",

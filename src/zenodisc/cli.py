@@ -41,7 +41,7 @@ import numpy as np
 
 from . import protocol, series
 from .helstrom import guess_only_cost
-from .protocol import Mode, ProtocolParams
+from .protocol import Mode, ProtocolParams, shown
 from .qcore import ValidationError
 
 DEFAULT_DIGITS = 17
@@ -108,12 +108,13 @@ def _where(lineno: int) -> str:
 
 
 def _parse_float(raw: str, key: str, lineno: int) -> float:
+    """Parse a float; a long value is echoed shortened."""
     try:
         val = float(raw)
     except ValueError:
-        raise ValidationError(f"{_where(lineno)}'{raw}' is not a number for '{key}'") from None
+        raise ValidationError(f"{_where(lineno)}'{shown(raw)}' is not a number for '{key}'") from None
     if not math.isfinite(val):
-        raise ValidationError(f"{_where(lineno)}'{raw}' is not a finite number for '{key}'")
+        raise ValidationError(f"{_where(lineno)}'{shown(raw)}' is not a finite number for '{key}'")
     return val
 
 
@@ -139,13 +140,12 @@ def _parse_grid(entry: tuple[str, int], key: str, ok, rule: str, parse=_parse_fl
 def _parse_int(raw: str, key: str, lineno: int) -> int:
     """Parse ASCII digits with an optional leading '+'; a long value is echoed shortened."""
     digits = raw[1:] if raw.startswith("+") else raw
-    shown = raw if len(raw) <= 40 else f"{raw[:20]}... ({len(raw)} characters)"
     if not (digits.isascii() and digits.isdigit()):
-        raise ValidationError(f"{_where(lineno)}'{shown}' is not a positive integer for '{key}'")
+        raise ValidationError(f"{_where(lineno)}'{shown(raw)}' is not a positive integer for '{key}'")
     try:
         return int(digits)
     except ValueError:  # past Python's limit on the digits of an int read from text
-        raise ValidationError(f"{_where(lineno)}'{shown}' has too many digits for '{key}'") from None
+        raise ValidationError(f"{_where(lineno)}'{shown(raw)}' has too many digits for '{key}'") from None
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -156,7 +156,7 @@ def parse_config(text: str) -> SweepConfig:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ValidationError(f"line {lineno}: expected key=value, got '{stripped}'")
+            raise ValidationError(f"line {lineno}: expected key=value, got '{shown(stripped)}'")
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
@@ -164,7 +164,7 @@ def parse_config(text: str) -> SweepConfig:
             raise ValidationError(f"line {lineno}: key '{key}' has no effect: the level "
                                   "energies enter only phases, so no number depends on them")
         if key not in _GRID_KEYS and key not in _SCALAR_KEYS:
-            raise ValidationError(f"line {lineno}: unknown key '{key}'")
+            raise ValidationError(f"line {lineno}: unknown key '{shown(key)}'")
         if key in seen:
             raise ValidationError(f"line {lineno}: duplicate key '{key}'")
         if not raw:
@@ -232,7 +232,7 @@ def _parse_modes(raw: str, lineno: int = 0) -> tuple[Mode, ...]:
     try:
         return (Mode(name),)
     except ValueError:
-        raise ValidationError(f"{_where(lineno)}mode must be exact, paper, or both, got '{raw}'") from None
+        raise ValidationError(f"{_where(lineno)}mode must be exact, paper, or both, got '{shown(raw)}'") from None
 
 
 def _fmt(value, digits: int) -> str:
@@ -507,8 +507,8 @@ def _render_run_report(report, digits: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The point flags of baseline and run; dt ('auto' or a number) and k are read as in a config.
-_POINT_FLAGS = {"a": float, "b": float, "delta": float, "xi": float, "dt": str, "k": str}
+# The point flags of baseline and run, each read as the config key of its name.
+_POINT_FLAGS = ("a", "b", "delta", "xi", "dt", "k")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -519,11 +519,10 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub: argparse.ArgumentParser, point_flags: tuple[str, ...]):
     sub.add_argument("--config", help="path to a key=value config file")
     sub.add_argument("--out", help="output path prefix (.csv/.txt appended)")
-    sub.add_argument("--mode", choices=["exact", "paper", "both"],
-                     help="cost ledger (overrides config)")
+    sub.add_argument("--mode", help="cost ledger: exact, paper or both (overrides config)")
     sub.add_argument("--quiet", action="store_true", help="suppress stdout")
     for key in point_flags:
-        sub.add_argument(f"--{key}", type=_POINT_FLAGS[key])
+        sub.add_argument(f"--{key}")
 
 
 def _config_from_args(args) -> SweepConfig:
@@ -535,10 +534,10 @@ def _config_from_args(args) -> SweepConfig:
         for key in _POINT_FLAGS:
             val = getattr(args, key, None)
             if val is not None:
-                entries[key] = (str(val), 0)
+                entries[key] = (val, 0)
         cfg = _build_config(entries)
     overrides = {}
-    if getattr(args, "mode", None):
+    if args.mode is not None:
         overrides["modes"] = _parse_modes(args.mode)
     if args.out is not None:
         overrides["out"] = args.out
@@ -630,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     handlers = {
         "baseline": (_cmd_baseline, ("a", "b", "delta", "xi"),
                      "print both Helstrom baselines for a candidate pair"),
-        "run": (_cmd_run, tuple(_POINT_FLAGS), "evaluate one protocol configuration"),
+        "run": (_cmd_run, _POINT_FLAGS, "evaluate one protocol configuration"),
         "sweep": (_cmd_sweep, (), "evaluate a parameter grid and emit CSV + summary"),
         "scaling": (_cmd_scaling, (), "fit delta-scaling exponents of series residuals"),
         "optimize": (_cmd_optimize, (), "search k and dt for the lowest total cost"),

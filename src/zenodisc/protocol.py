@@ -42,9 +42,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import qcore
 from .helstrom import guess_only_cost, helstrom_cost
-from .qcore import MeasurementDirection, PureState, ValidationError
+from .qcore import PureState, ValidationError
 
 # Candidate-state normalization a^2 + (b delta)^2 = 1 is enforced to this
 # tolerance; construction helpers hit it to machine precision anyway.
@@ -68,15 +67,15 @@ class ProtocolParams:
     automatically, with dt=None solving the overlap-cancellation condition
     2*k*a*dt = b.
 
-    The level energies e0, e1 and the probe direction (0,1,1,0,0)/sqrt(2)
-    are fixed class constants, not fields: the closed-form tree reads none
-    of them (see the module docstring).
+    The level energies e0 and e1 are fixed class constants, not fields. The
+    closed-form tree reads neither (see the module docstring); they stay so
+    that a step-by-step walk under the full Hamiltonian, such as the dense
+    oracle that checks this engine, runs the very experiment these params
+    define.
     """
 
     e0: ClassVar[float] = 1.0
     e1: ClassVar[float] = 2.0
-    direction: ClassVar[MeasurementDirection] = MeasurementDirection(
-        np.array([0.0, 1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0))
 
     a: float
     b: float
@@ -91,8 +90,7 @@ class ProtocolParams:
             val = getattr(self, name)
             if not (isinstance(val, (int, float)) and math.isfinite(val)):
                 raise ValidationError(f"{name} must be a finite real number, got {val!r}")
-        if not isinstance(self.k, int) or not 1 <= self.k <= sys.float_info.max:
-            raise ValidationError(f"k must be an integer in [1, {sys.float_info.max:.4g}], got {self.k!r}")
+        _check_k(self.k)
         if self.dt <= 0.0:
             raise ValidationError(f"dt must be positive, got {self.dt!r}")
         if self.delta < 0.0:
@@ -102,7 +100,7 @@ class ProtocolParams:
         x = self.delta * self.dt
         if not all(math.isfinite(v) for v in (self.dt * self.dt, self.delta * self.delta, self.k * x * x)):
             raise ValidationError(f"dt^2, delta^2 and k (delta dt)^2 must be finite, got dt={self.dt!r}, "
-                                  f"delta={self.delta!r}, k={self.k!r}")
+                                  f"delta={self.delta!r}, k={shown(self.k)}")
         residual = self.a**2 + (self.b * self.delta) ** 2 - 1.0
         if abs(residual) > NORM_SLACK:
             raise ValidationError(
@@ -246,19 +244,25 @@ class ProtocolReport:
                 LeafRecord("survived", None, survived, survived, survived, prior, survived_cost))
 
 
-def initial_states(params: ProtocolParams) -> tuple[PureState, PureState]:
-    """The candidate pair (a, 0, 0, 0, b*delta) and (0, 0, 0, a, b*delta)."""
-    bd = params.b * params.delta
-    raw0 = np.array([params.a, 0.0, 0.0, 0.0, bd], dtype=np.complex128)
-    raw1 = np.array([0.0, 0.0, 0.0, params.a, bd], dtype=np.complex128)
-    # Params admit NORM_SLACK; states themselves must be exactly unit.
-    return qcore.normalize(raw0), qcore.normalize(raw1)
+def shown(value) -> str:
+    """``value`` as an error message echoes it: a str as is, anything else by its repr,
+    and past 40 characters only the first 20 and the length."""
+    try:
+        text = value if isinstance(value, str) else repr(value)
+    except ValueError:  # an int past Python's limit on the digits of its text
+        return f"<an int of {value.bit_length()} bits>"
+    return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+
+
+def _check_k(k) -> None:
+    if not isinstance(k, int) or not 1 <= k <= sys.float_info.max:
+        got = shown(k if isinstance(k, int) else repr(k))  # a str k keeps its quotes
+        raise ValidationError(f"k must be an integer in [1, {sys.float_info.max:.4g}], got {got}")
 
 
 def solve_orthogonality(a: float, b: float, k: int) -> float:
     """Spacing dt = b / (2 k a) solving the cancellation condition 2*k*a*dt = b."""
-    if not isinstance(k, int) or not 1 <= k <= sys.float_info.max:
-        raise ValidationError(f"k must be an integer in [1, {sys.float_info.max:.4g}], got {k!r}")
+    _check_k(k)
     if not a > 0.0:
         raise ValidationError(f"a must be positive, got {a!r}")
     if not b > 0.0:

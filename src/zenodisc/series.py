@@ -28,7 +28,7 @@ import numpy as np
 
 from . import protocol
 from .helstrom import helstrom_cost
-from .protocol import ProtocolParams, rescale_delta
+from .protocol import ProtocolParams, rescale_delta, shown
 from .qcore import ValidationError
 
 # Residuals below this are double-precision noise, not series error.
@@ -291,7 +291,7 @@ SCALING_QUANTITIES = {q: e for e in EXPRESSIONS for q in e.residuals}
 def _tested_expression(quantity: str) -> Expression:
     if quantity not in SCALING_QUANTITIES:
         raise ValidationError(
-            f"unknown scaling quantity {quantity!r}; options: {sorted(SCALING_QUANTITIES)}")
+            f"unknown scaling quantity '{shown(quantity)}'; options: {sorted(SCALING_QUANTITIES)}")
     return SCALING_QUANTITIES[quantity]
 
 
@@ -310,7 +310,7 @@ def _residual(quantity: str, point: FinalStep) -> float:
     except ArithmeticError:
         pass
     p = point.params
-    raise ValidationError(f"{quantity} overflows at b={p.b!r}, delta={p.delta!r}, dt={p.dt!r}, k={p.k!r}")
+    raise ValidationError(f"{quantity} overflows at b={p.b!r}, delta={p.delta!r}, dt={p.dt!r}, k={shown(p.k)}")
 
 
 def scaling_fits(quantities, deltas, templates, auto_dt: bool = False) -> list[ScalingFit]:

@@ -133,13 +133,15 @@ def test_run_sweep_records_overflowing_points_as_rows():
 
 def test_run_sweep_records_a_k_beyond_the_float_range_as_rows():
     # k (delta dt)^2 and the spacing b / (2 k a) cannot be formed in floats
-    # at k = 5 * 10^400; the point is a row, the sweep goes on.
+    # at k = 5 * 10^400; the point is a row, the sweep goes on, and its error
+    # echoes the k shortened.
     huge = 5 * 10**400
     for dt in ("0.5", "auto"):
         rows = run_sweep(parse_config(f"b=10\ndelta=0.01\ndt={dt}\nk=1,{huge}\nmode=both"))
         assert [(r.k, r.mode) for r in rows] == [(1, "exact"), (1, "paper"),
                                                  (huge, "exact"), (huge, "paper")]
         assert [bool(r.error) for r in rows] == [False, False, True, True]
+        assert all(r.error.endswith("got 50000000000000000000... (401 characters)") for r in rows[2:])
         assert all(math.isfinite(r.total_cost) for r in rows[:2])
 
 
@@ -434,6 +436,34 @@ def test_main_rejects_an_integer_past_the_digit_limit(tmp_path, capsys):
     assert cli.main(["run", "--b", "10", "--delta", "0.01", "--k", k]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: '50000000000000000000...") and len(err) < 200
+
+
+def test_errors_echo_an_overlong_value_shortened(tmp_path, capsys):
+    # Any value is echoed as an integer is: its first 20 characters and its length.
+    long = "x" * 3000
+    for text, why in ((f"b=10\ndelta=0.01\nmode={long}", "mode must be exact, paper, or both, got"),
+                      (f"b=10\ndelta=0.01\n{long}=3", "unknown key"),
+                      (f"b=10\ndelta=0.01\n{long}", "expected key=value, got")):
+        with pytest.raises(ValidationError) as err:
+            parse_config(text)
+        assert str(err.value) == f"line 3: {why} '{long[:20]}... (3000 characters)'"
+    for argv in (["run", "--b", "10", "--delta", "0.01", "--k", "5", "--mode", long],
+                 ["scaling", "--config", str(tmp_path / "scaling.cfg"), "--quantity", long]):
+        (tmp_path / "scaling.cfg").write_text("b=10\ndelta=0.01,0.0031622776601683794,0.001\nk=1\n")
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"'{long[:20]}... (3000 characters)'" in err and len(err) < 300  # with the options
+    for raw, why in (("1" + "0" * 5000, "is not a finite number for 'delta'"),
+                     ("0." + "1" * 5000 + "x", "is not a number for 'delta'")):
+        shown = f"'{raw[:20]}... ({len(raw)} characters)' {why}"
+        cfg_path = tmp_path / "float.cfg"
+        cfg_path.write_text(f"b=10\ndelta=0.01,{raw}\ndt=auto\nk=1\n")
+        assert cli.main(["sweep", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line 2: {shown}") and len(err) < 200
+        assert cli.main(["run", "--b", "10", "--delta", raw, "--k", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {shown}") and len(err) < 200
 
 
 def test_main_validation_failures_exit_one(tmp_path, capsys):

@@ -72,24 +72,6 @@ def test_from_a_derives_b():
     assert p.b == 0.0
 
 
-def test_initial_states_examples():
-    p = ProtocolParams.from_b(10.0, 0.01, k=1, dt=1.0)
-    s0, s1 = protocol.initial_states(p)
-    assert s0.amplitudes[0] == pytest.approx(math.sqrt(0.99), abs=1e-14)
-    assert s0.amplitudes[4] == pytest.approx(0.1, abs=1e-14)
-    assert s1.amplitudes[3] == pytest.approx(math.sqrt(0.99), abs=1e-14)
-    assert s1.amplitudes[4] == pytest.approx(0.1, abs=1e-14)
-    assert np.vdot(s0.amplitudes, s1.amplitudes) == pytest.approx((p.b * p.delta) ** 2, abs=1e-14)
-
-
-def test_initial_states_orthogonal_when_b_zero():
-    p = ProtocolParams(a=1.0, b=0.0, delta=0.05, dt=1.0, k=1)
-    s0, s1 = protocol.initial_states(p)
-    assert abs(np.vdot(s0.amplitudes, s1.amplitudes)) == 0.0
-    assert np.allclose(s0.amplitudes, [1, 0, 0, 0, 0], atol=1e-15)
-    assert np.allclose(s1.amplitudes, [0, 0, 0, 1, 0], atol=1e-15)
-
-
 # ------------------------------------------------------ solve_orthogonality
 
 def test_solve_orthogonality_fixture_value():
@@ -112,6 +94,23 @@ def test_solve_orthogonality_validation():
         protocol.solve_orthogonality(1.0, 0.0, 1)
     with pytest.raises(ValidationError):
         protocol.solve_orthogonality(1.0, 1.0, 0)
+
+
+def test_k_errors_echo_a_long_k_shortened():
+    # Past 40 characters a k is echoed by its first 20 and its length, and past
+    # Python's limit on the digits of int text by its size in bits.
+    for k, shown in ((5 * 10**4000, "50000000000000000000... (4001 characters)"),
+                     (10**5000, "<an int of 16610 bits>"), (0, "0"), ("5", "'5'")):
+        for make in (lambda: ProtocolParams(a=1.0, b=0.0, delta=0.01, dt=1.0, k=k),
+                     lambda: protocol.solve_orthogonality(0.9, 1.0, k)):
+            with pytest.raises(ValidationError) as err:
+                make()
+            assert str(err.value).endswith(f"got {shown}") and len(str(err.value)) < 200
+    # k (delta dt)^2 overflows at k = 10^300.
+    with pytest.raises(ValidationError) as err:
+        ProtocolParams(a=1.0, b=0.0, delta=0.01, dt=1e10, k=10**300)
+    assert str(err.value).endswith("k=10000000000000000000... (301 characters)")
+    assert len(str(err.value)) < 200
 
 
 # ------------------------------------------------------------- first step

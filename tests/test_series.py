@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from zenodisc import protocol, qcore, series
+from zenodisc import protocol, series
 from zenodisc.protocol import ProtocolParams
-from zenodisc.qcore import HamiltonianSpec, ValidationError
+from zenodisc.qcore import ValidationError
+
+import oracles
 
 DELTAS = series.DEFAULT_DELTAS
 
@@ -32,9 +34,8 @@ def test_one_step_state_mirror_symmetry():
 
 def test_one_step_state_tracks_exact_evolution():
     p = params(k=1, dt=1.0)
-    exact = qcore.evolve(HamiltonianSpec(p.e0, p.e1, p.delta), p.dt,
-                         protocol.initial_states(p)[0])
-    gap = np.max(np.abs(np.abs(exact.amplitudes) - np.abs(series.one_step_state(p, 0))))
+    exact = oracles.expm_evolve(p.e0, p.e1, p.delta, p.dt, oracles.candidate_pair(p.b, p.delta)[0])
+    gap = np.max(np.abs(np.abs(exact) - np.abs(series.one_step_state(p, 0))))
     assert gap <= p.delta**3
 
 
