@@ -182,42 +182,65 @@ class LeafRecord:
 
 @dataclass(frozen=True)
 class ProtocolReport:
-    """The outcome tree of one experiment; its ledger's numbers are views.
+    """The outcome tree of one experiment at its final step k; the rest are views.
 
-    clicks[j - 1] is the probability of the click at step j under either
-    hypothesis and click_mass their total M_k. overlap_trajectory[i] is
-    |<s0|s1>| of the conditioned survival states after i steps (entry 0 is
-    b^2 delta^2), survival[i] the cumulative survival probability, the same
-    under either hypothesis (survival_trajectory pairs it up when read).
-    survived_pair holds the two conditioned states of the survived leaf,
-    without the phases of e0 and e1, and final_gap is 1 - O_k in closed
-    form, which keeps its digits as the pair nears parallel. total_cost, the
-    verdicts (total_cost minus each baseline; positive: worse than that
-    baseline) and the leaves are computed under params.mode when read.
+    It stores :func:`final_step`: the click mass M_k, the survival 1 - M_k of
+    either hypothesis, the survived overlap O_k and 1 - O_k in closed form,
+    which keeps its digits as the pair nears parallel; and both baselines.
+    total_cost, the verdicts (total_cost minus each baseline; positive: worse
+    than that baseline) and the leaves are computed under params.mode when
+    read, and so is every per-step value, which nothing keeps: clicks[j - 1]
+    is the click at step j under either hypothesis, overlap_trajectory[i] is
+    |<s0|s1>| of the survival states after i steps (entry 0 is b^2 delta^2),
+    survival[i] the cumulative survival (survival_trajectory pairs it up),
+    and survived_pair the survived leaf's states without the e0, e1 phases.
     """
 
     params: ProtocolParams
-    clicks: tuple[float, ...]
     click_mass: float
-    survived_pair: tuple[PureState, PureState]
+    final_survival: float
+    final_overlap: float
     final_gap: float
     baseline_exact: float
     baseline_paper: float
-    overlap_trajectory: tuple[float, ...]
-    survival: tuple[float, ...]
+
+    def _steps(self) -> tuple[np.ndarray, ...]:
+        """:func:`_columns` at the steps j = 0..k, computed on each read."""
+        (a, bd, x), k = normalised(self.params), self.params.k
+        too_many = f"k = {k}: its {k + 1} per-step values cannot be allocated"
+        if (k + 1) * 8 > sys.maxsize:  # past numpy's index range arange may come back empty
+            raise ValidationError(too_many)
+        try:
+            return _columns(a, bd, x, np.arange(k + 1))
+        except MemoryError:
+            raise ValidationError(too_many) from None
+
+    @property
+    def clicks(self) -> tuple[float, ...]:
+        a, _, x = normalised(self.params)
+        return tuple((0.5 * a * a * _decay(x)[0] * np.exp(self._steps()[0][:-1])).tolist())
+
+    @property
+    def survival(self) -> tuple[float, ...]:
+        return tuple(self._steps()[2].tolist())
+
+    @property
+    def overlap_trajectory(self) -> tuple[float, ...]:
+        return tuple(self._steps()[3].tolist())
 
     @property
     def survival_trajectory(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.survival, self.survival))
+        return tuple((s, s) for s in self.survival)
 
     @property
-    def final_overlap(self) -> float:
-        return self.overlap_trajectory[-1]
+    def survived_pair(self) -> tuple[PureState, PureState]:
+        s0 = survived_state(*normalised(self.params), self.params.k, self.final_survival)
+        return PureState(s0), PureState(s0[[3, 2, 1, 0, 4]])
 
     @property
     def total_cost(self) -> float:
         return ledger(self.params.mode, self.params.prior, self.click_mass,
-                      self.survival[-1], self.final_overlap, self.final_gap)[2]
+                      self.final_survival, self.final_overlap, self.final_gap)[2]
 
     @property
     def verdict_vs_exact(self) -> float:
@@ -235,8 +258,7 @@ class ProtocolReport:
     def leaves(self) -> tuple[LeafRecord, ...]:
         """The k click leaves in step order, then the survived leaf; every
         posterior is the prior."""
-        prior = self.params.prior
-        survived = self.survival[-1]
+        prior, survived = self.params.prior, self.final_survival
         click_cost, survived_cost, _ = ledger(self.params.mode, prior, self.click_mass, survived,
                                               self.final_overlap, self.final_gap)
         return (*(LeafRecord("click", step, p, p, p, prior, click_cost)
@@ -355,44 +377,17 @@ def survived_state(a: float, bd: float, x: float, k: int, survival: float) -> np
 
 
 def run(params: ProtocolParams) -> ProtocolReport:
-    """Evaluate the full outcome tree in closed form.
+    """Evaluate the outcome tree in closed form at its final step k, as every pipeline does.
 
-    Everything follows from the closed forms of the module docstring, taken
-    by :func:`final_step` and, without its gap, over the steps j = 0..k with
-    no step-by-step walk: c^(2 j) = exp(j log1p(-s^2)), the click mass
-    M_j = -(a^2 / 2) expm1(j log1p(-s^2)), the cumulative survival 1 - M_j
-    of either hypothesis, and the overlap |b^2 delta^2 - M_j| / (1 - M_j).
-    expm1 keeps M_j accurate where the clicks are far below the rounding
-    of 1, as in the Zeno regime of many close probes. The survived pair is
-    :func:`survived_state` and its mirror.
+    The report holds :func:`final_step` and both baselines, and computes its
+    per-step values when read. Both take the closed forms of the module
+    docstring with c^(2 j) = exp(j log1p(-s^2)) and the click mass
+    M_j = -(a^2 / 2) expm1(j log1p(-s^2)); expm1 keeps M_j accurate where the
+    clicks are far below the rounding of 1, as in the Zeno regime of many
+    close probes. The survived pair is :func:`survived_state` and its mirror.
     """
-    (a, bd, x), k = normalised(params), params.k
-    s2, log_c2 = _decay(x)
-    too_many = f"k = {k}: its {k + 1} per-step values cannot be allocated"
-    if (k + 1) * 8 > sys.maxsize:  # past numpy's index range arange may come back empty
-        raise ValidationError(too_many)
-    mass, _, _, gap = final_step(params)
-    try:
-        _, _, survival, overlap = _columns(a, bd, x, np.arange(k + 1))
-        # Each array is dropped once read, which keeps the heap small at large k.
-        survival, overlap = survival.tolist(), overlap.tolist()
-        clicks = (0.5 * a * a * s2 * np.exp(np.arange(k) * log_c2)).tolist()
-    except MemoryError:
-        raise ValidationError(too_many) from None
-
-    s0 = survived_state(a, bd, x, k, survival[-1])
-    baseline_exact, baseline_paper = baselines(params.prior, a, bd)
-    return ProtocolReport(
-        params=params,
-        clicks=tuple(clicks),
-        click_mass=mass,
-        survived_pair=(PureState(s0), PureState(s0[[3, 2, 1, 0, 4]])),
-        final_gap=gap,
-        baseline_exact=baseline_exact,
-        baseline_paper=baseline_paper,
-        overlap_trajectory=tuple(overlap),
-        survival=tuple(survival),
-    )
+    a, bd, _ = normalised(params)
+    return ProtocolReport(params, *final_step(params), *baselines(params.prior, a, bd))
 
 
 def price(report: ProtocolReport, mode: Mode) -> ProtocolReport:

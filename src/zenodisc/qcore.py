@@ -1,10 +1,11 @@
 """The package's validation error and its one state type.
 
 Every layer raises :class:`ValidationError` on bad input. A
-:class:`PureState` holds one state of the survived pair that ``protocol.run``
-reports. The outcome tree has a closed form (see ``protocol``), so nothing
-here evolves or measures a state; the dense step-by-step walk is an
-independent oracle of the test suite.
+:class:`PureState` holds one state of the survived pair, built when a
+``protocol.ProtocolReport``'s ``survived_pair`` is read. The outcome tree has
+a closed form (see ``protocol``), so nothing here evolves or measures a
+state; the dense step-by-step walk is an independent oracle of the test
+suite.
 """
 
 from dataclasses import dataclass

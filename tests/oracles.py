@@ -6,12 +6,14 @@ with its own Bayes bookkeeping, the Helstrom form is written out inline
 with 1 - T taken from the walk's states by the Lagrange identity, and the
 mixed-state Helstrom cost goes through the trace norm, so agreement with
 the package is a genuine cross-check rather than the same code evaluated
-twice.
+twice. The closed forms are also evaluated at 50 digits with ``decimal``,
+a reference far below the rounding of any float result.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import scipy.linalg
@@ -139,3 +141,72 @@ def naive_run(b: float, delta: float, k: int, dt: float,
 def random_pure_state(rng: np.random.Generator, dim: int = 5) -> np.ndarray:
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return vec / np.linalg.norm(vec)
+
+
+# Digits of the ``decimal`` reference: far beyond the 17 a float carries, so its
+# own rounding is nowhere near the engine's.
+DECIMAL_DIGITS = 50
+
+
+def _decimal_sin(x: Decimal) -> Decimal:
+    """sin x by its Taylor series, the recipe of the ``decimal`` documentation."""
+    term, total, n = x, x, 1
+    while True:
+        n += 2
+        term = -term * x * x / (n * (n - 1))
+        if total + term == total:
+            return total
+        total += term
+
+
+def _decimal_helstrom(xi: Decimal, transition: Decimal) -> Decimal:
+    return (1 - (1 - 4 * xi * (1 - xi) * transition).sqrt()) / 2
+
+
+def decimal_point(b, delta, dt, k: int, xi) -> dict[str, Decimal]:
+    """The closed forms of one point at 50 digits, from floats or Decimals taken as exact.
+
+    With b delta squared bd2, a^2 = 1 - bd2, s = sin(delta dt) and
+    M_k = (a^2 / 2)(1 - (1 - s^2)^k): the survived overlap
+    O_k = |bd2 - M_k| / (1 - M_k), the Helstrom baselines H(xi, bd2^2) and
+    H(xi, bd2) with H(xi, T) = (1 - sqrt(1 - 4 xi (1 - xi) T)) / 2, the exact
+    total M_k min(xi, 1 - xi) + (1 - M_k) H(xi, O_k^2), the paper total M_k / 2
+    and the idealized k a^2 dt^2 delta^2 / 4.
+    """
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        b, delta, dt, xi = map(Decimal, (b, delta, dt, xi))
+        bd2 = (b * delta) ** 2
+        a2 = 1 - bd2
+        s = _decimal_sin(delta * dt)
+        mass = a2 / 2 * (1 - (1 - s * s) ** int(k))
+        overlap = abs(bd2 - mass) / (1 - mass)
+        return {
+            "a": a2.sqrt(),
+            "final_overlap": overlap,
+            "baseline_exact": _decimal_helstrom(xi, bd2 * bd2),
+            "baseline_paper": _decimal_helstrom(xi, bd2),
+            "total_exact": mass * min(xi, 1 - xi) + (1 - mass) * _decimal_helstrom(xi, overlap * overlap),
+            "total_paper": mass / 2,
+            "paper_new_cost": int(k) * a2 * dt * dt * delta * delta / 4,
+        }
+
+
+def decimal_auto_dt(b: float, delta: float, k: int) -> Decimal:
+    """dt = b / (2 k a) of the cancellation condition, at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        b, delta = Decimal(b), Decimal(delta)
+        return b / (2 * int(k) * (1 - (b * delta) ** 2).sqrt())
+
+
+def decimal_overlap_exponent(b: float, k: int, deltas) -> Decimal:
+    """The least-squares slope of ln O_k on ln delta over ``deltas``, dt solved per delta."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        xs = [Decimal(d).ln() for d in deltas]
+        ys = [decimal_point(b, d, decimal_auto_dt(b, d, k), k, 0.5)["final_overlap"].ln()
+              for d in deltas]
+        x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+        return (sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+                / sum((x - x_mean) ** 2 for x in xs))

@@ -55,9 +55,10 @@ def _other(mode: Mode) -> Mode:
     return Mode.PAPER if mode is Mode.EXACT else Mode.EXACT
 
 
-# The ledger's numbers are properties of the report, not fields, so they are
-# compared by name next to the stored fields.
+# The ledger's numbers and the per-step values are properties of the report,
+# not fields, so they are compared by name next to the stored fields.
 LEDGER_VIEWS = ("total_cost", "verdict_vs_exact", "verdict_vs_paper", "paper_new_cost", "leaves")
+STEP_VIEWS = ("clicks", "survival", "overlap_trajectory", "survived_pair")
 
 
 @settings(max_examples=60, deadline=None)
@@ -65,7 +66,7 @@ LEDGER_VIEWS = ("total_cost", "verdict_vs_exact", "verdict_vs_paper", "paper_new
 def test_pricing_a_walk_equals_running_that_ledger(p):
     priced = protocol.price(protocol.run(p), _other(p.mode))
     ran = protocol.run(dataclasses.replace(p, mode=_other(p.mode)))
-    for name in (*(f.name for f in dataclasses.fields(ran)), *LEDGER_VIEWS):
+    for name in (*(f.name for f in dataclasses.fields(ran)), *LEDGER_VIEWS, *STEP_VIEWS):
         if name == "survived_pair":
             for got, want in zip(priced.survived_pair, ran.survived_pair):
                 assert np.array_equal(got.amplitudes, want.amplitudes)

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from zenodisc import protocol
+from zenodisc.cli import parse_config, run_sweep
 from zenodisc.protocol import Mode, ProtocolParams
 from zenodisc.qcore import ValidationError
 
@@ -300,12 +302,32 @@ def test_run_zeno_regime_keeps_leaf_mass_and_meets_the_limit():
 
 
 # At k = 10^18 malloc refuses the per-step arrays at once. From 2^63 - 2 on,
-# numpy's arange returns an empty array instead of refusing.
+# numpy's arange returns an empty array instead of refusing. run itself
+# prices only the final step, as a sweep does, so only the per-step views fail.
 @pytest.mark.parametrize("k", [10**18, 2**63 - 2])
 def test_run_rejects_a_k_whose_step_arrays_cannot_be_allocated(k):
     p = ProtocolParams.from_b(10.0, 0.01, k, dt=1e-12)
-    with pytest.raises(ValidationError, match="cannot be allocated"):
-        protocol.run(p)
+    report = protocol.run(p)
+    for view in ("clicks", "survival", "overlap_trajectory", "survival_trajectory", "leaves"):
+        with pytest.raises(ValidationError, match="cannot be allocated"):
+            getattr(report, view)
+    (row,) = run_sweep(parse_config(f"b=10\ndelta=0.01\ndt=1e-12\nk={k}\nmode=exact"))
+    assert not row.error
+    assert (report.total_cost, report.final_overlap, report.baseline_exact, report.baseline_paper) \
+        == (row.total_cost, row.final_overlap, row.baseline_exact, row.baseline_paper)
+
+
+def test_run_keeps_no_per_step_data():
+    # At k = 10^6 the per-step values would take about 8 MB a column.
+    p = ProtocolParams.from_b(10.0, 1e-3, 10**6, dt=2e-6)
+    tracemalloc.start()
+    try:
+        for mode in Mode:
+            protocol.run(dataclasses.replace(p, mode=mode))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_run_sanity_bounds_across_random_sets():

@@ -6,13 +6,20 @@ tolerances fixed by what rounding can move: headline totals and ratios to
 1e-12 relative; scaling residuals to 1e-15 absolute; the fitted exponent and
 intercept to 1e-4 and 1e-3, because at delta = 1e-3 the residuals sit within
 a few hundred ulp of their O(1) operands and the log-log fit amplifies that.
+
+Every number of the committed headline is also checked against a 50-digit
+``decimal`` evaluation of its closed form (``oracles.decimal_point``).
 """
 
 import csv
 import io
 import re
 import runpy
+from decimal import Decimal
 from pathlib import Path
+
+import oracles
+from zenodisc import series
 
 REPO = Path(__file__).resolve().parent.parent
 RESULTS = REPO / "results"
@@ -20,6 +27,11 @@ RESULTS = REPO / "results"
 HEADLINE_REL, HEADLINE_ABS = 1e-12, 1e-15
 RESIDUAL_ABS = 1e-15
 FIT_ABS = {"exponent": 1e-4, "intercept": 1e-3}
+# Relative bound against the 50-digit reference, fixed before measuring; the
+# committed headline sits within 6.4e-16 of it (overlap_exponent; every other
+# column within 4.3e-16). A verdict is a difference of two such numbers, so it
+# is bounded absolutely by the bound of its larger term.
+DECIMAL_REL = Decimal("2e-15")
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -90,3 +102,28 @@ def test_committed_results_match_a_rebuild(tmp_path, monkeypatch, capsys):
                     _check_field(where, gr, wr, 0.0, RESIDUAL_ABS)
             else:
                 assert g == w, f"{where}: {g!r} vs committed {w!r}"
+
+
+def test_committed_headline_matches_the_decimal_reference():
+    rows = list(csv.DictReader(io.StringIO((RESULTS / "headline.csv").read_text(encoding="utf-8"))))
+    assert rows
+    for n, row in enumerate(rows, start=2):
+        b, delta, dt, k, xi = (float(row["b"]), float(row["delta"]), float(row["dt"]),
+                               int(row["k"]), float(row["xi"]))
+        ref = oracles.decimal_point(b, delta, dt, k, xi)
+        total = ref[f"total_{row['mode']}"]
+        # The headline solves dt from the cancellation condition, per delta
+        # of the overlap exponent's fit grid too (scripts/adjudicate.py).
+        want = {"a": ref["a"], "dt": oracles.decimal_auto_dt(b, delta, k), "total_cost": total,
+                "paper_new_cost": ref["paper_new_cost"], "final_overlap": ref["final_overlap"],
+                "baseline_exact": ref["baseline_exact"], "baseline_paper": ref["baseline_paper"],
+                "overlap_exponent": oracles.decimal_overlap_exponent(b, k, series.DEFAULT_DELTAS)}
+        verdicts = {"verdict_vs_baseline_exact": "baseline_exact",
+                    "verdict_vs_baseline_paper": "baseline_paper"}
+        numeric = {col for col, text in row.items() if _is_number(text)}
+        assert numeric == {"b", "delta", "k", "xi", *want, *verdicts}, f"line {n}"
+        for col, w in want.items():
+            assert abs(Decimal(row[col]) - w) <= DECIMAL_REL * abs(w), f"line {n} {col}: {row[col]}"
+        for col, base in verdicts.items():
+            bound = DECIMAL_REL * max(abs(total), abs(ref[base]))
+            assert abs(Decimal(row[col]) - (total - ref[base])) <= bound, f"line {n} {col}: {row[col]}"
