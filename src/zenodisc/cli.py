@@ -34,7 +34,8 @@ import io
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from itertools import chain, product
+from itertools import chain, groupby, product
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -78,9 +79,13 @@ class SweepConfig:
         return self.dt == (None,)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReportRow:
-    """One protocol evaluation, or one failed point with its error message."""
+    """One protocol evaluation, or one failed point with its error message.
+
+    A plain slotted record, built positionally: nothing hashes or mutates a row,
+    and a frozen one costs several times as much to build.
+    """
 
     a: float
     b: float
@@ -235,11 +240,18 @@ def _parse_modes(raw: str, lineno: int = 0) -> tuple[Mode, ...]:
         raise ValidationError(f"{_where(lineno)}mode must be exact, paper, or both, got '{shown(raw)}'") from None
 
 
-def _fmt(value, digits: int) -> str:
+def _float_format(digits: int) -> str:
+    """``%.<digits>g``, the one format of every printed float: the bytes of
+    ``format(v, f".{digits}g")`` from one C-level ``%`` call."""
+    return f"%.{digits}g"
+
+
+def _fmt(value, num: str) -> str:
+    """One cell: None empty, a float through the format ``num``, anything else by str."""
     if value is None:
         return ""
     if isinstance(value, float):
-        return f"{value:.{digits}g}"
+        return num % value
     return str(value)
 
 
@@ -274,17 +286,18 @@ def _rows(points: list[ProtocolParams], modes: tuple[Mode, ...], auto_dt: bool) 
     prior = np.array([p.prior for p in points])
     final_overlap = overlap[:n]
     base_exact, base_paper = protocol.baselines(prior, a[:n], bd[:n])
+    # The columns every ledger shares, one entry per point.
+    shared = list(zip(points, base_exact.tolist(), base_paper.tolist(),
+                      map(protocol.total_cost_paper_mode, points), final_overlap.tolist(),
+                      map(exponents.get, keys)))
     rows = []
     for mode in modes:
         total = protocol.ledger(mode, prior, mass[:n], survival[:n], final_overlap, gap[:n])[2]
-        columns = {"total_cost": total, "baseline_exact": base_exact, "baseline_paper": base_paper,
-                   "final_overlap": final_overlap, "verdict_vs_baseline_exact": total - base_exact,
-                   "verdict_vs_baseline_paper": total - base_paper}
-        for p, key, *values in zip(points, keys, *(column.tolist() for column in columns.values())):
-            rows.append(ReportRow(
-                a=p.a, b=p.b, delta=p.delta, dt=p.dt, k=p.k, xi=p.prior, mode=mode.value,
-                paper_new_cost=protocol.total_cost_paper_mode(p), overlap_exponent=exponents.get(key),
-                **dict(zip(columns, values))))
+        rows += [ReportRow(p.a, p.b, p.delta, p.dt, p.k, p.prior, mode.value, t, be, bp, new, fo,
+                           exponent, ve, vp)
+                 for (p, be, bp, new, fo, exponent), t, ve, vp
+                 in zip(shared, total.tolist(), (total - base_exact).tolist(),
+                        (total - base_paper).tolist())]
     return rows
 
 
@@ -311,93 +324,116 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
         try:
             points.append(_point_params(config, ab, delta, dt, k, xi, config.modes[0]))
         except ValidationError as exc:
-            point = {"a": math.nan, "b": math.nan, config.amplitude: ab,
-                     "dt": math.nan if dt is None else dt}
-            rows += [ReportRow(**point, delta=delta, k=k, xi=xi, mode=mode.value, error=str(exc))
+            a, b = (ab, math.nan) if config.amplitude == "a" else (math.nan, ab)
+            rows += [ReportRow(a, b, delta, math.nan if dt is None else dt, k, xi, mode.value,
+                               error=str(exc))
                      for mode in config.modes]
     rows += _rows(points, config.modes, config.auto_dt)
     rows.sort(key=_row_sort_key)
     return rows
 
 
-def _csv(header: tuple[str, ...], rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(chain([header], rows))  # no list of all rows
-    return buf.getvalue()
+# The columns that name a row's parameter point, CSV_COLUMNS[:6].
+_POINT = attrgetter("a", "b", "delta", "dt", "k", "xi")
+
+
+def _report(rows: list[ReportRow], digits: int):
+    """The CSV and the summary of ``rows`` in one pass, as (CSV text, summary text) pairs:
+    the two headers, then the CSV lines and the summary block of each parameter point.
+
+    The rows of a point must be adjacent, one per ledger, as :func:`run_sweep` returns
+    them, and share every column but mode, total_cost, the verdicts and error, as the
+    ledgers of a point do. So each float is formatted once, with ``%.<digits>g``: a point's
+    cells serve its CSV lines and its summary block, and a row adds only its total and
+    verdicts. Valid rows need no quoting and are joined as text; the rows of a failed
+    point go through ``csv.writer``, because an error message may need quoting.
+    """
+    num = _float_format(digits)
+    flags = "".join(f"  {name}: {series.SUSPECT_FLAGS[name]}\n" for name in sorted(series.SUSPECT_FLAGS))
+    yield (",".join(CSV_COLUMNS) + "\n",
+           "adjudication summary\n====================\n"
+           f"rows evaluated : {len(rows)}\n"
+           f"parameter sets : {sum(1 for _ in groupby(rows, _POINT))}\n"
+           "flagged series expressions (evaluated verbatim, never corrected):\n" + flags + "\n")
+    quoted = io.StringIO()
+    writer = csv.writer(quoted, lineterminator="\n")
+    for idx, (_, group) in enumerate(groupby(rows, _POINT), start=1):
+        group = list(group)
+        first = group[0]
+        point = [_fmt(v, num) for v in _POINT(first)]
+        head = "set %d: a=%s b=%s delta=%s dt=%s k=%s xi=%s\n" % (idx, *point)
+        if any(row.error for row in group):
+            for row in group:
+                writer.writerow(point + [_fmt(getattr(row, col), num) for col in CSV_COLUMNS[6:]])
+            errors = sorted((row.mode, row.error) for row in group if row.error)
+            yield quoted.getvalue(), head + "".join(f"  error[{m}]: {msg}\n" for m, msg in errors) + "\n"
+            quoted.seek(0)
+            quoted.truncate()
+            continue
+        prefix = ",".join(point)
+        base_exact, base_paper, new_cost, final_overlap = (
+            num % v for v in (first.baseline_exact, first.baseline_paper, first.paper_new_cost,
+                              first.final_overlap))
+        exponent = "" if first.overlap_exponent is None else num % first.overlap_exponent
+        shared = f"{base_exact},{base_paper},{new_cost},{final_overlap},{exponent}"
+        lines, by_mode = [], {}
+        for row in group:
+            total, margin = num % row.total_cost, num % row.verdict_vs_baseline_exact
+            lines.append(f"{prefix},{row.mode},{total},{shared},{margin},"
+                         f"{num % row.verdict_vs_baseline_paper},\n")
+            by_mode[row.mode] = row, total, margin
+        exact, paper = by_mode.get(Mode.EXACT.value), by_mode.get(Mode.PAPER.value)
+        ratio = first.baseline_exact / first.baseline_paper if first.baseline_paper else math.nan
+        block = [head,
+                 f"  total_cost[exact]       = {exact[1] if exact else '(not run)'}\n",
+                 f"  total_cost[paper]       = {paper[1] if paper else '(not run)'}\n",
+                 f"  baseline_exact          = {base_exact}\n",
+                 f"  baseline_paper          = {base_paper}\n",
+                 f"  baseline exact/paper    = {num % ratio}\n",
+                 f"  paper_new_cost          = {new_cost}\n",
+                 f"  final_overlap           = {final_overlap}\n",
+                 f"  overlap delta-exponent  = {exponent or '(not run)'}\n"]
+        if exact:
+            row, _, margin = exact
+            ok = row.total_cost >= row.baseline_exact - 1e-10
+            block.append(f"  exact-ledger sanity (total >= baseline_exact): "
+                         f"{'holds' if ok else 'VIOLATED'}  margin={margin}\n")
+        if paper:
+            row = paper[0]
+            ok = row.total_cost < row.baseline_paper
+            ratio = row.total_cost / row.baseline_paper if row.baseline_paper else math.nan
+            block.append(f"  paper-ledger claim (total < baseline_paper): "
+                         f"{'holds' if ok else 'fails'}  ratio={num % ratio}\n")
+        block.append("\n")
+        yield "".join(lines), "".join(block)
 
 
 def render_csv(rows: list[ReportRow], digits: int = DEFAULT_DIGITS) -> str:
-    return _csv(CSV_COLUMNS, ([_fmt(getattr(row, col), digits) for col in CSV_COLUMNS] for row in rows))
-
-
-def _group_rows(rows: list[ReportRow]):
-    groups: dict[tuple, dict[str, ReportRow]] = {}
-    for row in rows:
-        groups.setdefault((row.a, row.b, row.delta, row.dt, row.k, row.xi), {})[row.mode] = row
-    return list(groups.items())
+    """The sweep CSV of ``rows``: the CSV half of the one rendering pass."""
+    return "".join(text for text, _ in _report(rows, digits))
 
 
 def render_summary(rows: list[ReportRow], digits: int = DEFAULT_DIGITS) -> str:
-    """Human-readable adjudication of every parameter set in the sweep."""
-    fmt = lambda v: _fmt(v, digits) or "(not run)"
-    lines = []
-    push = lines.append
-    push("adjudication summary")
-    push("====================")
-    groups = _group_rows(rows)
-    push(f"rows evaluated : {len(rows)}")
-    push(f"parameter sets : {len(groups)}")
-    push("flagged series expressions (evaluated verbatim, never corrected):")
-    for name in sorted(series.SUSPECT_FLAGS):
-        push(f"  {name}: {series.SUSPECT_FLAGS[name]}")
-    push("")
-    for idx, (key, by_mode) in enumerate(groups, start=1):
-        a, b, delta, dt, k, xi = key
-        push(f"set {idx}: a={fmt(a)} b={fmt(b)} delta={fmt(delta)} "
-             f"dt={fmt(dt)} k={k} xi={fmt(xi)}")
-        errors = {m: r.error for m, r in by_mode.items() if r.error}
-        if errors:
-            for mode_name, msg in sorted(errors.items()):
-                push(f"  error[{mode_name}]: {msg}")
-            push("")
-            continue
-        exact = by_mode.get(Mode.EXACT.value)
-        paper = by_mode.get(Mode.PAPER.value)
-        any_row = exact or paper
-        push(f"  total_cost[exact]       = {fmt(exact.total_cost if exact else None)}")
-        push(f"  total_cost[paper]       = {fmt(paper.total_cost if paper else None)}")
-        push(f"  baseline_exact          = {fmt(any_row.baseline_exact)}")
-        push(f"  baseline_paper          = {fmt(any_row.baseline_paper)}")
-        baseline_ratio = (any_row.baseline_exact / any_row.baseline_paper
-                          if any_row.baseline_paper else math.nan)
-        push(f"  baseline exact/paper    = {fmt(baseline_ratio)}")
-        push(f"  paper_new_cost          = {fmt(any_row.paper_new_cost)}")
-        push(f"  final_overlap           = {fmt(any_row.final_overlap)}")
-        push(f"  overlap delta-exponent  = {fmt(any_row.overlap_exponent)}")
-        if exact and exact.total_cost is not None:
-            ok = exact.total_cost >= exact.baseline_exact - 1e-10
-            push(f"  exact-ledger sanity (total >= baseline_exact): "
-                 f"{'holds' if ok else 'VIOLATED'}  margin={fmt(exact.verdict_vs_baseline_exact)}")
-        if paper and paper.total_cost is not None:
-            ok = paper.total_cost < paper.baseline_paper
-            ratio = (paper.total_cost / paper.baseline_paper
-                     if paper.baseline_paper else math.nan)
-            push(f"  paper-ledger claim (total < baseline_paper): "
-                 f"{'holds' if ok else 'fails'}  ratio={fmt(ratio)}")
-        push("")
-    return "\n".join(lines) + "\n"
+    """Human-readable adjudication of every parameter set in the sweep: the summary
+    half of the one rendering pass, which also makes the CSV."""
+    return "".join(text for _, text in _report(rows, digits))
 
 
 def emit_report(rows: list[ReportRow], out: str, digits: int = DEFAULT_DIGITS
                 ) -> tuple[Path, Path]:
-    """Write <out>.csv and <out>.txt; returns the two paths."""
+    """Write <out>.csv and <out>.txt in one rendering pass, each point's text to its
+    file as soon as it is made, so neither whole text is held; returns the two paths.
+    The bytes are those of :func:`render_csv` and :func:`render_summary`."""
     if not rows:
         raise ValidationError("no rows to report")
     csv_path = Path(out + ".csv")
     txt_path = Path(out + ".txt")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.write_text(render_csv(rows, digits), encoding="utf-8", newline="")
-    txt_path.write_text(render_summary(rows, digits), encoding="utf-8", newline="")
+    with (open(csv_path, "w", encoding="utf-8", newline="") as csv_file,
+          open(txt_path, "w", encoding="utf-8", newline="") as txt_file):
+        for csv_text, txt_text in _report(rows, digits):
+            csv_file.write(csv_text)
+            txt_file.write(txt_text)
     return csv_path, txt_path
 
 
@@ -415,19 +451,24 @@ def scaling_study(config: SweepConfig, quantity: str = "all") -> list[dict]:
     templates = [_point_params(config, ab, deltas[0], dt, k, xi, Mode.EXACT)
                  for ab, dt, k, xi in product(config.ab, config.dt, config.k, config.xi)]
     fits = series.scaling_fits(quantities, deltas, templates, config.auto_dt)
-    deltas_text = ";".join(_fmt(d, config.digits) for d in deltas)  # every fit's sample_deltas
+    num = _float_format(config.digits)
+    deltas_text = ";".join(num % d for d in deltas)  # every fit's sample_deltas
     return [{"quantity": q, "b": template.b, "k": template.k, "xi": template.prior,
              "dt_rule": "auto" if config.auto_dt else template.dt,
              "exponent": fit.exponent, "intercept": fit.intercept,
              "n_floored": fit.n_floored, "indeterminate": fit.indeterminate,
              "flag": flags[q],
              "deltas": deltas_text,
-             "residuals": ";".join(_fmt(r, config.digits) for r in fit.residuals)}
+             "residuals": ";".join(num % r for r in fit.residuals)}
             for (template, q), fit in zip(product(templates, quantities), fits)]
 
 
 def render_scaling_csv(rows: list[dict], digits: int = DEFAULT_DIGITS) -> str:
-    return _csv(SCALING_COLUMNS, ([_fmt(row[col], digits) for col in SCALING_COLUMNS] for row in rows))
+    num = _float_format(digits)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(  # no list of all rows
+        chain([SCALING_COLUMNS], ([_fmt(row[col], num) for col in SCALING_COLUMNS] for row in rows)))
+    return buf.getvalue()
 
 
 def _golden_section(f, lo: float, hi: float, tol: float = 1e-10,
@@ -484,27 +525,24 @@ def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow
 
 
 def _render_run_report(report, digits: int) -> str:
+    num = _float_format(digits)
     p = report.params
-    lines = [
-        f"mode={p.mode.value} a={_fmt(p.a, digits)} b={_fmt(p.b, digits)} "
-        f"delta={_fmt(p.delta, digits)} dt={_fmt(p.dt, digits)} k={p.k} xi={_fmt(p.prior, digits)}",
-        f"total_cost       = {_fmt(report.total_cost, digits)}",
-        f"baseline_exact   = {_fmt(report.baseline_exact, digits)}",
-        f"baseline_paper   = {_fmt(report.baseline_paper, digits)}",
-        f"paper_new_cost   = {_fmt(report.paper_new_cost, digits)}",
-        f"final_overlap    = {_fmt(report.final_overlap, digits)}",
-        f"verdict_vs_exact = {_fmt(report.verdict_vs_exact, digits)}",
-        f"verdict_vs_paper = {_fmt(report.verdict_vs_paper, digits)}",
-        "leaves (kind, step, p|h0, p|h1, marginal, posterior, cost):",
-    ]
-    for leaf in report.leaves:
-        step_txt = "-" if leaf.step is None else str(leaf.step)
-        lines.append(
-            f"  {leaf.kind:<8} {step_txt:>3} "
-            f"{_fmt(leaf.p_given_h0, digits)} {_fmt(leaf.p_given_h1, digits)} "
-            f"{_fmt(leaf.marginal, digits)} {_fmt(leaf.posterior, digits)} "
-            f"{_fmt(leaf.leaf_cost, digits)}")
-    return "\n".join(lines) + "\n"
+    head = (f"mode=%s a={num} b={num} delta={num} dt={num} k=%s xi={num}\n"
+            f"total_cost       = {num}\n"
+            f"baseline_exact   = {num}\n"
+            f"baseline_paper   = {num}\n"
+            f"paper_new_cost   = {num}\n"
+            f"final_overlap    = {num}\n"
+            f"verdict_vs_exact = {num}\n"
+            f"verdict_vs_paper = {num}\n"
+            "leaves (kind, step, p|h0, p|h1, marginal, posterior, cost):\n"
+            ) % (p.mode.value, p.a, p.b, p.delta, p.dt, p.k, p.prior, report.total_cost,
+                 report.baseline_exact, report.baseline_paper, report.paper_new_cost,
+                 report.final_overlap, report.verdict_vs_exact, report.verdict_vs_paper)
+    leaf = f"  %-8s %3s {num} {num} {num} {num} {num}\n"
+    return head + "".join([leaf % (x.kind, "-" if x.step is None else x.step, x.p_given_h0,
+                                   x.p_given_h1, x.marginal, x.posterior, x.leaf_cost)
+                           for x in report.leaves])
 
 
 # The point flags of baseline and run, each read as the config key of its name.
@@ -568,16 +606,15 @@ def _cmd_baseline(args) -> int:
     # dt and k enter neither baseline: any valid pair gives run's normalised amplitudes.
     params = _point_params(cfg, ab, delta, 1.0, 1, xi, Mode.EXACT)
     exact, paper = protocol.baselines(xi, *protocol.normalised(params)[:2])
-    overlap, digits = (params.b * delta) ** 2, cfg.digits
-    lines = [
-        f"overlap |<psi0|psi1>|        = {_fmt(overlap, digits)}",
-        f"transition prob (standard)   = {_fmt(overlap ** 2, digits)}",
-        f"baseline_exact               = {_fmt(exact, digits)}",
-        f"baseline_paper               = {_fmt(paper, digits)}",
-        f"quadratic form b^2 delta^2/4 = {_fmt(0.25 * overlap, digits)}",
-        f"guess_only_cost              = {_fmt(guess_only_cost(xi), digits)}",
-    ]
-    return _emit("\n".join(lines) + "\n", cfg.out, ".txt", args.quiet)
+    overlap, num = (params.b * delta) ** 2, _float_format(cfg.digits)
+    text = (f"overlap |<psi0|psi1>|        = {num}\n"
+            f"transition prob (standard)   = {num}\n"
+            f"baseline_exact               = {num}\n"
+            f"baseline_paper               = {num}\n"
+            f"quadratic form b^2 delta^2/4 = {num}\n"
+            f"guess_only_cost              = {num}\n"
+            ) % (overlap, overlap ** 2, exact, paper, 0.25 * overlap, guess_only_cost(xi))
+    return _emit(text, cfg.out, ".txt", args.quiet)
 
 
 def _cmd_run(args) -> int:
@@ -596,9 +633,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    rows = run_sweep(cfg)
-    _emit(render_csv(rows, cfg.digits), cfg.out, ".csv", args.quiet)
-    return _emit(render_summary(rows, cfg.digits), cfg.out, ".txt", args.quiet)
+    csv_text, txt_text = io.StringIO(), io.StringIO()
+    for csv_piece, txt_piece in _report(run_sweep(cfg), cfg.digits):
+        csv_text.write(csv_piece)
+        txt_text.write(txt_piece)
+    _emit(csv_text.getvalue(), cfg.out, ".csv", args.quiet)
+    return _emit(txt_text.getvalue(), cfg.out, ".txt", args.quiet)
 
 
 def _cmd_scaling(args) -> int:
@@ -612,8 +652,8 @@ def _cmd_optimize(args) -> int:
     if len(cfg.modes) != 1:
         raise ValidationError("optimize requires a single mode (exact or paper)")
     params, row = optimize(cfg, cfg.modes[0])
-    text = (f"optimum: k={params.k} dt={_fmt(params.dt, cfg.digits)} "
-            f"total_cost={_fmt(row.total_cost, cfg.digits)}\n")
+    num = _float_format(cfg.digits)
+    text = f"optimum: k=%s dt={num} total_cost={num}\n" % (params.k, params.dt, row.total_cost)
     if cfg.out:
         emit_report([row], cfg.out, cfg.digits)
     if not args.quiet:

@@ -7,13 +7,18 @@ with 1 - T taken from the walk's states by the Lagrange identity, and the
 mixed-state Helstrom cost goes through the trace norm, so agreement with
 the package is a genuine cross-check rather than the same code evaluated
 twice. The closed forms are also evaluated at 50 digits with ``decimal``,
-a reference far below the rounding of any float result.
+a reference far below the rounding of any float result. A sweep report is
+rendered cell by cell, each float through ``format(v, f".{digits}g")``: the
+bytes the package's one-pass renderer must write.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from decimal import Decimal, localcontext
+from itertools import chain
 
 import numpy as np
 import scipy.linalg
@@ -210,3 +215,90 @@ def decimal_overlap_exponent(b: float, k: int, deltas) -> Decimal:
         x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
         return (sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
                 / sum((x - x_mean) ** 2 for x in xs))
+
+
+# The sweep CSV's columns: the fields of a report row, in order.
+REPORT_COLUMNS = (
+    "a", "b", "delta", "dt", "k", "xi", "mode", "total_cost", "baseline_exact", "baseline_paper",
+    "paper_new_cost", "final_overlap", "overlap_exponent", "verdict_vs_baseline_exact",
+    "verdict_vs_baseline_paper", "error",
+)
+
+
+def _fmt(value, digits: int) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.{digits}g}"
+    return str(value)
+
+
+def _csv(header: tuple[str, ...], rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(chain([header], rows))  # no list of all rows
+    return buf.getvalue()
+
+
+def render_csv(rows, digits: int = 17) -> str:
+    """The sweep CSV of ``rows``, every cell formatted on its own."""
+    return _csv(REPORT_COLUMNS, ([_fmt(getattr(row, col), digits) for col in REPORT_COLUMNS]
+                                 for row in rows))
+
+
+def _group_rows(rows):
+    groups: dict[tuple, dict] = {}
+    for row in rows:
+        groups.setdefault((row.a, row.b, row.delta, row.dt, row.k, row.xi), {})[row.mode] = row
+    return list(groups.items())
+
+
+def render_summary(rows, suspect_flags: dict[str, str], digits: int = 17) -> str:
+    """The adjudication summary of ``rows``, every number formatted where it is printed;
+    ``suspect_flags`` maps each flagged series expression to its reason."""
+    fmt = lambda v: _fmt(v, digits) or "(not run)"
+    lines = []
+    push = lines.append
+    push("adjudication summary")
+    push("====================")
+    groups = _group_rows(rows)
+    push(f"rows evaluated : {len(rows)}")
+    push(f"parameter sets : {len(groups)}")
+    push("flagged series expressions (evaluated verbatim, never corrected):")
+    for name in sorted(suspect_flags):
+        push(f"  {name}: {suspect_flags[name]}")
+    push("")
+    for idx, (key, by_mode) in enumerate(groups, start=1):
+        a, b, delta, dt, k, xi = key
+        push(f"set {idx}: a={fmt(a)} b={fmt(b)} delta={fmt(delta)} "
+             f"dt={fmt(dt)} k={k} xi={fmt(xi)}")
+        errors = {m: r.error for m, r in by_mode.items() if r.error}
+        if errors:
+            for mode_name, msg in sorted(errors.items()):
+                push(f"  error[{mode_name}]: {msg}")
+            push("")
+            continue
+        exact = by_mode.get("exact")
+        paper = by_mode.get("paper")
+        any_row = exact or paper
+        push(f"  total_cost[exact]       = {fmt(exact.total_cost if exact else None)}")
+        push(f"  total_cost[paper]       = {fmt(paper.total_cost if paper else None)}")
+        push(f"  baseline_exact          = {fmt(any_row.baseline_exact)}")
+        push(f"  baseline_paper          = {fmt(any_row.baseline_paper)}")
+        baseline_ratio = (any_row.baseline_exact / any_row.baseline_paper
+                          if any_row.baseline_paper else math.nan)
+        push(f"  baseline exact/paper    = {fmt(baseline_ratio)}")
+        push(f"  paper_new_cost          = {fmt(any_row.paper_new_cost)}")
+        push(f"  final_overlap           = {fmt(any_row.final_overlap)}")
+        push(f"  overlap delta-exponent  = {fmt(any_row.overlap_exponent)}")
+        if exact and exact.total_cost is not None:
+            ok = exact.total_cost >= exact.baseline_exact - 1e-10
+            push(f"  exact-ledger sanity (total >= baseline_exact): "
+                 f"{'holds' if ok else 'VIOLATED'}  margin={fmt(exact.verdict_vs_baseline_exact)}")
+        if paper and paper.total_cost is not None:
+            ok = paper.total_cost < paper.baseline_paper
+            ratio = (paper.total_cost / paper.baseline_paper
+                     if paper.baseline_paper else math.nan)
+            push(f"  paper-ledger claim (total < baseline_paper): "
+                 f"{'holds' if ok else 'fails'}  ratio={fmt(ratio)}")
+        push("")
+    return "\n".join(lines) + "\n"

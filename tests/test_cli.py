@@ -1,6 +1,7 @@
 import math
 import random
 import runpy
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -263,6 +264,26 @@ def test_emit_report_round_trips_bytes(tmp_path):
     second = cli.emit_report(rows, str(tmp_path / "two"))
     assert first[0].read_bytes() == second[0].read_bytes()
     assert first[1].read_bytes() == second[1].read_bytes()
+
+
+def test_emit_report_holds_neither_whole_text(tmp_path):
+    # 1500 points, 3000 rows: the two files come to 1.8 MB. The rows are built
+    # before tracing; the report of one point gives the cost of the open files.
+    rows = run_sweep(parse_config(
+        "b=10\ndelta=0.001,0.002,0.004\ndt=0.1,0.2,0.3,0.5,1\nk=1,2,3,5,8,13,21,34,55,89\n"
+        "xi=0.05,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9\nmode=both"))
+    one_point = rows[:2]
+
+    def peak(report_rows) -> int:
+        tracemalloc.start()
+        try:
+            cli.emit_report(report_rows, str(tmp_path / "report"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert len(rows) == 3000
+    assert peak(rows) - peak(one_point) < 64 * 1024
 
 
 # ---------------------------------------------------------------- optimize

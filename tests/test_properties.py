@@ -10,15 +10,21 @@ beats the Helstrom floor, the paper total is half the click mass, the leaf
 masses sum to one, relabelling the hypotheses at an even prior matches the
 oracle walk from the swapped pair, swapping the prior for its complement
 leaves the total unchanged, many close probes at a fixed total time
-meet the Misra-Sudarshan limit, and a scaling study's rows are those of one
-walk per grid point with one fit per column. The oracle comparisons run up to k = 200,
-the others up to k = 10^4. Rounding bounds count one rounding per leaf:
-(k + 1) eps, or 2 (k + 1) eps where two sums meet.
+meet the Misra-Sudarshan limit, a scaling study's rows are those of one
+walk per grid point with one fit per column, and a sweep report, rendered
+and written in one pass, has the bytes of the cell-by-cell reference. The
+oracle comparisons run up to k = 200, the others up to k = 10^4. Rounding
+bounds count one rounding per leaf: (k + 1) eps, or 2 (k + 1) eps where two
+sums meet.
 """
 
+import csv
 import dataclasses
+import io
 import itertools
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -253,6 +259,30 @@ def test_sweep_rows_equal_the_rows_of_each_walk(config):
                                          and math.isnan(expected)), field.name
 
 
+# A point past the float range: its error message, "dt^2, delta^2 and k (delta dt)^2 must
+# be finite, got ...", holds commas, so the CSV must quote it.
+_OVERFLOW = cli.SweepConfig(amplitude="b", ab=(1.0,), delta=(0.01,), dt=(1e200,), k=(1,),
+                            xi=(0.5,), modes=(Mode.EXACT, Mode.PAPER))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_configs(), st.integers(6, 17))
+@example(_OVERFLOW, 17)
+def test_report_has_the_bytes_of_the_cell_by_cell_reference(config, digits):
+    rows = cli.run_sweep(config)
+    want_csv = oracles.render_csv(rows, digits)
+    want_txt = oracles.render_summary(rows, series.SUSPECT_FLAGS, digits)
+    got_csv = cli.render_csv(rows, digits)
+    assert got_csv == want_csv
+    assert cli.render_summary(rows, digits) == want_txt
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, txt_path = cli.emit_report(rows, os.path.join(tmp, "report"), digits)
+        assert csv_path.read_bytes() == want_csv.encode()
+        assert txt_path.read_bytes() == want_txt.encode()
+    read = list(csv.DictReader(io.StringIO(got_csv)))
+    assert [r["error"] for r in read] == [row.error for row in rows]
+
+
 # The scaling residuals as they were read off one report per grid point.
 _REPORT_RESIDUALS = {
     "baseline": lambda r: abs(series.baseline_paper_convention(r.params)
@@ -294,8 +324,8 @@ def _walked_scaling_rows(config: cli.SweepConfig, quantity: str) -> list[dict]:
                 "dt_rule": "auto" if config.auto_dt else template.dt,
                 "exponent": exponent, "intercept": intercept, "n_floored": n_floored,
                 "indeterminate": n_floored == len(deltas), "flag": series.quantity_flag(q),
-                "deltas": ";".join(cli._fmt(d, config.digits) for d in deltas),
-                "residuals": ";".join(cli._fmt(r, config.digits) for r in residuals)})
+                "deltas": ";".join(f"{d:.{config.digits}g}" for d in deltas),
+                "residuals": ";".join(f"{r:.{config.digits}g}" for r in residuals)})
     return rows
 
 
