@@ -34,8 +34,8 @@ import io
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from itertools import chain, groupby, product
-from operator import attrgetter
+from itertools import chain, compress, groupby, product
+from operator import attrgetter, not_
 from pathlib import Path
 
 import numpy as np
@@ -261,42 +261,51 @@ def _point_params(config: SweepConfig, ab: float, delta: float, dt: float | None
     return build(ab, delta, k, dt=dt, prior=xi, mode=mode)
 
 
-def _rows(points: list[ProtocolParams], modes: tuple[Mode, ...], auto_dt: bool) -> list[ReportRow]:
-    """The rows of valid ``points`` under each of ``modes``, from one :func:`protocol.tree`
-    pass over their final step. The final overlap depends on neither xi nor delta, so
-    one fit on the default delta grid, evaluated in the same pass, gives the overlap
+def _rows(columns, modes: tuple[Mode, ...], auto_dt: bool) -> list[ReportRow]:
+    """The rows of valid points under each of ``modes``, from one :func:`protocol.tree`
+    pass over their final step; ``columns`` holds the cells of the points, one sequence
+    each for a, b, delta, dt, k and xi. The final overlap depends on neither xi nor delta,
+    so one fit on the default delta grid, evaluated in the same pass, gives the overlap
     exponent of each (b, dt or auto, k); None where that grid leaves the valid range."""
-    keys = [(p.b, None if auto_dt else p.dt, p.k) for p in points]
-    grids = {}
-    for key, params in zip(keys, points):
-        if key not in grids and params.b * max(series.DEFAULT_DELTAS) < 1.0:
-            try:
-                grids[key] = [protocol.rescale_delta(params, d, auto_dt=auto_dt)
-                              for d in series.DEFAULT_DELTAS]
-            except ValidationError:
-                pass
-    evaluated = points + [q for grid in grids.values() for q in grid]
-    a, bd, x = np.array([protocol.normalised(q) for q in evaluated]).reshape(-1, 3).T
-    steps = np.array([float(q.k) for q in evaluated])
-    mass, survival, overlap, gap = protocol.tree(a, bd, x, steps)
-    # The first len(points) entries are the sweep's points, the rest the fit grids.
-    n = len(points)
-    fits = series.fit_power_laws(series.DEFAULT_DELTAS, overlap[n:].reshape(-1, len(series.DEFAULT_DELTAS)))
-    exponents = {key: fit.exponent for key, fit in zip(grids, fits)}
-    prior = np.array([p.prior for p in points])
+    n, deltas = len(columns[0]), series.DEFAULT_DELTAS
+    if not n:
+        return []
+    points = protocol.Points(*(np.array(column, float) for column in columns))
+    _, b, _, dt, k, xi = columns
+    keys = list(zip(b, (None,) * n if auto_dt else dt, k))
+    # Each key whose b delta stays below 1 on the fit grid, with the prior of its first point.
+    tried = {}
+    for key, prior in zip(keys, xi):
+        if key not in tried and key[0] * max(deltas) < 1.0:
+            tried[key] = prior
+    fitted, evaluated = [], points
+    if tried:
+        grid, errors = protocol.derive_points("b", *zip(*(
+            (key_b, d, key_dt, key_k, prior) for (key_b, key_dt, key_k), prior in tried.items()
+            for d in deltas)))
+        valid = [not any(errors[j:j + len(deltas)]) for j in range(0, len(errors), len(deltas))]
+        fitted = list(compress(tried, valid))
+        if len(fitted) < len(tried):
+            keep = np.repeat(valid, len(deltas))
+            grid = protocol.Points(*(column[keep] for column in grid))
+        evaluated = protocol.Points(*map(np.concatenate, zip(points, grid)))
+    a, bd, x = protocol.normalised(evaluated)
+    mass, survival, overlap, gap = protocol.tree(a, bd, x, evaluated.k)
+    # The first n entries are the points, the rest the fit grids.
+    fits = series.fit_power_laws(deltas, overlap[n:].reshape(-1, len(deltas)))
+    exponents = {key: fit.exponent for key, fit in zip(fitted, fits)}
     final_overlap = overlap[:n]
-    base_exact, base_paper = protocol.baselines(prior, a[:n], bd[:n])
-    # The columns every ledger shares, one entry per point.
-    shared = list(zip(points, base_exact.tolist(), base_paper.tolist(),
-                      map(protocol.total_cost_paper_mode, points), final_overlap.tolist(),
-                      map(exponents.get, keys)))
+    base_exact, base_paper = protocol.baselines(points.prior, a[:n], bd[:n])
+    # The columns every ledger shares.
+    shared = (*columns, base_exact.tolist(), base_paper.tolist(),
+              protocol.total_cost_paper_mode(points).tolist(), final_overlap.tolist(),
+              [exponents.get(key) for key in keys])
     rows = []
     for mode in modes:
-        total = protocol.ledger(mode, prior, mass[:n], survival[:n], final_overlap, gap[:n])[2]
-        rows += [ReportRow(p.a, p.b, p.delta, p.dt, p.k, p.prior, mode.value, t, be, bp, new, fo,
-                           exponent, ve, vp)
-                 for (p, be, bp, new, fo, exponent), t, ve, vp
-                 in zip(shared, total.tolist(), (total - base_exact).tolist(),
+        total = protocol.ledger(mode, points.prior, mass[:n], survival[:n], final_overlap, gap[:n])[2]
+        rows += [ReportRow(a, b, delta, dt, k, xi, mode.value, t, be, bp, new, fo, exponent, ve, vp)
+                 for a, b, delta, dt, k, xi, be, bp, new, fo, exponent, t, ve, vp
+                 in zip(*shared, total.tolist(), (total - base_exact).tolist(),
                         (total - base_paper).tolist())]
     return rows
 
@@ -312,23 +321,30 @@ def _row_sort_key(row: ReportRow):
 def run_sweep(config: SweepConfig) -> list[ReportRow]:
     """Evaluate the Cartesian product of the config grids.
 
-    Each point is validated as a ``ProtocolParams``; a failing point becomes one row
-    per ledger with a populated error column, and the sweep never aborts. The valid
-    points are evaluated in one array pass with no per-step array (:func:`_rows`),
-    with one exponent fit per (b, dt or auto, k): the final overlap depends on neither
-    xi nor delta. Rows come back sorted by parameter tuple, so equal configs give
-    identical row lists.
+    The product is validated as columns (:func:`protocol.derive_points`), with the checks
+    and messages of a per-point ``ProtocolParams``; a failing point becomes one row per
+    ledger with a populated error column, and the sweep never aborts. The valid points are
+    evaluated in one array pass with no per-step array (:func:`_rows`), with one exponent
+    fit per (b, dt or auto, k): the final overlap depends on neither xi nor delta. Rows
+    come back sorted by parameter tuple, so equal configs give identical row lists.
     """
-    rows, points = [], []
-    for ab, delta, dt, k, xi in product(config.ab, config.delta, config.dt, config.k, config.xi):
-        try:
-            points.append(_point_params(config, ab, delta, dt, k, xi, config.modes[0]))
-        except ValidationError as exc:
-            a, b = (ab, math.nan) if config.amplitude == "a" else (math.nan, ab)
-            rows += [ReportRow(a, b, delta, math.nan if dt is None else dt, k, xi, mode.value,
-                               error=str(exc))
+    ab, delta, dt, k, xi = zip(*product(config.ab, config.delta, config.dt, config.k, config.xi))
+    points, errors = protocol.derive_points(config.amplitude, ab, delta, dt, k, xi)
+    # The cells of a valid point: the config's values, and the derived amplitude and dt.
+    derived = (points.b if config.amplitude == "a" else points.a).tolist()
+    a, b = (ab, derived) if config.amplitude == "a" else (derived, ab)
+    dts = points.dt.tolist() if config.auto_dt else dt
+    rows = []
+    for i, error in enumerate(errors):
+        if error:
+            a_i, b_i = (ab[i], math.nan) if config.amplitude == "a" else (math.nan, ab[i])
+            dt_i = math.nan if config.auto_dt else dt[i]
+            rows += [ReportRow(a_i, b_i, delta[i], dt_i, k[i], xi[i], mode.value, error=error)
                      for mode in config.modes]
-    rows += _rows(points, config.modes, config.auto_dt)
+    columns = (a, b, delta, dts, k, xi)
+    if any(errors):
+        columns = [list(compress(column, map(not_, errors))) for column in columns]
+    rows += _rows(columns, config.modes, config.auto_dt)
     rows.sort(key=_row_sort_key)
     return rows
 
@@ -345,10 +361,14 @@ def _report(rows: list[ReportRow], digits: int):
     them, and share every column but mode, total_cost, the verdicts and error, as the
     ledgers of a point do. So each float is formatted once, with ``%.<digits>g``: a point's
     cells serve its CSV lines and its summary block, and a row adds only its total and
-    verdicts. Valid rows need no quoting and are joined as text; the rows of a failed
-    point go through ``csv.writer``, because an error message may need quoting.
+    verdicts. A parameter cell is formatted once per distinct value of its column. Valid
+    rows need no quoting and are joined as text; the rows of a failed point go through
+    ``csv.writer``, because an error message may need quoting.
     """
     num = _float_format(digits)
+    # The text of each value met in each parameter column. A zero is keyed by its repr,
+    # because 0.0 and -0.0 are equal keys and print as "0" and "-0".
+    cells: list[dict] = [{} for _ in CSV_COLUMNS[:6]]
     flags = "".join(f"  {name}: {series.SUSPECT_FLAGS[name]}\n" for name in sorted(series.SUSPECT_FLAGS))
     yield (",".join(CSV_COLUMNS) + "\n",
            "adjudication summary\n====================\n"
@@ -360,7 +380,13 @@ def _report(rows: list[ReportRow], digits: int):
     for idx, (_, group) in enumerate(groupby(rows, _POINT), start=1):
         group = list(group)
         first = group[0]
-        point = [_fmt(v, num) for v in _POINT(first)]
+        point = []
+        for memo, v in zip(cells, _POINT(first)):
+            key = v or repr(v)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = _fmt(v, num)
+            point.append(text)
         head = "set %d: a=%s b=%s delta=%s dt=%s k=%s xi=%s\n" % (idx, *point)
         if any(row.error for row in group):
             for row in group:
@@ -464,11 +490,12 @@ def scaling_study(config: SweepConfig, quantity: str = "all") -> list[dict]:
 
 
 def render_scaling_csv(rows: list[dict], digits: int = DEFAULT_DIGITS) -> str:
+    """The scaling CSV of ``rows``, joined as text: no scaling cell holds a comma, a quote
+    or a line break, so none needs quoting."""
     num = _float_format(digits)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(  # no list of all rows
-        chain([SCALING_COLUMNS], ([_fmt(row[col], num) for col in SCALING_COLUMNS] for row in rows)))
-    return buf.getvalue()
+    return "".join(chain([",".join(SCALING_COLUMNS) + "\n"],
+                         (",".join([_fmt(row[col], num) for col in SCALING_COLUMNS]) + "\n"
+                          for row in rows)))
 
 
 def _golden_section(f, lo: float, hi: float, tol: float = 1e-10,
@@ -504,24 +531,30 @@ def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow
     smaller k, then smaller dt.
     """
     ab, delta, xi = _require_singletons(config, "optimize")
-    # Every (k, dt) tried is priced once at its final step, as a sweep prices
-    # it; the least total is the optimum, whose row is priced as a sweep row.
-    totals: dict[tuple[int, float], tuple[float, ProtocolParams]] = {}
+    # Every (k, dt) tried is priced once at its final step, as a sweep prices it, and
+    # the least total is the optimum, whose row is priced as a sweep row. Each k's grid
+    # dts are validated as a point; a, b delta and delta stay fixed, and every check on
+    # dt is monotone in dt, so the trials inside a valid bracket are valid unbuilt.
+    totals: dict[tuple[int, float], float] = {}
+    built: dict[tuple[int, float], ProtocolParams] = {}
 
-    def objective(k: int, dt: float | None) -> float:
-        params = _point_params(config, ab, delta, dt, k, xi, mode)
-        if (k, params.dt) not in totals:
-            totals[k, params.dt] = protocol.ledger(mode, xi, *protocol.final_step(params))[2], params
-        return totals[k, params.dt][0]
+    def objective(k: int, dt: float) -> float:
+        if (k, dt) not in totals:
+            totals[k, dt] = protocol.final_total(mode, xi, a, bd, delta * dt, k)
+        return totals[k, dt]
 
     for k in config.k:
-        for dt in config.dt:
-            objective(k, dt)
+        seeds = [_point_params(config, ab, delta, dt, k, xi, mode) for dt in config.dt]
+        built.update(((k, p.dt), p) for p in seeds)
+        a, bd, _ = protocol.normalised(seeds[0])
+        for p in seeds:
+            objective(k, p.dt)
         if len(config.dt) > 1:
             _golden_section(lambda dt: objective(k, dt), config.dt[0], config.dt[-1])
-    _, k_best, dt_best = min((total, k, dt) for (k, dt), (total, _) in totals.items())
-    params = totals[k_best, dt_best][1]
-    return params, _rows([params], (mode,), config.auto_dt)[0]
+    _, k_best, dt_best = min((total, k, dt) for (k, dt), total in totals.items())
+    params = built.get((k_best, dt_best)) or _point_params(config, ab, delta, dt_best, k_best, xi, mode)
+    return params, _rows([(params.a,), (params.b,), (params.delta,), (params.dt,), (params.k,),
+                          (params.prior,)], (mode,), config.auto_dt)[0]
 
 
 def _render_run_report(report, digits: int) -> str:
@@ -539,10 +572,18 @@ def _render_run_report(report, digits: int) -> str:
             ) % (p.mode.value, p.a, p.b, p.delta, p.dt, p.k, p.prior, report.total_cost,
                  report.baseline_exact, report.baseline_paper, report.paper_new_cost,
                  report.final_overlap, report.verdict_vs_exact, report.verdict_vs_paper)
-    leaf = f"  %-8s %3s {num} {num} {num} {num} {num}\n"
-    return head + "".join([leaf % (x.kind, "-" if x.step is None else x.step, x.p_given_h0,
-                                   x.p_given_h1, x.marginal, x.posterior, x.leaf_cost)
-                           for x in report.leaves])
+    # A click leaf's three probabilities are one float, and every click leaf shares the
+    # prior and the click cost: a cell's float is formatted only when its object differs
+    # from the one above it, or else from the cell before it in the line.
+    above, texts, lines = [None] * 5, [""] * 5, [head]
+    for x in report.leaves:
+        line = (x.p_given_h0, x.p_given_h1, x.marginal, x.posterior, x.leaf_cost)
+        for i, v in enumerate(line):
+            if v is not above[i]:
+                above[i] = v
+                texts[i] = texts[i - 1] if i and v is line[i - 1] else num % v
+        lines.append("  %-8s %3s %s %s %s %s %s\n" % (x.kind, "-" if x.step is None else x.step, *texts))
+    return "".join(lines)
 
 
 # The point flags of baseline and run, each read as the config key of its name.

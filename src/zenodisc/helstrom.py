@@ -22,10 +22,40 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .qcore import ValidationError
 
 
-def helstrom_cost(prior: float, transition_probability: float, complement: float) -> float:
+def _reject(holds, messages, *values) -> None:
+    """Raise the message of the first of ``holds`` that fails, filled with ``values``; over
+    arrays, with the values of the first entry where that check fails."""
+    for ok, message in zip(holds, messages):
+        if isinstance(ok, np.ndarray):
+            if ok.all():
+                continue
+            first = np.flatnonzero(~ok)[0]
+            values = [np.broadcast_to(v, ok.shape).flat[first].item() for v in values]
+        elif ok:
+            continue
+        raise ValidationError(message.format(*values))
+
+
+def _clip(v: float) -> float:
+    return min(max(v, 0.0), 1.0)
+
+
+def _clip_entries(v: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(v, 0.0), 1.0)
+
+
+_HELSTROM_MESSAGES = ("prior must lie in [0, 1], got {0!r}",
+                      "transition probability must lie in [0, 1], got {1!r}",
+                      "complement must lie in [0, 1], got {2!r}",
+                      "T = {1!r} and 1 - T = {2!r} do not sum to 1")
+
+
+def helstrom_cost(prior, transition_probability, complement):
     """Minimum Bayes 0-1 cost of a pure pair from the prior xi, T and 1 - T.
 
     Evaluates 2 xi (1 - xi) T / (1 + sqrt((1 - 2 xi)^2 + 4 xi (1 - xi)(1 - T))),
@@ -34,21 +64,30 @@ def helstrom_cost(prior: float, transition_probability: float, complement: float
     caller's 1 - T, so callers pass it in closed form. T and 1 - T must lie
     in [0, 1] and sum to 1 within 1e-9. Which quantity plays T is the
     caller's choice; see the module docstring.
+
+    Takes floats, or arrays entry by entry: floats go through ``math``, arrays
+    through numpy, and the square is a product on both, so each entry equals
+    the float call on it bit for bit.
     """
-    if not (0.0 <= prior <= 1.0):
-        raise ValidationError(f"prior must lie in [0, 1], got {prior!r}")
-    for name, val in (("transition probability", transition_probability), ("complement", complement)):
-        if not (-1e-12 <= val <= 1.0 + 1e-12):
-            raise ValidationError(f"{name} must lie in [0, 1], got {val!r}")
-    if abs(transition_probability + complement - 1.0) > 1e-9:
-        raise ValidationError(f"T = {transition_probability!r} and 1 - T = {complement!r} do not sum to 1")
-    t, rest = min(max(transition_probability, 0.0), 1.0), min(max(complement, 0.0), 1.0)
+    t, rest = transition_probability, complement
+    holds = ((prior >= 0.0) & (prior <= 1.0), (t >= -1e-12) & (t <= 1.0 + 1e-12),
+             (rest >= -1e-12) & (rest <= 1.0 + 1e-12), abs(t + rest - 1.0) <= 1e-9)
+    valid = holds[0] & holds[1] & holds[2] & holds[3]
+    entries = isinstance(valid, np.ndarray)
+    if not (valid.all() if entries else valid):
+        _reject(holds, _HELSTROM_MESSAGES, prior, t, rest)
+    clip, sqrt = (_clip_entries, np.sqrt) if entries else (_clip, math.sqrt)
+    t, rest = clip(t), clip(rest)
     spread = prior * (1.0 - prior)
-    return 2.0 * spread * t / (1.0 + math.sqrt((1.0 - 2.0 * prior) ** 2 + 4.0 * spread * rest))
+    bias = 1.0 - 2.0 * prior
+    return 2.0 * spread * t / (1.0 + sqrt(bias * bias + 4.0 * spread * rest))
 
 
-def guess_only_cost(prior: float) -> float:
-    """Bayes cost when no measurement information is available: min(xi, 1 - xi)."""
-    if not (0.0 <= prior <= 1.0):
-        raise ValidationError(f"prior must lie in [0, 1], got {prior!r}")
-    return min(prior, 1.0 - prior)
+def guess_only_cost(prior):
+    """Bayes cost when no measurement information is available: min(xi, 1 - xi),
+    of a float or entry by entry of an array."""
+    valid = (prior >= 0.0) & (prior <= 1.0)
+    entries = isinstance(valid, np.ndarray)
+    if not (valid.all() if entries else valid):
+        _reject((valid,), _HELSTROM_MESSAGES, prior)
+    return np.minimum(prior, 1.0 - prior) if entries else min(prior, 1.0 - prior)

@@ -38,7 +38,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import ClassVar
+from typing import Any, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -86,26 +86,7 @@ class ProtocolParams:
     mode: Mode = Mode.EXACT
 
     def __post_init__(self):
-        for name in ("a", "b", "delta", "dt", "prior"):
-            val = getattr(self, name)
-            if not (isinstance(val, (int, float)) and math.isfinite(val)):
-                raise ValidationError(f"{name} must be a finite real number, got {val!r}")
-        _check_k(self.k)
-        if self.dt <= 0.0:
-            raise ValidationError(f"dt must be positive, got {self.dt!r}")
-        if self.delta < 0.0:
-            raise ValidationError(f"delta must be nonnegative, got {self.delta!r}")
-        if not (0.0 <= self.prior <= 1.0):
-            raise ValidationError(f"prior must lie in [0, 1], got {self.prior!r}")
-        x = self.delta * self.dt
-        if not all(math.isfinite(v) for v in (self.dt * self.dt, self.delta * self.delta, self.k * x * x)):
-            raise ValidationError(f"dt^2, delta^2 and k (delta dt)^2 must be finite, got dt={self.dt!r}, "
-                                  f"delta={self.delta!r}, k={shown(self.k)}")
-        residual = self.a**2 + (self.b * self.delta) ** 2 - 1.0
-        if abs(residual) > NORM_SLACK:
-            raise ValidationError(
-                f"a^2 + (b*delta)^2 = {1.0 + residual!r} violates normalization beyond {NORM_SLACK}"
-            )
+        _enforce(_PARAM_CHECKS, self)
         if not isinstance(self.mode, Mode):
             raise ValidationError(f"mode must be a Mode, got {self.mode!r}")
 
@@ -129,21 +110,142 @@ class ProtocolParams:
         return cls(a=a, b=b, delta=delta, dt=float(dt), k=k, **kwargs)
 
 
+class Points(NamedTuple):
+    """The fields of :class:`ProtocolParams` that its checks and the closed forms read,
+    as floats of one point or as equal-length float arrays of many (k as floats, inf
+    past the float range). A ProtocolParams reads as one point too."""
+
+    a: Any = None
+    b: Any = None
+    delta: Any = None
+    dt: Any = None
+    k: Any = None
+    prior: Any = None
+
+
+_MAX = sys.float_info.max
+
+
+def _finite(v):
+    """abs(v) <= the largest float: false for inf, NaN and anything but a real number,
+    entry by entry over an array."""
+    return isinstance(v, (int, float, np.ndarray)) and abs(v) <= _MAX
+
+
+def _k_in_range(p):
+    k = p.k if isinstance(p.k, (int, np.ndarray)) else 0  # a k of any other type fails
+    return (k >= 1) & (k <= _MAX)
+
+
+def _k_message(p) -> str:
+    got = shown(p.k if isinstance(p.k, int) else repr(p.k))  # a str k keeps its quotes
+    return f"k must be an integer in [1, {_MAX:.4g}], got {got}"
+
+
+def _squares_finite(p):
+    x = p.delta * p.dt  # the squares are not negative
+    return (p.dt * p.dt <= _MAX) & (p.delta * p.delta <= _MAX) & (p.k * x * x <= _MAX)
+
+
+def _norm_residual(p):
+    bd = p.b * p.delta
+    return p.a * p.a + bd * bd - 1.0
+
+
+def _not_finite(name: str):
+    return lambda p: f"{name} must be a finite real number, got {getattr(p, name)!r}"
+
+
+# Each check of a point once, as (holds, message) in the order they are made. "holds" takes
+# a point (a ProtocolParams or Points) of floats or of arrays alike, with comparisons only,
+# so one table checks a single point and a whole grid; "message" takes one point of floats.
+_PARAM_CHECKS = (
+    (lambda p: _finite(p.a), _not_finite("a")),
+    (lambda p: _finite(p.b), _not_finite("b")),
+    (lambda p: _finite(p.delta), _not_finite("delta")),
+    (lambda p: _finite(p.dt), _not_finite("dt")),
+    (lambda p: _finite(p.prior), _not_finite("prior")),
+    (_k_in_range, _k_message),
+    (lambda p: p.dt > 0.0, lambda p: f"dt must be positive, got {p.dt!r}"),
+    (lambda p: p.delta >= 0.0, lambda p: f"delta must be nonnegative, got {p.delta!r}"),
+    (lambda p: (p.prior >= 0.0) & (p.prior <= 1.0), lambda p: f"prior must lie in [0, 1], got {p.prior!r}"),
+    (_squares_finite, lambda p: f"dt^2, delta^2 and k (delta dt)^2 must be finite, got dt={p.dt!r}, "
+                                f"delta={p.delta!r}, k={shown(p.k)}"),
+    (lambda p: abs(_norm_residual(p)) <= NORM_SLACK,
+     lambda p: f"a^2 + (b*delta)^2 = {1.0 + _norm_residual(p)!r} violates normalization beyond {NORM_SLACK}"),
+)
+# The checks of :func:`amplitudes` from b and from a, then of :func:`solve_orthogonality`.
+_FROM_B = (
+    (lambda p: abs(p.b * p.delta) <= 1.0,
+     lambda p: f"|b*delta| = {abs(p.b * p.delta)!r} exceeds 1; no valid amplitude a"),
+)
+_FROM_A = (
+    (lambda p: (p.a >= 0.0) & (p.a <= 1.0), lambda p: f"a must lie in [0, 1], got {p.a!r}"),
+    (lambda p: (p.delta > 0.0) | (p.a == 1.0), lambda p: "delta = 0 requires a = 1"),
+)
+_SOLVE = (
+    (_k_in_range, _k_message),
+    (lambda p: p.a > 0.0, lambda p: f"a must be positive, got {p.a!r}"),
+    (lambda p: p.b > 0.0, lambda p: f"b must be positive, got {p.b!r}"),
+)
+
+
+def _enforce(checks, point) -> None:
+    """Raise the message of the first of ``checks`` that one point fails."""
+    for holds, message in checks:
+        if not holds(point):
+            raise ValidationError(message(point))
+
+
+def _rest(v):
+    """sqrt(max(1 - v^2, 0)) of a float, or entry by entry of an array."""
+    if isinstance(v, np.ndarray):
+        return np.sqrt(np.maximum(1.0 - v * v, 0.0))
+    return math.sqrt(max(1.0 - v * v, 0.0))
+
+
 def amplitudes(delta: float, a: float | None = None, b: float | None = None
                ) -> tuple[float, float]:
     """The pair (a, b) with a^2 + (b*delta)^2 = 1, derived from b when given, else from a."""
     if b is not None:
-        bd = b * delta
-        if not abs(bd) <= 1.0:
-            raise ValidationError(f"|b*delta| = {abs(bd)!r} exceeds 1; no valid amplitude a")
-        return math.sqrt(max(1.0 - bd * bd, 0.0)), b
-    if not (0.0 <= a <= 1.0):
-        raise ValidationError(f"a must lie in [0, 1], got {a!r}")
-    if delta > 0.0:
-        return a, math.sqrt(max(1.0 - a * a, 0.0)) / delta
-    if a == 1.0:
-        return a, 0.0
-    raise ValidationError("delta = 0 requires a = 1")
+        _enforce(_FROM_B, Points(None, b, delta))
+        return _rest(b * delta), b
+    _enforce(_FROM_A, Points(a, None, delta))
+    return a, _rest(a) / delta if delta > 0.0 else 0.0
+
+
+@np.errstate(all="ignore")  # failing entries may overflow or divide by zero
+def derive_points(amplitude: str, ab, delta, dt, k, prior) -> tuple[Points, list[str]]:
+    """The points that ``from_a`` (amplitude "a") or ``from_b`` would build from equal-length
+    sequences of values, as columns, and for each entry why it fails, "" where it is valid.
+
+    Every entry is checked at once with the check tables of :func:`amplitudes`,
+    :func:`solve_orthogonality` (where every dt is None) and :class:`ProtocolParams`; a
+    message is built only for a failing entry, from its first failing check, with the
+    text the per-point build raises. Valid entries equal that build bit for bit.
+    """
+    ab_col, d = np.array(ab, float), np.array(delta, float)
+    k_col = np.array([float(v) if v <= _MAX else math.inf for v in k])
+    if amplitude == "a":
+        a, b, checks = ab_col, np.where(d > 0.0, _rest(ab_col) / d, 0.0), _FROM_A
+    else:
+        a, b, checks = _rest(ab_col * d), ab_col, _FROM_B
+    auto = dt[0] is None
+    if auto:
+        dt_col, checks = b / (2.0 * k_col * a), checks + _SOLVE
+    else:
+        dt_col = np.array(dt, float)
+    points = Points(a, b, d, dt_col, k_col, np.array(prior, float))
+    checks += _PARAM_CHECKS
+    held = np.array([holds(points) for holds, _ in checks])
+    errors = [""] * len(ab)
+    valid = held.all(axis=0)
+    failing = [] if valid.all() else np.flatnonzero(~valid).tolist()
+    for i in failing:
+        a_i, b_i = (ab[i], float(b[i])) if amplitude == "a" else (float(a[i]), ab[i])
+        entry = Points(a_i, b_i, delta[i], float(dt_col[i]) if auto else dt[i], k[i], prior[i])
+        errors[i] = checks[int(np.argmin(held[:, i]))][1](entry)
+    return points, errors
 
 
 def rescale_delta(params: ProtocolParams, delta: float, auto_dt: bool = False) -> ProtocolParams:
@@ -276,37 +378,30 @@ def shown(value) -> str:
     return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
 
 
-def _check_k(k) -> None:
-    if not isinstance(k, int) or not 1 <= k <= sys.float_info.max:
-        got = shown(k if isinstance(k, int) else repr(k))  # a str k keeps its quotes
-        raise ValidationError(f"k must be an integer in [1, {sys.float_info.max:.4g}], got {got}")
-
-
 def solve_orthogonality(a: float, b: float, k: int) -> float:
     """Spacing dt = b / (2 k a) solving the cancellation condition 2*k*a*dt = b."""
-    _check_k(k)
-    if not a > 0.0:
-        raise ValidationError(f"a must be positive, got {a!r}")
-    if not b > 0.0:
-        raise ValidationError(f"b must be positive, got {b!r}")
+    _enforce(_SOLVE, Points(a, b, None, None, k))
     return b / (2.0 * k * a)
 
 
 def total_cost_paper_mode(params: ProtocolParams) -> float:
-    """Closed-form idealized total cost k a^2 dt^2 delta^2 / 4.
+    """Closed-form idealized total cost k a^2 dt^2 delta^2 / 4, of one point or of
+    :class:`Points` columns entry by entry (each square a product).
 
     This is the second-order value of the PAPER ledger: k click chances of
     probability a^2 dt^2 delta^2 / 2 each costing 1/2 plus a free survived
     branch. It is independent of the exact simulation by construction.
     """
-    return params.k * params.a**2 * params.dt**2 * params.delta**2 / 4.0
+    p = params
+    return p.k * (p.a * p.a) * (p.dt * p.dt) * (p.delta * p.delta) / 4.0
 
 
 def normalised(params: ProtocolParams) -> tuple[float, float, float]:
     """a and b delta of ``params`` rescaled to unit norm, which the closed forms
-    need to rounding (params admit NORM_SLACK), and x = delta dt."""
+    need to rounding (params admit NORM_SLACK), and x = delta dt; of one point or
+    of :class:`Points` columns entry by entry, with ``math.hypot`` per entry."""
     bd = params.b * params.delta
-    norm = math.hypot(params.a, bd)
+    norm = _each(math.hypot, params.a, bd)
     return params.a / norm, bd / norm, params.delta * params.dt
 
 
@@ -317,16 +412,16 @@ def _decay(x: float) -> tuple[float, float]:
 
 
 def _each(fn, *args):
-    """``fn`` of floats entry by entry over broadcast arrays, as an object array, so each
-    entry rounds as ``fn`` rounds it; floats go to ``fn`` without the ufunc's 2-3 us."""
+    """The ``math`` function ``fn`` of floats, or entry by entry over broadcast arrays as a
+    float array, where numpy's counterpart would round differently."""
     if np.ndarray in map(type, args):
-        return np.frompyfunc(fn, len(args), 1)(*args)
+        return np.frompyfunc(fn, len(args), 1)(*args).astype(float)
     return fn(*args)
 
 
 def _columns(a, bd, x, steps):
     """log c^(2 j), M_j, 1 - M_j and O_j of :func:`tree`, without the gap."""
-    log_decay = steps * np.asarray(_each(lambda v: _decay(v)[1], x), float)
+    log_decay = steps * _each(lambda v: _decay(v)[1], x)
     mass = -(0.5 * a * a) * np.expm1(log_decay)
     survival = 1.0 - mass
     return log_decay, mass, survival, np.abs(bd * bd - mass) / survival
@@ -351,18 +446,20 @@ def final_step(params: ProtocolParams) -> tuple[float, float, float, float]:
 def baselines(prior, a, bd):
     """(baseline_exact, baseline_paper): T = b^4 delta^4 and b^2 delta^2 of :func:`normalised`."""
     bd2 = bd * bd
-    return _each(helstrom_cost, prior, bd2 * bd2, a * a * (1.0 + bd2)), _each(helstrom_cost, prior, bd2, a * a)
-
-
-def _survived_cost(prior: float, overlap: float, gap: float) -> float:
-    return helstrom_cost(prior, overlap ** 2, gap * (2.0 - gap))
+    return helstrom_cost(prior, bd2 * bd2, a * a * (1.0 + bd2)), helstrom_cost(prior, bd2, a * a)
 
 
 def ledger(mode: Mode, prior, mass, survival, overlap, gap):
     """Click-leaf cost, survived-leaf cost and total under ``mode`` of floats or arrays of :func:`tree`."""
     click, survived = (0.5, 0.0) if mode is Mode.PAPER else (
-        _each(guess_only_cost, prior), _each(_survived_cost, prior, overlap, gap))
+        guess_only_cost(prior), helstrom_cost(prior, overlap * overlap, gap * (2.0 - gap)))
     return click, survived, mass * click + survival * survived
+
+
+def final_total(mode: Mode, prior: float, a: float, bd: float, x: float, k: int) -> float:
+    """The total under ``mode`` at the final step k of :func:`normalised` values a, b delta
+    and x = delta dt: an optimize trial's price, with no ProtocolParams."""
+    return ledger(mode, prior, *map(float, tree(a, bd, x, float(k))))[2]
 
 
 def survived_state(a: float, bd: float, x: float, k: int, survival: float) -> np.ndarray:

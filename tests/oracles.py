@@ -7,9 +7,10 @@ with 1 - T taken from the walk's states by the Lagrange identity, and the
 mixed-state Helstrom cost goes through the trace norm, so agreement with
 the package is a genuine cross-check rather than the same code evaluated
 twice. The closed forms are also evaluated at 50 digits with ``decimal``,
-a reference far below the rounding of any float result. A sweep report is
-rendered cell by cell, each float through ``format(v, f".{digits}g")``: the
-bytes the package's one-pass renderer must write.
+a reference far below the rounding of any float result. A sweep report, a
+scaling CSV and a run report are rendered cell by cell, each float through
+``format(v, f".{digits}g")`` and each CSV through ``csv.writer``: the bytes
+the package's renderers must write.
 """
 
 from __future__ import annotations
@@ -243,6 +244,41 @@ def render_csv(rows, digits: int = 17) -> str:
     """The sweep CSV of ``rows``, every cell formatted on its own."""
     return _csv(REPORT_COLUMNS, ([_fmt(getattr(row, col), digits) for col in REPORT_COLUMNS]
                                  for row in rows))
+
+
+# The scaling CSV's columns: the keys of a scaling study's row, in order.
+SCALING_COLUMNS = (
+    "quantity", "b", "k", "xi", "dt_rule", "exponent", "intercept", "n_floored", "indeterminate",
+    "flag", "deltas", "residuals",
+)
+
+
+def render_scaling_csv(rows, digits: int = 17) -> str:
+    """The scaling CSV of ``rows``, every cell formatted on its own and written by ``csv.writer``."""
+    return _csv(SCALING_COLUMNS, ([_fmt(row[col], digits) for col in SCALING_COLUMNS] for row in rows))
+
+
+def render_run_report(report, digits: int = 17) -> str:
+    """The text ``zenodisc run`` prints for one priced report: the point, its totals and
+    one line per leaf, every float formatted where it is printed."""
+    fmt = lambda v: _fmt(v, digits)
+    p = report.params
+    lines = [f"mode={p.mode.value} a={fmt(p.a)} b={fmt(p.b)} delta={fmt(p.delta)} dt={fmt(p.dt)} "
+             f"k={p.k} xi={fmt(p.prior)}",
+             f"total_cost       = {fmt(report.total_cost)}",
+             f"baseline_exact   = {fmt(report.baseline_exact)}",
+             f"baseline_paper   = {fmt(report.baseline_paper)}",
+             f"paper_new_cost   = {fmt(report.paper_new_cost)}",
+             f"final_overlap    = {fmt(report.final_overlap)}",
+             f"verdict_vs_exact = {fmt(report.verdict_vs_exact)}",
+             f"verdict_vs_paper = {fmt(report.verdict_vs_paper)}",
+             "leaves (kind, step, p|h0, p|h1, marginal, posterior, cost):"]
+    for leaf in report.leaves:
+        step = "-" if leaf.step is None else str(leaf.step)
+        lines.append(f"  {leaf.kind:<8} {step:>3} " + " ".join(
+            fmt(v) for v in (leaf.p_given_h0, leaf.p_given_h1, leaf.marginal, leaf.posterior,
+                             leaf.leaf_cost)))
+    return "\n".join(lines) + "\n"
 
 
 def _group_rows(rows):

@@ -286,6 +286,20 @@ def test_emit_report_holds_neither_whole_text(tmp_path):
     assert peak(rows) - peak(one_point) < 64 * 1024
 
 
+def test_render_scaling_csv_holds_no_record_buffer():
+    # csv.writer grows its record buffer in steps of 32768 characters; the joined
+    # text of the headline study's fits stays well below that.
+    fits = cli.scaling_study(parse_config(ADJUDICATE["SCALING"]), "all")
+    tracemalloc.start()
+    try:
+        text = cli.render_scaling_csv(fits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 4000
+    assert peak < 32 * 1024
+
+
 # ---------------------------------------------------------------- optimize
 
 def test_optimize_prefers_large_k_under_cancellation_spacing():
@@ -309,27 +323,28 @@ def test_optimize_refines_dt_on_a_bracket(monkeypatch):
     # Idealized cost grows with both k and dt here, so the smallest corner
     # of the search region is optimal and golden refinement must not lose it.
     cfg = parse_config("b=10\ndelta=0.001\ndt=0.2,5.0\nk=1,2\nxi=0.5\nmode=paper")
-    # Count every walk and every trial evaluation optimize makes.
+    # Count every walk and every trial evaluation optimize makes; a trial is priced
+    # from its k and x = delta dt, with no ProtocolParams.
     walked, evaluated = [], []
 
     def counting_run(params):
         walked.append(params)
         return protocol.run(params)
 
-    def counting_final_step(params):
-        evaluated.append(params)
-        return protocol.final_step(params)
+    def counting_final_total(mode, prior, a, bd, x, k):
+        evaluated.append((k, x))
+        return protocol.final_total(mode, prior, a, bd, x, k)
 
     monkeypatch.setattr(cli, "protocol", types.SimpleNamespace(
-        run=counting_run, final_step=counting_final_step, price=protocol.price,
-        rescale_delta=protocol.rescale_delta, normalised=protocol.normalised, tree=protocol.tree,
+        run=counting_run, final_total=counting_final_total, Points=protocol.Points,
+        derive_points=protocol.derive_points, normalised=protocol.normalised, tree=protocol.tree,
         baselines=protocol.baselines, ledger=protocol.ledger,
         total_cost_paper_mode=protocol.total_cost_paper_mode))
     params, row = cli.optimize(cfg, Mode.PAPER)
     monkeypatch.undo()
     assert walked == []  # trials are priced at their final step, not walked
-    assert len({(p.k, p.dt) for p in evaluated}) == len(evaluated)  # each (k, dt) once
-    assert params in evaluated
+    assert len(set(evaluated)) == len(evaluated)  # each (k, dt) once
+    assert (params.k, params.delta * params.dt) in evaluated
     assert params.k == 1
     assert params.dt == pytest.approx(0.2, abs=1e-6)
     grid_costs = [protocol.run(cli._point_params(cfg, 10.0, 0.001, dt, k, 0.5, Mode.PAPER)).total_cost

@@ -11,11 +11,12 @@ masses sum to one, relabelling the hypotheses at an even prior matches the
 oracle walk from the swapped pair, swapping the prior for its complement
 leaves the total unchanged, many close probes at a fixed total time
 meet the Misra-Sudarshan limit, a scaling study's rows are those of one
-walk per grid point with one fit per column, and a sweep report, rendered
-and written in one pass, has the bytes of the cell-by-cell reference. The
-oracle comparisons run up to k = 200, the others up to k = 10^4. Rounding
-bounds count one rounding per leaf: (k + 1) eps, or 2 (k + 1) eps where two
-sums meet.
+walk per grid point with one fit per column, a sweep report, rendered and
+written in one pass, and a scaling CSV and a run report have the bytes of
+the cell-by-cell references, and optimize finds what a search that builds
+and validates every trial finds. The oracle comparisons run up to k = 200,
+the others up to k = 10^4. Rounding bounds count one rounding per leaf:
+(k + 1) eps, or 2 (k + 1) eps where two sums meet.
 """
 
 import csv
@@ -27,6 +28,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -80,13 +82,15 @@ def test_pricing_a_walk_equals_running_that_ledger(p):
             assert getattr(priced, name) == getattr(ran, name), name
 
 
-# optimize prices its trials at their final step, and the optimum's row is
-# priced as a sweep row, so a trial's total must be the total of its run.
+# optimize prices its trials at their final step from a, b delta and x = delta dt,
+# and the optimum's row is priced as a sweep row, so a trial's total must be the
+# total of its run.
 @settings(max_examples=60, deadline=None)
 @given(valid_params(prior=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))))
 def test_final_step_price_equals_the_run_total(p):
     report = protocol.run(p)
     assert protocol.ledger(p.mode, p.prior, *protocol.final_step(p))[2] == report.total_cost
+    assert protocol.final_total(p.mode, p.prior, *protocol.normalised(p), p.k) == report.total_cost
     s = report.survival
     assert report.survival_trajectory == tuple(zip(s, s))
 
@@ -190,15 +194,23 @@ def _grid(draw, elements) -> tuple:
 def sweep_configs(draw):
     """Small grids of either amplitude, auto or explicit dt and priors with
     the ends 0 and 1. Some points fail: b delta > 1, a = 0 or a = 1 under
-    auto dt, delta = 0 with a < 1."""
+    auto dt, delta = 0 or -0 with a < 1, a dt whose square overflows, a k
+    of 400 digits; a k past 2^63 is evaluated."""
     amplitude = draw(st.sampled_from(("a", "b")))
     edges = st.sampled_from((0.0, 1.0))
     ab = _grid(draw, edges | st.floats(0.0, 1.0) if amplitude == "a" else st.floats(0.0, 20.0))
-    dt = (None,) if draw(st.booleans()) else _grid(draw, st.floats(0.01, 3.0))
+    dt = (None,) if draw(st.booleans()) else _grid(draw, st.floats(0.01, 3.0) | st.floats(1e155, 1e300))
     return cli.SweepConfig(
-        amplitude=amplitude, ab=ab, delta=_grid(draw, st.just(0.0) | st.floats(1e-4, 0.1)), dt=dt,
-        k=_grid(draw, st.integers(1, K_MAX)), xi=_grid(draw, edges | st.floats(0.0, 1.0)),
+        amplitude=amplitude, ab=ab, delta=_grid(draw, st.sampled_from((0.0, -0.0)) | st.floats(1e-4, 0.1)),
+        dt=dt, k=_grid(draw, st.integers(1, K_MAX) | st.integers(2**63, 2**80) | st.just(5 * 10**399)),
+        xi=_grid(draw, edges | st.floats(0.0, 1.0)),
         modes=draw(st.sampled_from(((Mode.EXACT,), (Mode.PAPER,), (Mode.EXACT, Mode.PAPER)))))
+
+
+# a = 1 at delta = -0 is a valid point, b = 0: its row prints b as "0" and delta as "-0".
+# a = 0.99 there fails with "delta = 0 requires a = 1".
+_ZERO_DELTA = cli.SweepConfig(amplitude="a", ab=(0.99, 1.0), delta=(-0.0, 0.01), dt=(0.5,), k=(1, 7),
+                              xi=(0.5,), modes=(Mode.EXACT, Mode.PAPER))
 
 
 def _walked_exponent(params: ProtocolParams, auto_dt: bool) -> float | None:
@@ -245,18 +257,26 @@ def _walked_rows(config: cli.SweepConfig) -> list[cli.ReportRow]:
     return sorted(rows, key=cli._row_sort_key)
 
 
+def _same(value, expected) -> bool:
+    """Equal, with the same sign where both are floats (0.0 == -0.0 prints differently),
+    or both NaN."""
+    if isinstance(value, float) and isinstance(expected, float):
+        return (value == expected and math.copysign(1.0, value) == math.copysign(1.0, expected)
+                or math.isnan(value) and math.isnan(expected))
+    return value == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(sweep_configs())
+@example(_ZERO_DELTA)
 def test_sweep_rows_equal_the_rows_of_each_walk(config):
     got, want = cli.run_sweep(config), _walked_rows(config)
     assert len(got) == len(want)
     for row, ref in zip(got, want):
         for field in dataclasses.fields(row):
-            value, expected = getattr(row, field.name), getattr(ref, field.name)
             # NaN stands for the amplitude an error row has not derived, or
             # for the exponent of a fit whose residuals are all floored.
-            assert value == expected or (isinstance(value, float) and math.isnan(value)
-                                         and math.isnan(expected)), field.name
+            assert _same(getattr(row, field.name), getattr(ref, field.name)), field.name
 
 
 # A point past the float range: its error message, "dt^2, delta^2 and k (delta dt)^2 must
@@ -268,6 +288,7 @@ _OVERFLOW = cli.SweepConfig(amplitude="b", ab=(1.0,), delta=(0.01,), dt=(1e200,)
 @settings(max_examples=60, deadline=None)
 @given(sweep_configs(), st.integers(6, 17))
 @example(_OVERFLOW, 17)
+@example(_ZERO_DELTA, 17)
 def test_report_has_the_bytes_of_the_cell_by_cell_reference(config, digits):
     rows = cli.run_sweep(config)
     want_csv = oracles.render_csv(rows, digits)
@@ -352,8 +373,9 @@ def scaling_configs(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(scaling_configs(), st.sampled_from(sorted(series.SCALING_QUANTITIES) + ["all"]))
-def test_scaling_rows_equal_the_rows_of_each_walk(config, quantity):
+@given(scaling_configs(), st.sampled_from(sorted(series.SCALING_QUANTITIES) + ["all"]),
+       st.integers(6, 17))
+def test_scaling_rows_equal_the_rows_of_each_walk(config, quantity, digits):
     got, want = cli.scaling_study(config, quantity), _walked_scaling_rows(config, quantity)
     assert len(got) == len(want)
     for row, ref in zip(got, want):
@@ -362,3 +384,65 @@ def test_scaling_rows_equal_the_rows_of_each_walk(config, quantity):
             # NaN stands for the exponent and intercept of an indeterminate fit.
             assert value == ref[name] or (isinstance(value, float) and math.isnan(value)
                                           and math.isnan(ref[name])), name
+    assert cli.render_scaling_csv(got, digits) == oracles.render_scaling_csv(got, digits)
+
+
+# `zenodisc run` prints what the per-leaf reference prints, under either ledger.
+@settings(max_examples=60, deadline=None)
+@given(valid_params(k_max=ORACLE_K_MAX), st.integers(6, 17))
+def test_run_report_has_the_bytes_of_the_per_leaf_reference(p, digits):
+    report = protocol.run(p)
+    for mode in Mode:
+        priced = protocol.price(report, mode)
+        assert cli._render_run_report(priced, digits) == oracles.render_run_report(priced, digits)
+
+
+def _optimize_per_trial(config: cli.SweepConfig, mode: Mode):
+    """optimize's search with a validated ProtocolParams for every trial, priced at its
+    final step, and the optimum's row from its walk."""
+    build = ProtocolParams.from_a if config.amplitude == "a" else ProtocolParams.from_b
+    (ab,), (delta,), (xi,) = config.ab, config.delta, config.xi
+    totals = {}
+
+    def objective(k, dt):
+        params = build(ab, delta, k, dt=dt, prior=xi, mode=mode)
+        if (k, params.dt) not in totals:
+            totals[k, params.dt] = protocol.ledger(mode, xi, *protocol.final_step(params))[2], params
+        return totals[k, params.dt][0]
+
+    for k in config.k:
+        for dt in config.dt:
+            objective(k, dt)
+        if len(config.dt) > 1:
+            cli._golden_section(lambda dt: objective(k, dt), config.dt[0], config.dt[-1])
+    _, k, dt = min((total, k, dt) for (k, dt), (total, _) in totals.items())
+    params = totals[k, dt][1]
+    return params, _report_row(protocol.run(params), _walked_exponent(params, config.auto_dt))
+
+
+@st.composite
+def optimize_configs(draw):
+    """One point of either amplitude, auto dt or a bracket of up to four dts, and up to
+    two ks. Some fail: b = 0 or a = 1 under auto dt."""
+    amplitude = draw(st.sampled_from(("a", "b")))
+    delta = draw(st.floats(1e-4, 0.1))
+    ab = draw(st.floats(0.3, 1.0)) if amplitude == "a" else draw(st.floats(0.0, 0.95)) / delta
+    dt = (None,) if draw(st.booleans()) else tuple(sorted(draw(
+        st.lists(st.floats(0.01, 3.0), min_size=1, max_size=4, unique=True))))
+    return cli.SweepConfig(amplitude=amplitude, ab=(ab,), delta=(delta,), dt=dt,
+                           k=_grid(draw, st.integers(1, K_MAX)), xi=(draw(st.floats(0.0, 1.0)),),
+                           modes=(draw(st.sampled_from(Mode)),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(optimize_configs())
+def test_optimize_finds_what_a_search_over_built_trials_finds(config):
+    mode = config.modes[0]
+    try:
+        want = _optimize_per_trial(config, mode)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as err:
+            cli.optimize(config, mode)
+        assert str(err.value) == str(exc)
+        return
+    assert cli.optimize(config, mode) == want
