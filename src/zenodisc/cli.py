@@ -345,12 +345,14 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
     if any(errors):
         columns = [list(compress(column, map(not_, errors))) for column in columns]
     rows += _rows(columns, config.modes, config.auto_dt)
-    rows.sort(key=_row_sort_key)
+    rows.sort(key=lambda row: _row_sort_key(row) if row.error else _VALID_SORT_KEY(row))
     return rows
 
 
 # The columns that name a row's parameter point, CSV_COLUMNS[:6].
 _POINT = attrgetter("a", "b", "delta", "dt", "k", "xi")
+# :func:`_row_sort_key` of a row with no error, whose key fields hold no None or NaN.
+_VALID_SORT_KEY = attrgetter("delta", "dt", "k", "xi", "a", "b", "mode")
 
 
 def _report(rows: list[ReportRow], digits: int):

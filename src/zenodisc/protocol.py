@@ -422,25 +422,30 @@ def _each(fn, *args):
 def _columns(a, bd, x, steps):
     """log c^(2 j), M_j, 1 - M_j and O_j of :func:`tree`, without the gap."""
     log_decay = steps * _each(lambda v: _decay(v)[1], x)
-    mass = -(0.5 * a * a) * np.expm1(log_decay)
+    expm1 = np.expm1(log_decay)  # of a float, a numpy scalar with the bits of an array entry
+    mass = -(0.5 * a * a) * (expm1 if isinstance(expm1, np.ndarray) else float(expm1))
     survival = 1.0 - mass
-    return log_decay, mass, survival, np.abs(bd * bd - mass) / survival
+    return log_decay, mass, survival, abs(bd * bd - mass) / survival
 
 
 def tree(a, bd, x, steps):
-    """M_j, 1 - M_j, O_j and 1 - O_j at j = ``steps``, entry by entry over broadcast arrays
-    of :func:`normalised` values (see :func:`run`); log c^2 takes ``math`` per entry of x."""
+    """M_j, 1 - M_j, O_j and 1 - O_j at j = ``steps`` of one point of floats, as floats, or
+    entry by entry over broadcast arrays of :func:`normalised` values (see :func:`run`);
+    log c^2 takes ``math`` per entry of x, expm1 and exp take numpy's on both paths."""
     log_decay, mass, survival, overlap = _columns(a, bd, x, steps)
     a2, bd2 = a * a, bd * bd
     # 1 - O_j = (1 - M_j - |b^2 delta^2 - M_j|) / (1 - M_j) cancels near parallel;
     # a^2 + b^2 delta^2 = 1 turns the numerator into a sum of positive terms.
-    gap = np.where(mass >= bd2, (2.0 * bd2 + a2 * np.exp(log_decay)) / survival, a2 / survival)
+    if isinstance(mass, np.ndarray):
+        gap = np.where(mass >= bd2, (2.0 * bd2 + a2 * np.exp(log_decay)) / survival, a2 / survival)
+    else:
+        gap = (2.0 * bd2 + a2 * float(np.exp(log_decay))) / survival if mass >= bd2 else a2 / survival
     return mass, survival, overlap, gap
 
 
 def final_step(params: ProtocolParams) -> tuple[float, float, float, float]:
     """:func:`tree` of ``params`` at its final step k, as a sweep evaluates it."""
-    return tuple(map(float, tree(*normalised(params), float(params.k))))
+    return tree(*normalised(params), float(params.k))
 
 
 def baselines(prior, a, bd):
@@ -459,7 +464,7 @@ def ledger(mode: Mode, prior, mass, survival, overlap, gap):
 def final_total(mode: Mode, prior: float, a: float, bd: float, x: float, k: int) -> float:
     """The total under ``mode`` at the final step k of :func:`normalised` values a, b delta
     and x = delta dt: an optimize trial's price, with no ProtocolParams."""
-    return ledger(mode, prior, *map(float, tree(a, bd, x, float(k))))[2]
+    return ledger(mode, prior, *tree(a, bd, x, float(k)))[2]
 
 
 def survived_state(a: float, bd: float, x: float, k: int, survival: float) -> np.ndarray:

@@ -133,9 +133,11 @@ class ScalingFit:
 
 
 def fit_power_laws(deltas, columns) -> list[ScalingFit]:
-    """:func:`fit_power_law` of each residual column on one delta grid, in one ``np.polyfit``."""
-    ds = tuple(float(d) for d in deltas)
-    cols = [tuple(float(r) for r in rs) for rs in columns]
+    """:func:`fit_power_law` of each residual column on one delta grid, checked as one array and
+    fitted in one ``np.linalg.lstsq`` on the scaled design ``np.polyfit`` solves, as it solves it."""
+    ds = tuple(map(float, deltas))
+    # Rows of a 2-D array (as a sweep passes them) or of sequences; a float keeps its object.
+    cols = [tuple(map(float, rs)) for rs in (columns.tolist() if isinstance(columns, np.ndarray) else columns)]
     if any(len(rs) != len(ds) for rs in cols):
         raise ValidationError("deltas and residuals must have equal length")
     if len(ds) < 3:
@@ -144,13 +146,17 @@ def fit_power_laws(deltas, columns) -> list[ScalingFit]:
         raise ValidationError("delta grid entries must be positive")
     if max(ds) / min(ds) < 10.0 - 1e-9:
         raise ValidationError("delta grid must span at least one decade")
-    if any(r < 0.0 for rs in cols for r in rs):
+    res = np.array(cols).reshape(len(cols), len(ds))
+    if (res < 0.0).any():
         raise ValidationError("residuals must be nonnegative")
-    logs = np.log(np.maximum(np.array(cols).reshape(len(cols), len(ds)), NOISE_FLOOR))
+    logs = np.log(np.maximum(res, NOISE_FLOOR))
     # Non-finite columns stay out of the solve and fit NaN; all-floored ones are indeterminate.
     finite = np.isfinite(logs).all(axis=1)
-    coefs = np.polyfit(np.log(ds), np.where(finite, logs.T, 0.0), 1).T.tolist()
-    n_floored = [sum(1 for r in rs if r < NOISE_FLOOR) for rs in cols]
+    design = np.vander(np.log(ds), 2)
+    scale = np.sqrt((design * design).sum(axis=0))
+    solved = np.linalg.lstsq(design / scale, np.where(finite, logs.T, 0.0), len(ds) * np.finfo(float).eps)[0]
+    coefs = (solved.T / scale).tolist()
+    n_floored = (res < NOISE_FLOOR).sum(axis=1).tolist()
     return [ScalingFit(*(c if ok and n < len(ds) else (math.nan, math.nan)), ds, rs, n, n == len(ds))
             for rs, c, ok, n in zip(cols, coefs, finite.tolist(), n_floored)]
 

@@ -2,7 +2,8 @@
 
 Each property must hold on the whole valid domain, not only the fixture:
 pricing one tree under the other ledger is a run under that ledger, the
-final-step price of an optimize trial is the total of the run, the
+final-step price of an optimize trial is the total of the run, tree gives
+a point of floats, as floats, the values of its one-entry arrays, the
 survival trajectory pairs up the stored survival, the charged leaves sum
 to the closed-form total, the tree agrees with the independent
 dense-exponential walk of the oracles, the exact ledger never
@@ -93,6 +94,26 @@ def test_final_step_price_equals_the_run_total(p):
     assert protocol.final_total(p.mode, p.prior, *protocol.normalised(p), p.k) == report.total_cost
     s = report.survival
     assert report.survival_trajectory == tuple(zip(s, s))
+
+
+# A point of floats goes through tree in Python floats, with numpy's expm1 and exp of the
+# float, so a run or an optimize trial gets the numbers a sweep gets from its columns.
+@settings(max_examples=60, deadline=None)
+@given(valid_params())
+@example(ProtocolParams(a=1.0, b=0.0, delta=0.1875, dt=3.0, k=61))  # M_k >= b^2 delta^2
+@example(ProtocolParams.from_b(90.0, 0.01, 1, dt=0.05))  # k = 1, M_k < b^2 delta^2
+@example(ProtocolParams.from_b(0.2, 0.5, 3, dt=math.pi))  # s^2 rounds to 1: log c^2 from cos
+@example(ProtocolParams.from_b(10.0, 0.01, 10**18, dt=1e-12))
+@example(ProtocolParams.from_a(1.0, -0.0, 5, dt=1.0))  # x = -0
+def test_tree_of_a_float_point_is_its_entry_as_arrays(p):
+    a, bd, x = protocol.normalised(p)
+    got = protocol.tree(a, bd, x, float(p.k))
+    want = protocol.tree(*(np.array([v]) for v in (a, bd, x, float(p.k))))
+    assert [type(v) for v in got] == [float] * 4
+    for value, entry in zip(got, want):
+        assert _same(value, entry.item())
+    assert [type(v) for v in protocol.final_step(p)] == [float] * 4
+    assert type(protocol.final_total(p.mode, p.prior, a, bd, x, p.k)) is float
 
 
 # The leaves that `zenodisc run` prints sum to the total it prints.
@@ -211,6 +232,10 @@ def sweep_configs(draw):
 # a = 0.99 there fails with "delta = 0 requires a = 1".
 _ZERO_DELTA = cli.SweepConfig(amplitude="a", ab=(0.99, 1.0), delta=(-0.0, 0.01), dt=(0.5,), k=(1, 7),
                               xi=(0.5,), modes=(Mode.EXACT, Mode.PAPER))
+# Under auto dt, b = 0 fails with "b must be positive" and b = 200 with b delta > 1; their
+# error rows hold NaN for a and dt.
+_AUTO_FAILING = cli.SweepConfig(amplitude="b", ab=(0.0, 1.0, 200.0), delta=(0.001, 0.01), dt=(None,),
+                                k=(1, 7), xi=(0.5,), modes=(Mode.EXACT, Mode.PAPER))
 
 
 def _walked_exponent(params: ProtocolParams, auto_dt: bool) -> float | None:
@@ -269,8 +294,11 @@ def _same(value, expected) -> bool:
 @settings(max_examples=60, deadline=None)
 @given(sweep_configs())
 @example(_ZERO_DELTA)
+@example(_AUTO_FAILING)
 def test_sweep_rows_equal_the_rows_of_each_walk(config):
     got, want = cli.run_sweep(config), _walked_rows(config)
+    # Valid rows sort on their fields as they are, error rows with NaN as inf.
+    assert list(map(id, got)) == list(map(id, sorted(got, key=cli._row_sort_key)))
     assert len(got) == len(want)
     for row, ref in zip(got, want):
         for field in dataclasses.fields(row):
