@@ -500,63 +500,44 @@ def render_scaling_csv(rows: list[dict], digits: int = DEFAULT_DIGITS) -> str:
                           for row in rows)))
 
 
-def _golden_section(f, lo: float, hi: float, tol: float = 1e-10,
-                    max_iter: int = 200) -> None:
-    """Deterministic golden-section search of f inside (lo, hi).
-
-    Nothing is returned: the caller keeps every evaluation and takes the best.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if hi - lo <= tol * max(1.0, abs(lo), abs(hi)):
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
+def _least_click_mass_dt(delta: float, lo: float, hi: float) -> float:
+    """The dt in [lo, hi] of least click mass M_k, the same for every k: M_k falls as
+    |cos(delta dt)| rises and is 0 at every multiple of pi / delta. That is the smallest
+    multiple in the bracket (clamped into it), or else the end with the larger
+    |cos(delta dt)|; lo at delta = 0 and on a tie."""
+    if delta > 0.0:
+        dt = math.ceil(lo * delta / math.pi) * math.pi / delta
+        if dt <= hi:
+            return max(dt, lo)
+        if abs(math.cos(delta * hi)) > abs(math.cos(delta * lo)):
+            return hi
+    return lo
 
 
 def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow]:
     """Minimize the selected ledger's total cost over the free parameters.
 
-    k is searched over its config grid; dt is golden-section refined inside
-    [min, max] of its grid when that grid has more than one point, evaluated
-    per grid point otherwise, and bound to the cancellation condition under
-    dt=auto. All remaining grids must be singletons. Ties break toward
-    smaller k, then smaller dt.
+    Each k's grid dts are validated as parameter sets, in grid order; under dt=auto each
+    k has the one dt of the cancellation condition. Either ledger's total is a
+    nondecreasing function of the click mass M_k alone, so when the dt grid has more
+    than one value, the least total of a k on the bracket [min, max] is at the dt of
+    least M_k (:func:`_least_click_mass_dt`), which is one more candidate; every check on
+    dt is monotone in dt, so it is valid unbuilt. All candidates are priced as sweep rows
+    in one :func:`_rows` pass, and the least (total, k, dt) is the optimum, so ties break
+    toward smaller k, then smaller dt. All remaining grids must be singletons.
     """
     ab, delta, xi = _require_singletons(config, "optimize")
-    # Every (k, dt) tried is priced once at its final step, as a sweep prices it, and
-    # the least total is the optimum, whose row is priced as a sweep row. Each k's grid
-    # dts are validated as a point; a, b delta and delta stay fixed, and every check on
-    # dt is monotone in dt, so the trials inside a valid bracket are valid unbuilt.
-    totals: dict[tuple[int, float], float] = {}
-    built: dict[tuple[int, float], ProtocolParams] = {}
-
-    def objective(k: int, dt: float) -> float:
-        if (k, dt) not in totals:
-            totals[k, dt] = protocol.final_total(mode, xi, a, bd, delta * dt, k)
-        return totals[k, dt]
-
+    candidates: dict[tuple[int, float], ProtocolParams | None] = {}
     for k in config.k:
         seeds = [_point_params(config, ab, delta, dt, k, xi, mode) for dt in config.dt]
-        built.update(((k, p.dt), p) for p in seeds)
-        a, bd, _ = protocol.normalised(seeds[0])
-        for p in seeds:
-            objective(k, p.dt)
+        candidates.update(((k, p.dt), p) for p in seeds)
         if len(config.dt) > 1:
-            _golden_section(lambda dt: objective(k, dt), config.dt[0], config.dt[-1])
-    _, k_best, dt_best = min((total, k, dt) for (k, dt), total in totals.items())
-    params = built.get((k_best, dt_best)) or _point_params(config, ab, delta, dt_best, k_best, xi, mode)
-    return params, _rows([(params.a,), (params.b,), (params.delta,), (params.dt,), (params.k,),
-                          (params.prior,)], (mode,), config.auto_dt)[0]
+            candidates.setdefault((k, _least_click_mass_dt(delta, config.dt[0], config.dt[-1])), None)
+    n, a, b = len(candidates), seeds[0].a, seeds[0].b  # a and b depend on neither k nor dt
+    ks, dts = zip(*candidates)
+    rows = _rows(([a] * n, [b] * n, [delta] * n, dts, ks, [xi] * n), (mode,), config.auto_dt)
+    row = min(rows, key=attrgetter("total_cost", "k", "dt"))
+    return candidates[row.k, row.dt] or _point_params(config, ab, delta, row.dt, row.k, xi, mode), row
 
 
 def _render_run_report(report, digits: int) -> str:

@@ -461,12 +461,6 @@ def ledger(mode: Mode, prior, mass, survival, overlap, gap):
     return click, survived, mass * click + survival * survived
 
 
-def final_total(mode: Mode, prior: float, a: float, bd: float, x: float, k: int) -> float:
-    """The total under ``mode`` at the final step k of :func:`normalised` values a, b delta
-    and x = delta dt: an optimize trial's price, with no ProtocolParams."""
-    return ledger(mode, prior, *tree(a, bd, x, float(k)))[2]
-
-
 def survived_state(a: float, bd: float, x: float, k: int, survival: float) -> np.ndarray:
     """The survived state of hypothesis 0 from :func:`normalised` values, k and 1 - M_k:
     ((a/2)(c^k + cos k delta dt), -i (a/2) sin k delta dt, i (a/2) sin k delta dt,

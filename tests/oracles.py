@@ -198,6 +198,21 @@ def decimal_point(b, delta, dt, k: int, xi) -> dict[str, Decimal]:
         }
 
 
+def decimal_exact_total(xi, bd2, mass) -> Decimal:
+    """The exact-ledger total as a function of the click mass alone, at 50 digits, from
+    floats or Decimals taken as exact: f(M) = M min(xi, 1 - xi) + (1 - M) H(xi, O^2) with
+    O = |bd2 - M| / (1 - M) and a^2 = 1 - bd2. H takes the form that does not cancel,
+    2 q T / (1 + sqrt((1 - 2 xi)^2 + 4 q (1 - T))) with q = xi (1 - xi), so a prior near
+    0 or 1 keeps all 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        xi, bd2, mass = map(Decimal, (xi, bd2, mass))
+        transition = (abs(bd2 - mass) / (1 - mass)) ** 2
+        q = xi * (1 - xi)
+        helstrom = 2 * q * transition / (1 + ((1 - 2 * xi) ** 2 + 4 * q * (1 - transition)).sqrt())
+        return mass * min(xi, 1 - xi) + (1 - mass) * helstrom
+
+
 def decimal_auto_dt(b: float, delta: float, k: int) -> Decimal:
     """dt = b / (2 k a) of the cancellation condition, at 50 digits."""
     with localcontext() as ctx:

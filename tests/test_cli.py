@@ -2,7 +2,6 @@ import math
 import random
 import runpy
 import tracemalloc
-import types
 from pathlib import Path
 
 import pytest
@@ -321,32 +320,13 @@ def test_optimize_single_point_returns_it():
 
 def test_optimize_refines_dt_on_a_bracket(monkeypatch):
     # Idealized cost grows with both k and dt here, so the smallest corner
-    # of the search region is optimal and golden refinement must not lose it.
+    # of the search region is optimal: the bracket holds no multiple of
+    # pi / delta, and its low end has the larger |cos(delta dt)|.
     cfg = parse_config("b=10\ndelta=0.001\ndt=0.2,5.0\nk=1,2\nxi=0.5\nmode=paper")
-    # Count every walk and every trial evaluation optimize makes; a trial is priced
-    # from its k and x = delta dt, with no ProtocolParams.
-    walked, evaluated = [], []
-
-    def counting_run(params):
-        walked.append(params)
-        return protocol.run(params)
-
-    def counting_final_total(mode, prior, a, bd, x, k):
-        evaluated.append((k, x))
-        return protocol.final_total(mode, prior, a, bd, x, k)
-
-    monkeypatch.setattr(cli, "protocol", types.SimpleNamespace(
-        run=counting_run, final_total=counting_final_total, Points=protocol.Points,
-        derive_points=protocol.derive_points, normalised=protocol.normalised, tree=protocol.tree,
-        baselines=protocol.baselines, ledger=protocol.ledger,
-        total_cost_paper_mode=protocol.total_cost_paper_mode))
+    walked = _count_walks(monkeypatch)
     params, row = cli.optimize(cfg, Mode.PAPER)
-    monkeypatch.undo()
-    assert walked == []  # trials are priced at their final step, not walked
-    assert len(set(evaluated)) == len(evaluated)  # each (k, dt) once
-    assert (params.k, params.delta * params.dt) in evaluated
-    assert params.k == 1
-    assert params.dt == pytest.approx(0.2, abs=1e-6)
+    assert walked == []  # candidates are priced at their final step, not walked
+    assert (params.k, params.dt) == (1, 0.2)
     grid_costs = [protocol.run(cli._point_params(cfg, 10.0, 0.001, dt, k, 0.5, Mode.PAPER)).total_cost
                   for dt in (0.2, 5.0) for k in (1, 2)]
     assert row.total_cost <= min(grid_costs) + 1e-18

@@ -2,20 +2,22 @@
 
 Each property must hold on the whole valid domain, not only the fixture:
 pricing one tree under the other ledger is a run under that ledger, the
-final-step price of an optimize trial is the total of the run, tree gives
+final-step price of a point is the total of its run, tree gives
 a point of floats, as floats, the values of its one-entry arrays, the
 survival trajectory pairs up the stored survival, the charged leaves sum
 to the closed-form total, the tree agrees with the independent
 dense-exponential walk of the oracles, the exact ledger never
-beats the Helstrom floor, the paper total is half the click mass, the leaf
+beats the Helstrom floor, the exact total never falls as the click mass
+rises (at 50 digits) and sits on the floor where the click mass is 0, the paper total is half the click mass, the leaf
 masses sum to one, relabelling the hypotheses at an even prior matches the
 oracle walk from the swapped pair, swapping the prior for its complement
 leaves the total unchanged, many close probes at a fixed total time
 meet the Misra-Sudarshan limit, a scaling study's rows are those of one
 walk per grid point with one fit per column, a sweep report, rendered and
 written in one pass, and a scaling CSV and a run report have the bytes of
-the cell-by-cell references, and optimize finds what a search that builds
-and validates every trial finds. The oracle comparisons run up to k = 200,
+the cell-by-cell references, optimize finds what building and running
+each of its candidates finds, and no dt of a bracket, in a dense scan,
+prices below the optimum. The oracle comparisons run up to k = 200,
 the others up to k = 10^4. Rounding bounds count one rounding per leaf:
 (k + 1) eps, or 2 (k + 1) eps where two sums meet.
 """
@@ -27,6 +29,7 @@ import itertools
 import math
 import os
 import tempfile
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -83,21 +86,19 @@ def test_pricing_a_walk_equals_running_that_ledger(p):
             assert getattr(priced, name) == getattr(ran, name), name
 
 
-# optimize prices its trials at their final step from a, b delta and x = delta dt,
-# and the optimum's row is priced as a sweep row, so a trial's total must be the
+# A sweep and optimize price a point at its final step, so that price must be the
 # total of its run.
 @settings(max_examples=60, deadline=None)
 @given(valid_params(prior=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))))
 def test_final_step_price_equals_the_run_total(p):
     report = protocol.run(p)
     assert protocol.ledger(p.mode, p.prior, *protocol.final_step(p))[2] == report.total_cost
-    assert protocol.final_total(p.mode, p.prior, *protocol.normalised(p), p.k) == report.total_cost
     s = report.survival
     assert report.survival_trajectory == tuple(zip(s, s))
 
 
 # A point of floats goes through tree in Python floats, with numpy's expm1 and exp of the
-# float, so a run or an optimize trial gets the numbers a sweep gets from its columns.
+# float, so a run gets the numbers a sweep gets from its columns.
 @settings(max_examples=60, deadline=None)
 @given(valid_params())
 @example(ProtocolParams(a=1.0, b=0.0, delta=0.1875, dt=3.0, k=61))  # M_k >= b^2 delta^2
@@ -113,7 +114,6 @@ def test_tree_of_a_float_point_is_its_entry_as_arrays(p):
     for value, entry in zip(got, want):
         assert _same(value, entry.item())
     assert [type(v) for v in protocol.final_step(p)] == [float] * 4
-    assert type(protocol.final_total(p.mode, p.prior, a, bd, x, p.k)) is float
 
 
 # The leaves that `zenodisc run` prints sum to the total it prints.
@@ -425,52 +425,108 @@ def test_run_report_has_the_bytes_of_the_per_leaf_reference(p, digits):
         assert cli._render_run_report(priced, digits) == oracles.render_run_report(priced, digits)
 
 
-def _optimize_per_trial(config: cli.SweepConfig, mode: Mode):
-    """optimize's search with a validated ProtocolParams for every trial, priced at its
-    final step, and the optimum's row from its walk."""
+def _optimize_over_built_candidates(config: cli.SweepConfig, mode: Mode):
+    """optimize with a validated ProtocolParams for each seed (k, dt) and, on a bracket, for
+    each k's dt of least click mass, each priced by its run; the least (total, k, dt) wins,
+    and the optimum's row comes from its walk."""
     build = ProtocolParams.from_a if config.amplitude == "a" else ProtocolParams.from_b
     (ab,), (delta,), (xi,) = config.ab, config.delta, config.xi
-    totals = {}
-
-    def objective(k, dt):
-        params = build(ab, delta, k, dt=dt, prior=xi, mode=mode)
-        if (k, params.dt) not in totals:
-            totals[k, params.dt] = protocol.ledger(mode, xi, *protocol.final_step(params))[2], params
-        return totals[k, params.dt][0]
-
+    candidates = {}
     for k in config.k:
-        for dt in config.dt:
-            objective(k, dt)
+        dts = [build(ab, delta, k, dt=dt, prior=xi, mode=mode).dt for dt in config.dt]
         if len(config.dt) > 1:
-            cli._golden_section(lambda dt: objective(k, dt), config.dt[0], config.dt[-1])
-    _, k, dt = min((total, k, dt) for (k, dt), (total, _) in totals.items())
-    params = totals[k, dt][1]
+            dts.append(cli._least_click_mass_dt(delta, config.dt[0], config.dt[-1]))
+        for dt in dts:
+            params = build(ab, delta, k, dt=dt, prior=xi, mode=mode)
+            candidates.setdefault((protocol.run(params).total_cost, k, params.dt), params)
+    params = candidates[min(candidates)]
     return params, _report_row(protocol.run(params), _walked_exponent(params, config.auto_dt))
 
 
 @st.composite
-def optimize_configs(draw):
-    """One point of either amplitude, auto dt or a bracket of up to four dts, and up to
-    two ks. Some fail: b = 0 or a = 1 under auto dt."""
+def optimize_configs(draw, brackets=False):
+    """One point of either amplitude, auto dt or a grid of up to four dts (a bracket of two
+    or more with ``brackets``) that may reach past pi / delta, and up to two ks. Some fail:
+    b = 0 or a = 1 under auto dt."""
     amplitude = draw(st.sampled_from(("a", "b")))
-    delta = draw(st.floats(1e-4, 0.1))
+    delta = draw(st.floats(1e-4, 0.6))
     ab = draw(st.floats(0.3, 1.0)) if amplitude == "a" else draw(st.floats(0.0, 0.95)) / delta
-    dt = (None,) if draw(st.booleans()) else tuple(sorted(draw(
-        st.lists(st.floats(0.01, 3.0), min_size=1, max_size=4, unique=True))))
+    dt = (None,) if not brackets and draw(st.booleans()) else tuple(sorted(draw(
+        st.lists(st.floats(0.01, 60.0), min_size=2 if brackets else 1, max_size=4, unique=True))))
     return cli.SweepConfig(amplitude=amplitude, ab=(ab,), delta=(delta,), dt=dt,
                            k=_grid(draw, st.integers(1, K_MAX)), xi=(draw(st.floats(0.0, 1.0)),),
                            modes=(draw(st.sampled_from(Mode)),))
 
 
+# A bracket reaching past pi / delta, where the click mass is periodic in dt: its least
+# total is at dt = pi / delta, where M_k = 0, not at either end.
+_REPRO = cli.SweepConfig(amplitude="b", ab=(9.29364586521526,), delta=(0.08486942153990186,),
+                         dt=(3.4382922089011885, 41.81160238104807), k=(179,), xi=(0.3556961698229455,),
+                         modes=(Mode.EXACT,))
+
+
 @settings(max_examples=60, deadline=None)
 @given(optimize_configs())
+@example(_REPRO)
 def test_optimize_finds_what_a_search_over_built_trials_finds(config):
     mode = config.modes[0]
     try:
-        want = _optimize_per_trial(config, mode)
+        want = _optimize_over_built_candidates(config, mode)
     except ValidationError as exc:
         with pytest.raises(ValidationError) as err:
             cli.optimize(config, mode)
         assert str(err.value) == str(exc)
         return
     assert cli.optimize(config, mode) == want
+
+
+# Slack of the dense scan: a few ulp of the least total, relative, plus what the rounding
+# of x = delta dt leaves of M_k at a multiple of pi / delta, where M_k is 0 in exact
+# arithmetic: |x - n pi| <= 4 eps delta hi, so M_k <= k (4 eps delta hi)^2 / 2, and either
+# ledger's total rises by at most that much.
+SCAN_REL = 8 * EPS
+
+
+@settings(max_examples=25, deadline=None)
+@given(optimize_configs(brackets=True))
+@example(_REPRO)
+def test_no_dt_of_a_bracket_prices_below_the_optimum(config):
+    mode = config.modes[0]
+    build = ProtocolParams.from_a if config.amplitude == "a" else ProtocolParams.from_b
+    (ab,), (delta,), (xi,) = config.ab, config.delta, config.xi
+    lo, hi = config.dt[0], config.dt[-1]
+    _, row = cli.optimize(config, mode)
+    multiples = [n * math.pi / delta for n in range(math.ceil(lo * delta / math.pi),
+                                                    math.floor(hi * delta / math.pi) + 1)]
+    scan = np.linspace(lo, hi, 2001).tolist() + [dt for dt in multiples if lo <= dt <= hi]
+    least = min(protocol.run(build(ab, delta, k, dt=dt, prior=xi, mode=mode)).total_cost
+                for k in config.k for dt in scan)
+    slack = SCAN_REL * least + max(config.k) * (4 * EPS * delta * hi) ** 2
+    assert row.total_cost <= least + slack
+
+
+# The exact total as a function of the click mass M alone (β = b^2 δ^2, a^2 = 1 - β):
+# f(M) = M min(ξ, 1 - ξ) + (1 - M) H(ξ, O^2) with O = |β - M| / (1 - M), for 0 <= M <= a^2 / 2.
+# At 50 digits f never decreases; the slack is 1e-45 relative, far above the decimal
+# rounding and far below any float difference of two totals.
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0, exclude_max=True) | st.floats(0.0, 1e-12),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example(1e-300, 1e-300, 0.25, 0.5)
+@example(1.0 - 2.0**-53, 0.6, 0.0, 1.0)
+@example(0.5, 0.0, 0.0, 1e-300)
+def test_the_exact_total_never_falls_as_the_click_mass_rises(xi, beta, u1, u2):
+    assume(u1 < u2)
+    with localcontext() as ctx:
+        ctx.prec = oracles.DECIMAL_DIGITS
+        m1, m2 = (Decimal(u) * (1 - Decimal(beta)) / 2 for u in (u1, u2))
+    f1, f2 = (oracles.decimal_exact_total(xi, beta, m) for m in (m1, m2))
+    assert f1 - f2 <= Decimal("1e-45") * f1
+
+
+# The least click mass, M_k = 0 at dt = pi / delta, prices the exact ledger at the
+# Helstrom floor: f(0) is baseline_exact.
+def test_the_repro_optimum_is_the_helstrom_floor():
+    params, row = cli.optimize(_REPRO, Mode.EXACT)
+    assert (params.k, params.dt) == (179, math.pi / params.delta) == (179, 37.01677938399468)
+    assert row.total_cost == row.baseline_exact == 0.09837720143509032
