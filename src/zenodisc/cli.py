@@ -501,9 +501,8 @@ def render_scaling_csv(rows: list[dict], digits: int = DEFAULT_DIGITS) -> str:
 
 
 def _least_click_mass_dt(delta: float, lo: float, hi: float) -> float:
-    """The dt in [lo, hi] of least click mass M_k, the same for every k: M_k falls as
-    |cos(delta dt)| rises and is 0 at every multiple of pi / delta. That is the smallest
-    multiple in the bracket (clamped into it), or else the end with the larger
+    """The dt of least click mass M_k in [lo, hi], for every k: the smallest multiple of
+    pi / delta in it (clamped into it), where M_k = 0, or else the end with the larger
     |cos(delta dt)|; lo at delta = 0 and on a tie."""
     if delta > 0.0:
         dt = math.ceil(lo * delta / math.pi) * math.pi / delta
@@ -517,14 +516,12 @@ def _least_click_mass_dt(delta: float, lo: float, hi: float) -> float:
 def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow]:
     """Minimize the selected ledger's total cost over the free parameters.
 
-    Each k's grid dts are validated as parameter sets, in grid order; under dt=auto each
-    k has the one dt of the cancellation condition. Either ledger's total is a
-    nondecreasing function of the click mass M_k alone, so when the dt grid has more
-    than one value, the least total of a k on the bracket [min, max] is at the dt of
-    least M_k (:func:`_least_click_mass_dt`), which is one more candidate; every check on
-    dt is monotone in dt, so it is valid unbuilt. All candidates are priced as sweep rows
-    in one :func:`_rows` pass, and the least (total, k, dt) is the optimum, so ties break
-    toward smaller k, then smaller dt. All remaining grids must be singletons.
+    Each k's grid dts (under dt=auto, its one cancellation dt) are validated as parameter
+    sets. Either total never falls as the click mass M_k rises, so on a dt bracket each k
+    adds the dt of least M_k (:func:`_least_click_mass_dt`), valid unbuilt because every
+    check on dt is monotone in dt. All candidates are priced as sweep rows in one
+    :func:`_rows` pass, and the least (total, k, dt) wins: ties go to smaller k, then
+    smaller dt. All remaining grids must be singletons.
     """
     ab, delta, xi = _require_singletons(config, "optimize")
     candidates: dict[tuple[int, float], ProtocolParams | None] = {}

@@ -287,8 +287,8 @@ class ProtocolReport:
     """The outcome tree of one experiment at its final step k; the rest are views.
 
     It stores :func:`final_step`: the click mass M_k, the survival 1 - M_k of
-    either hypothesis, the survived overlap O_k and 1 - O_k in closed form,
-    which keeps its digits as the pair nears parallel; and both baselines.
+    either hypothesis, the survived overlap O_k and the gap 1 - O_k^2 in closed
+    form, which keeps its digits as the pair nears parallel; and both baselines.
     total_cost, the verdicts (total_cost minus each baseline; positive: worse
     than that baseline) and the leaves are computed under params.mode when
     read, and so is every per-step value, which nothing keeps: clicks[j - 1]
@@ -320,7 +320,7 @@ class ProtocolReport:
     @property
     def clicks(self) -> tuple[float, ...]:
         a, _, x = normalised(self.params)
-        return tuple((0.5 * a * a * _decay(x)[0] * np.exp(self._steps()[0][:-1])).tolist())
+        return tuple((0.5 * a * a * _decay(x)[0] * self._steps()[0][:-1]).tolist())
 
     @property
     def survival(self) -> tuple[float, ...]:
@@ -420,27 +420,25 @@ def _each(fn, *args):
 
 
 def _columns(a, bd, x, steps):
-    """log c^(2 j), M_j, 1 - M_j and O_j of :func:`tree`, without the gap."""
+    """c^(2 j), M_j, 1 - M_j and O_j of :func:`tree`, without the gap."""
     log_decay = steps * _each(lambda v: _decay(v)[1], x)
-    expm1 = np.expm1(log_decay)  # of a float, a numpy scalar with the bits of an array entry
-    mass = -(0.5 * a * a) * (expm1 if isinstance(expm1, np.ndarray) else float(expm1))
+    expm1, decay = np.expm1(log_decay), np.exp(log_decay)
+    if not isinstance(log_decay, np.ndarray):  # numpy scalars with the bits of an array entry
+        expm1, decay = float(expm1), float(decay)
+    mass = -(0.5 * a * a) * expm1
     survival = 1.0 - mass
-    return log_decay, mass, survival, abs(bd * bd - mass) / survival
+    return decay, mass, survival, abs(bd * bd - mass) / survival
 
 
 def tree(a, bd, x, steps):
-    """M_j, 1 - M_j, O_j and 1 - O_j at j = ``steps`` of one point of floats, as floats, or
-    entry by entry over broadcast arrays of :func:`normalised` values (see :func:`run`);
-    log c^2 takes ``math`` per entry of x, expm1 and exp take numpy's on both paths."""
-    log_decay, mass, survival, overlap = _columns(a, bd, x, steps)
-    a2, bd2 = a * a, bd * bd
-    # 1 - O_j = (1 - M_j - |b^2 delta^2 - M_j|) / (1 - M_j) cancels near parallel;
-    # a^2 + b^2 delta^2 = 1 turns the numerator into a sum of positive terms.
-    if isinstance(mass, np.ndarray):
-        gap = np.where(mass >= bd2, (2.0 * bd2 + a2 * np.exp(log_decay)) / survival, a2 / survival)
-    else:
-        gap = (2.0 * bd2 + a2 * float(np.exp(log_decay))) / survival if mass >= bd2 else a2 / survival
-    return mass, survival, overlap, gap
+    """M_j, 1 - M_j, O_j and the gap 1 - O_j^2, the survived pair's Helstrom complement, at
+    j = ``steps`` of one point of floats, as floats, or entry by entry over broadcast arrays of
+    :func:`normalised` values (see :func:`run`); log c^2 takes ``math`` per entry of x, expm1
+    and exp take numpy's on both paths. The gap a^2 (2 b^2 delta^2 + a^2 c^(2 j)) / (1 - M_j)^2
+    adds nonnegative terms, where a^2 (1 + b^2 delta^2 - 2 M_j) / (1 - M_j)^2 cancels as b -> 0."""
+    decay, mass, survival, overlap = _columns(a, bd, x, steps)
+    a2 = a * a
+    return mass, survival, overlap, a2 * (2.0 * bd * bd + a2 * decay) / (survival * survival)
 
 
 def final_step(params: ProtocolParams) -> tuple[float, float, float, float]:
@@ -457,7 +455,7 @@ def baselines(prior, a, bd):
 def ledger(mode: Mode, prior, mass, survival, overlap, gap):
     """Click-leaf cost, survived-leaf cost and total under ``mode`` of floats or arrays of :func:`tree`."""
     click, survived = (0.5, 0.0) if mode is Mode.PAPER else (
-        guess_only_cost(prior), helstrom_cost(prior, overlap * overlap, gap * (2.0 - gap)))
+        guess_only_cost(prior), helstrom_cost(prior, overlap * overlap, gap))
     return click, survived, mass * click + survival * survived
 
 
