@@ -516,12 +516,11 @@ def _least_click_mass_dt(delta: float, lo: float, hi: float) -> float:
 def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow]:
     """Minimize the selected ledger's total cost over the free parameters.
 
-    Each k's grid dts (under dt=auto, its one cancellation dt) are validated as parameter
-    sets. Either total never falls as the click mass M_k rises, so on a dt bracket each k
-    adds the dt of least M_k (:func:`_least_click_mass_dt`), valid unbuilt because every
-    check on dt is monotone in dt. All candidates are priced as sweep rows in one
-    :func:`_rows` pass, and the least (total, k, dt) wins: ties go to smaller k, then
-    smaller dt. All remaining grids must be singletons.
+    Each k's grid dts (under dt=auto, its cancellation dt) are validated as parameter sets.
+    Either total never falls as the click mass M_k rises, so a dt bracket adds for each k the dt
+    of least M_k (:func:`_least_click_mass_dt`), valid unbuilt as every check on dt is monotone
+    in dt. One :func:`_rows` pass prices all candidates as sweep rows; the least (total, k, dt)
+    wins, so ties go to smaller k, then smaller dt. Other grids must be singletons.
     """
     ab, delta, xi = _require_singletons(config, "optimize")
     candidates: dict[tuple[int, float], ProtocolParams | None] = {}

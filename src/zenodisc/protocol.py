@@ -453,7 +453,8 @@ def baselines(prior, a, bd):
 
 
 def ledger(mode: Mode, prior, mass, survival, overlap, gap):
-    """Click-leaf cost, survived-leaf cost and total under ``mode`` of floats or arrays of :func:`tree`."""
+    """Click-leaf cost, survived-leaf cost and total under ``mode`` of floats or arrays of
+    :func:`tree`, whose gap 1 - O^2 goes to :func:`helstrom_cost` as its complement as it is."""
     click, survived = (0.5, 0.0) if mode is Mode.PAPER else (
         guess_only_cost(prior), helstrom_cost(prior, overlap * overlap, gap))
     return click, survived, mass * click + survival * survived
