@@ -2,24 +2,24 @@
 
 Each property must hold on the whole valid domain, not only the fixture:
 pricing one tree under the other ledger is a run under that ledger, the
-final-step price of a point is the total of its run, tree gives
-a point of floats, as floats, the values of its one-entry arrays, the
-survival trajectory pairs up the stored survival, the charged leaves sum
-to the closed-form total, the tree agrees with the independent
-dense-exponential walk of the oracles, the exact ledger never
-beats the Helstrom floor, the exact total never falls as the click mass
-rises (at 50 digits) and sits on the floor where the click mass is 0, the paper total is half the click mass, the leaf
-masses sum to one, relabelling the hypotheses at an even prior matches the
-oracle walk from the swapped pair, swapping the prior for its complement
-leaves the total unchanged, many close probes at a fixed total time
-meet the Misra-Sudarshan limit, a scaling study's rows are those of one
+final-step price of a point is the total of its run, tree gives a point of
+floats, as floats, the values of its one-entry arrays, the survival
+trajectory pairs up the stored survival, the charged leaves sum to the
+closed-form total, the tree agrees with the independent dense-exponential
+walk of the oracles, the exact ledger never beats the Helstrom floor, the
+exact total never falls as the click mass rises (at 50 digits) and sits on
+the floor where the click mass is 0, the paper total is half the click mass,
+the leaf masses sum to one, relabelling the hypotheses at an even prior
+matches the oracle walk from the swapped pair, swapping the prior for its
+complement leaves the total unchanged, many close probes at a fixed total
+time meet the Misra-Sudarshan limit, a scaling study's rows are those of one
 walk per grid point with one fit per column, a sweep report, rendered and
 written in one pass, and a scaling CSV and a run report have the bytes of
-the cell-by-cell references, optimize finds what building and running
-each of its candidates finds, and no dt of a bracket, in a dense scan,
-prices below the optimum. The oracle comparisons run up to k = 200,
-the others up to k = 10^4. Rounding bounds count one rounding per leaf:
-(k + 1) eps, or 2 (k + 1) eps where two sums meet.
+the cell-by-cell references, optimize finds what building and running each
+of its candidates finds, and no dt of a bracket, in a dense scan, prices
+below the optimum. The oracle comparisons run up to k = 200, the others up
+to k = 10^4. Rounding bounds count one rounding per leaf: (k + 1) eps, or 2
+(k + 1) eps where two sums meet.
 """
 
 import csv
@@ -505,8 +505,9 @@ def test_no_dt_of_a_bracket_prices_below_the_optimum(config):
     assert row.total_cost <= least + slack
 
 
-# The exact total as a function of the click mass M alone (β = b^2 δ^2, a^2 = 1 - β):
-# f(M) = M min(ξ, 1 - ξ) + (1 - M) H(ξ, O^2) with O = |β - M| / (1 - M), for 0 <= M <= a^2 / 2.
+# The exact total as a function of the click mass M alone, with beta = b^2 delta^2 and
+# a^2 = 1 - beta: f(M) = M min(xi, 1 - xi) + (1 - M) H(xi, O^2), O = |beta - M| / (1 - M),
+# for 0 <= M <= a^2 / 2.
 # At 50 digits f never decreases; the slack is 1e-45 relative, far above the decimal
 # rounding and far below any float difference of two totals.
 @settings(max_examples=200, deadline=None)
