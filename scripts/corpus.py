@@ -156,6 +156,15 @@ def invocations() -> list[dict]:
         _config(b=10, delta="0.01,0.0031622776601683794,0.001", dt="auto", k="1,5,20", xi=0.5))
     add("scaling-overflow", ["scaling", "--config", "cfg"],
         _config(b=1, delta="0.1,0.03,0.01", dt=1, k=10000000))
+    # k = 2^53 + 1, past the integers a float holds exactly.
+    add("scaling-k-past-2-53", ["scaling", "--config", "cfg"],
+        _config(b=10, delta="0.01,0.0031622776601683794,0.001", dt="auto", k=2**53 + 1))
+    # The first overflow is in the second template, (a = 0.999, dt = 10, k = 3000).
+    add("scaling-overflow-later-template", ["scaling", "--config", "cfg"],
+        _config(a="0.99,0.999", delta="0.1,0.03,0.01", dt="1,10", k="1,3000"))
+    # b = 20 fails at delta = 0.1 though b = 1 overflows first in template order.
+    add("scaling-failing-template", ["scaling", "--config", "cfg"],
+        _config(b="1,20", delta="0.1,0.03,0.01", dt=1, k=10000000))
     add("scaling-short-grid", ["scaling", "--config", "cfg"], _config(b=10, delta="0.01,0.001"))
     add("scaling-unknown", ["scaling", "--config", "cfg", "--quantity", "nope"],
         _config(b=10, delta="0.01,0.0031622776601683794,0.001"))
