@@ -159,7 +159,7 @@ def invocations() -> list[dict]:
     # k = 2^53 + 1, past the integers a float holds exactly.
     add("scaling-k-past-2-53", ["scaling", "--config", "cfg"],
         _config(b=10, delta="0.01,0.0031622776601683794,0.001", dt="auto", k=2**53 + 1))
-    # The first overflow is in the second template, (a = 0.999, dt = 10, k = 3000).
+    # The first overflow is in the fourth template, (a = 0.99, dt = 10, k = 3000).
     add("scaling-overflow-later-template", ["scaling", "--config", "cfg"],
         _config(a="0.99,0.999", delta="0.1,0.03,0.01", dt="1,10", k="1,3000"))
     # b = 20 fails at delta = 0.1 though b = 1 overflows first in template order.

@@ -17,7 +17,6 @@ from .protocol import (
     ProtocolReport,
     amplitudes,
     price,
-    rescale_delta,
     run,
     solve_orthogonality,
     total_cost_paper_mode,
@@ -44,7 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "guess_only_cost", "helstrom_cost",
     "LeafRecord", "Mode", "ProtocolParams", "ProtocolReport", "amplitudes",
-    "price", "rescale_delta", "run", "solve_orthogonality", "total_cost_paper_mode",
+    "price", "run", "solve_orthogonality", "total_cost_paper_mode",
     "PureState", "ValidationError",
     "EXPRESSIONS", "SUSPECT_FLAGS", "ScalingFit",
     "baseline_paper_convention", "fit_power_law", "fit_scaling", "k_step_state",

@@ -248,18 +248,6 @@ def derive_points(amplitude: str, ab, delta, dt, k, prior) -> tuple[Points, list
     return points, errors
 
 
-def rescale_delta(params: ProtocolParams, delta: float, auto_dt: bool = False) -> ProtocolParams:
-    """Move ``params`` to a new delta holding b fixed and re-deriving a.
-
-    With auto_dt the spacing is re-solved from 2*k*a*dt = b; otherwise the
-    original dt is kept. Used by the delta-scaling studies.
-    """
-    return ProtocolParams.from_b(
-        params.b, delta, params.k,
-        dt=None if auto_dt else params.dt, prior=params.prior, mode=params.mode,
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class LeafRecord:
     """One terminal branch of the outcome tree.
@@ -411,11 +399,11 @@ def _decay(x: float) -> tuple[float, float]:
     return s2, math.log1p(-s2) if s2 < 1.0 else 2.0 * math.log(abs(math.cos(x)))
 
 
-def _each(fn, *args):
-    """The ``math`` function ``fn`` of floats, or entry by entry over broadcast arrays as a
-    float array, where numpy's counterpart would round differently."""
+def _each(fn, *args, dtype=float):
+    """The ``math`` function ``fn`` of floats, or entry by entry over broadcast arrays as an
+    array of ``dtype``, where numpy's counterpart would round differently."""
     if np.ndarray in map(type, args):
-        return np.frompyfunc(fn, len(args), 1)(*args).astype(float)
+        return np.frompyfunc(fn, len(args), 1)(*args).astype(dtype)
     return fn(*args)
 
 
@@ -460,15 +448,15 @@ def ledger(mode: Mode, prior, mass, survival, overlap, gap):
     return click, survived, mass * click + survival * survived
 
 
-def survived_state(a: float, bd: float, x: float, k: int, survival: float) -> np.ndarray:
-    """The survived state of hypothesis 0 from :func:`normalised` values, k and 1 - M_k:
-    ((a/2)(c^k + cos k delta dt), -i (a/2) sin k delta dt, i (a/2) sin k delta dt,
-    (a/2)(c^k - cos k delta dt), b delta) / sqrt(1 - M_k); hypothesis 1 is its mirror."""
+def survived_state(a, bd, x, k, survival) -> np.ndarray:
+    """The survived state of hypothesis 0 (its mirror is hypothesis 1's) from :func:`normalised`
+    values, k and 1 - M_k, as a 5-vector or 5 x n over columns (``math`` per entry), x = delta dt:
+    ((a/2)(c^k + cos kx), -i (a/2) sin kx, i (a/2) sin kx, (a/2)(c^k - cos kx), b delta) / sqrt(1 - M_k)."""
     # c^k with its sign: the even amplitude flips at every step when c < 0.
-    ck = math.exp(0.5 * (k * _decay(x)[1])) * math.copysign(1.0, math.cos(x)) ** k
-    cos_kx, sin_kx = math.cos(k * x), math.sin(k * x)
+    ck = _each(lambda v, j: math.exp(0.5 * (j * _decay(v)[1])) * math.copysign(1.0, math.cos(v)) ** j, x, k)
+    cos_kx, sin_kx = _each(math.cos, k * x), _each(math.sin, k * x)
     return np.array([0.5 * a * (ck + cos_kx), -0.5j * a * sin_kx, 0.5j * a * sin_kx,
-                     0.5 * a * (ck - cos_kx), bd]) / math.sqrt(survival)
+                     0.5 * a * (ck - cos_kx), bd]) / np.sqrt(survival)
 
 
 def run(params: ProtocolParams) -> ProtocolReport:

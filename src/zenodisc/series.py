@@ -9,12 +9,12 @@ Overall e^{i E t} phase factors are dropped from the state forms
 imaginary units between components are kept.
 
 The delta-scaling fits measure |exact - series| on a small delta grid and
-report the log-log slope, which is the empirical truncation order. Every
-residual reads one :class:`FinalStep` record of its grid point: the first
-click probability and, at the final step, the survival, the survived overlap
-and the survived state. :func:`scaling_fits` takes the records of a whole
-study from one :func:`protocol.tree` call, with no report or per-step array,
-and fits every residual column with one least-squares solve.
+report the log-log slope, the empirical truncation order. Each form that a
+residual reads takes one point or :class:`protocol.Points` columns in one
+body (squares as products, k a float, the k-step prefactor Python's ``**``
+per entry), so a column entry is its point's value bit for bit.
+:func:`scaling_fits` evaluates a whole study as columns, from one
+:func:`protocol.tree` call, and fits every residual with one solve.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import protocol
 from .helstrom import helstrom_cost
-from .protocol import ProtocolParams, rescale_delta, shown
+from .protocol import ProtocolParams, _each, shown
 from .qcore import ValidationError
 
 # Residuals below this are double-precision noise, not series error.
@@ -46,31 +46,30 @@ def one_step_state(params: ProtocolParams, hypothesis: int) -> np.ndarray:
     on the transverse component is kept.
     """
     a, b, d, dt = params.a, params.b, params.delta, params.dt
-    lead = a * (1.0 - 0.5 * dt**2 * d**2)
+    lead = a * (1.0 - 0.5 * (dt * dt) * (d * d))
     off = 1j * d * a * dt
-    return _mirrored(np.array([lead, off, 0.0, 0.0, d * b], dtype=np.complex128), hypothesis)
+    return _state((lead, off, 0.0, 0.0, d * b), hypothesis)
 
 
 def k_step_state(params: ProtocolParams, hypothesis: int) -> np.ndarray:
     """Null-branch state after k evolve-and-ask iterations, truncated series form.
 
-    Carries the compound renormalization prefactor
-    (1 - a^2 delta^2 dt^2 / 2)^(-k/2). The fourth component is written with
-    the sign it is written with; magnitude comparisons are sign-blind.
+    Carries the compound renormalization prefactor (1 - a^2 delta^2 dt^2 / 2)^(-k/2),
+    Python's ``**`` per point (complex for a negative base at odd k), inf where it overflows.
+    The fourth component is written with the sign it is written with; magnitude comparisons
+    are sign-blind.
     """
-    a, b, d, dt, k = params.a, params.b, params.delta, params.dt, params.k
-    pref = (1.0 - 0.5 * a**2 * d**2 * dt**2) ** (-k / 2.0)
-    lead = a * (1.0 - 0.25 * k * (k + 1) * dt**2 * d**2)
+    a, b, d, dt, k = params.a, params.b, params.delta, params.dt, params.k * 1.0
+    pref = _each(_power, 1.0 - 0.5 * (a * a) * (d * d) * (dt * dt), -k / 2.0, dtype=complex)
+    lead = a * (1.0 - 0.25 * k * (k + 1.0) * (dt * dt) * (d * d))
     off = 0.5j * k * d * a * dt
-    fourth = -0.25 * k * (k - 1) * d**2 * a * dt**2
-    if not all(math.isfinite(abs(pref * c)) for c in (lead, off, fourth)):
-        raise OverflowError(f"k_step_state overflows at k={k!r}")
-    return pref * _mirrored(np.array([lead, off, -off, fourth, d * b], dtype=np.complex128), hypothesis)
+    fourth = -0.25 * k * (k - 1.0) * (d * d) * a * (dt * dt)
+    return pref * _state((lead, off, -off, fourth, d * b), hypothesis)
 
 
 def one_step_survival(params: ProtocolParams) -> float:
     """Single-step null-outcome probability 1 - a^2 delta^2 dt^2 / 2."""
-    return 1.0 - 0.5 * params.a**2 * params.delta**2 * params.dt**2
+    return 1.0 - 0.5 * (params.a * params.a) * (params.delta * params.delta) * (params.dt * params.dt)
 
 
 def survival_k_paper(params: ProtocolParams) -> float:
@@ -78,7 +77,8 @@ def survival_k_paper(params: ProtocolParams) -> float:
 
     Flagged: see its entry in EXPRESSIONS.
     """
-    return 1.0 - 0.25 * params.a**2 * params.k * params.delta**2 * params.dt**2
+    p = params
+    return 1.0 - 0.25 * (p.a * p.a) * p.k * (p.delta * p.delta) * (p.dt * p.dt)
 
 
 def overlap_k_paper(params: ProtocolParams) -> float:
@@ -88,8 +88,9 @@ def overlap_k_paper(params: ProtocolParams) -> float:
     with the literal single power of dt in the second term.
     Flagged: see its entry in EXPRESSIONS.
     """
-    a, b, d, dt, k = params.a, params.b, params.delta, params.dt, params.k
-    return (1.0 + 0.25 * a**2 * k * d**2 * dt**2) * (b**2 * d**2 - 2.0 * a**2 * k**2 * dt * d**2)
+    a, b, d, dt, k = params.a, params.b, params.delta, params.dt, params.k * 1.0
+    a2, d2 = a * a, d * d
+    return (1.0 + 0.25 * a2 * k * d2 * (dt * dt)) * ((b * b) * d2 - 2.0 * a2 * (k * k) * dt * d2)
 
 
 def baseline_paper_convention(params: ProtocolParams) -> float:
@@ -98,7 +99,8 @@ def baseline_paper_convention(params: ProtocolParams) -> float:
     The alternative convention squares the overlap; that baseline is
     ``ProtocolReport.baseline_exact``. Reports print both side by side.
     """
-    return helstrom_cost(params.prior, (params.b * params.delta) ** 2, params.a**2)
+    bd = params.b * params.delta
+    return helstrom_cost(params.prior, bd * bd, params.a * params.a)
 
 
 def original_cost(params: ProtocolParams) -> float:
@@ -166,68 +168,77 @@ def fit_power_law(deltas, residuals) -> ScalingFit:
     return fit_power_laws(deltas, [residuals])[0]
 
 
-def _mirrored(comps: np.ndarray, hypothesis: int) -> np.ndarray:
-    """The components of hypothesis 0, or for hypothesis 1 their 1<->4, 2<->3 mirror."""
+def _power(base: float, exponent: float):
+    """Python's ``base ** exponent``, inf where it overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
+def _state(components, hypothesis: int) -> np.ndarray:
+    """The components as a complex 5-vector (5 x n over columns), 1<->4, 2<->3 mirrored for 1."""
     if hypothesis not in (0, 1):
         raise ValidationError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
-    return comps[[3, 2, 1, 0, 4]] if hypothesis else comps
+    state = np.array(np.broadcast_arrays(*components), dtype=np.complex128)
+    return state[[3, 2, 1, 0, 4]] if hypothesis else state
 
 
-def _magnitude_gap(exact: np.ndarray, approx: np.ndarray) -> float:
-    return float(np.max(np.abs(np.abs(exact) - np.abs(approx))))
+def _magnitude_gap(exact: np.ndarray, approx: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(np.abs(exact) - np.abs(approx)), axis=0)
 
 
 class FinalStep(NamedTuple):
-    """What the residuals read of one grid point; all but the first click are at step k."""
+    """What the residuals read of every grid point, as columns; all but the first click at k."""
 
-    params: ProtocolParams
-    first_click: float  # 0.5 a^2 s^2, the click probability of step 1
-    survival: float
-    overlap: float
-    survived: np.ndarray  # the state of hypothesis 0, :func:`protocol.survived_state`
+    params: protocol.Points
+    first_click: np.ndarray  # 0.5 a^2 s^2, the click probability of step 1
+    survival: np.ndarray
+    overlap: np.ndarray
+    survived: np.ndarray  # 5 x n, the states of hypothesis 0, :func:`protocol.survived_state`
 
 
-# Residuals |exact - series| of one FinalStep (the one-step state and the
-# baseline need only its params).
+# Residuals |exact - series| of each column of a FinalStep (the one-step
+# state and the baseline need only its params).
 
-def _residual_click_prob(point: FinalStep) -> float:
+def _residual_click_prob(point: FinalStep) -> np.ndarray:
     p = point.params
-    return abs(point.first_click - 0.5 * p.a**2 * p.delta**2 * p.dt**2)
+    return abs(point.first_click - 0.5 * (p.a * p.a) * (p.delta * p.delta) * (p.dt * p.dt))
 
 
-def _residual_one_step_state(point: FinalStep) -> float:
+def _residual_one_step_state(point: FinalStep) -> np.ndarray:
     # The evolved state's magnitudes: (a, 0, 0, 0, b delta) rotates inside
     # levels 1-2 by delta dt, and e0, e1 enter only phases.
     p = point.params
     x = p.delta * p.dt
-    exact = np.array([p.a * abs(math.cos(x)), p.a * abs(math.sin(x)), 0.0, 0.0, p.b * p.delta])
-    return _magnitude_gap(exact, one_step_state(p, 0))
+    exact = (p.a * abs(_each(math.cos, x)), p.a * abs(_each(math.sin, x)), 0.0, 0.0, p.b * p.delta)
+    return _magnitude_gap(_state(exact, 0), one_step_state(p, 0))
 
 
-def _residual_k_step_state(point: FinalStep) -> float:
+def _residual_k_step_state(point: FinalStep) -> np.ndarray:
     return _magnitude_gap(point.survived, k_step_state(point.params, 0))
 
 
-def _residual_survival_step(point: FinalStep) -> float:
+def _residual_survival_step(point: FinalStep) -> np.ndarray:
     return abs((1.0 - point.first_click) - one_step_survival(point.params))
 
 
-def _residual_survival_k(point: FinalStep) -> float:
+def _residual_survival_k(point: FinalStep) -> np.ndarray:
     return abs(point.survival - survival_k_paper(point.params))
 
 
-def _residual_overlap_vs_series(point: FinalStep) -> float:
+def _residual_overlap_vs_series(point: FinalStep) -> np.ndarray:
     return abs(point.overlap - abs(overlap_k_paper(point.params)))
 
 
-def _residual_final_overlap(point: FinalStep) -> float:
+def _residual_final_overlap(point: FinalStep) -> np.ndarray:
     # Deviation from the claimed exact cancellation to zero.
     return point.overlap
 
 
-def _residual_baseline(point: FinalStep) -> float:
-    p = point.params
-    return abs(baseline_paper_convention(p) - 0.25 * (p.b * p.delta) ** 2)
+def _residual_baseline(point: FinalStep) -> np.ndarray:
+    bd = point.params.b * point.params.delta
+    return abs(baseline_paper_convention(point.params) - 0.25 * (bd * bd))
 
 
 @dataclass(frozen=True)
@@ -241,7 +252,7 @@ class Expression:
     evaluate: Callable
     stated_error_order: int
     suspect: str | None = None
-    residuals: dict[str, Callable[[FinalStep], float]] = field(default_factory=dict)
+    residuals: dict[str, Callable[[FinalStep], np.ndarray]] = field(default_factory=dict)
 
     @property
     def implemented_by(self) -> str:
@@ -307,35 +318,36 @@ def quantity_flag(quantity: str) -> str:
     return entry.name if entry.suspect else ""
 
 
-def _residual(quantity: str, point: FinalStep) -> float:
-    """|exact - series| of ``quantity`` at ``point``; a ValidationError where it overflows."""
-    try:
-        value = SCALING_QUANTITIES[quantity].residuals[quantity](point)
-        if math.isfinite(value):
-            return value
-    except ArithmeticError:
-        pass
-    p = point.params
-    raise ValidationError(f"{quantity} overflows at b={p.b!r}, delta={p.delta!r}, dt={p.dt!r}, k={shown(p.k)}")
-
-
+@np.errstate(all="ignore")  # an overflowing residual is non-finite, and reported as such
 def scaling_fits(quantities, deltas, templates, auto_dt: bool = False) -> list[ScalingFit]:
     """The fit of each quantity over the delta grid for each template, template-major.
 
     Each template moves across the grid with b, k and the prior held (a re-derived) and dt
-    held or, with auto_dt, re-solved per point. One :func:`protocol.tree` call over the final
-    step of all points gives their FinalStep records; one :func:`fit_power_laws` fits them."""
+    held or, with auto_dt, re-solved per point. One :func:`protocol.derive_points` call
+    validates the grid (the first failing point raises), one :func:`protocol.tree` and one
+    :func:`protocol.survived_state` call evaluate it, and each residual is one pass of its form;
+    the first that is not finite, by template, quantity and delta, raises. One
+    :func:`fit_power_laws` fits every column."""
     for q in quantities:
         _tested_expression(q)  # rejects an unknown name before any evaluation
-    points = [rescale_delta(t, d, auto_dt=auto_dt) for t in templates for d in deltas]
-    a, bd, x = np.array([protocol.normalised(p) for p in points]).reshape(-1, 3).T
-    _, survival, overlap, _ = protocol.tree(a, bd, x, np.array([float(p.k) for p in points]))
-    records = [FinalStep(p, 0.5 * ai * ai * math.sin(xi) ** 2, si, oi,
-                         protocol.survived_state(ai, bdi, xi, p.k, si))
-               for p, ai, bdi, xi, si, oi in zip(points, *(v.tolist() for v in (a, bd, x, survival, overlap)))]
+    grid = [(t.b, d, None if auto_dt else t.dt, t.k, t.prior) for t in templates for d in deltas]
+    if not grid:
+        return fit_power_laws(deltas, [])
+    points, errors = protocol.derive_points("b", *zip(*grid))
+    if any(errors):
+        raise ValidationError(next(filter(None, errors)))
+    a, bd, x = protocol.normalised(points)
+    _, survival, overlap, _ = protocol.tree(a, bd, x, points.k)
+    final = FinalStep(points, 0.5 * a * a * _each(lambda v: math.sin(v) ** 2, x), survival, overlap,
+                      protocol.survived_state(a, bd, x, points.k, survival))
     n = len(deltas)
-    return fit_power_laws(deltas, [[_residual(q, r) for r in records[t * n:(t + 1) * n]]
-                                   for t in range(len(templates)) for q in quantities])
+    # The residuals by (template, quantity, delta).
+    res = np.stack([SCALING_QUANTITIES[q].residuals[q](final).reshape(-1, n) for q in quantities], axis=1)
+    if not np.isfinite(res).all():
+        t, q, j = np.argwhere(~np.isfinite(res))[0].tolist()
+        raise ValidationError(f"{quantities[q]} overflows at b={templates[t].b!r}, delta={deltas[j]!r}, "
+                              f"dt={points.dt[t * n + j].item()!r}, k={shown(templates[t].k)}")
+    return fit_power_laws(deltas, res.reshape(-1, n))
 
 
 def fit_scaling(quantity: str, deltas, template: ProtocolParams, auto_dt: bool = False) -> ScalingFit:

@@ -4,6 +4,7 @@ import runpy
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zenodisc import cli, protocol
@@ -197,23 +198,37 @@ def test_run_sweep_walks_each_point_once(monkeypatch):
 
 
 def test_scaling_study_walks_each_delta_once(monkeypatch):
-    # 3 templates (k = 1, 5, 20) times 3 deltas, evaluated in one tree call
-    # with no walk, and every (template, quantity) column fitted in one call.
+    # 3 templates (k = 1, 5, 20) times 3 deltas, evaluated as columns in one tree
+    # and one survived_state call with no walk, every (template, quantity) column
+    # fitted in one call, and a ProtocolParams built for each template only.
     walked = _count_walks(monkeypatch)
     fitted = _count_fits(monkeypatch)
-    trees = []
-    tree = protocol.tree
+    trees, survived, built = [], [], []
+    tree, survived_state = protocol.tree, protocol.survived_state
+    post_init = protocol.ProtocolParams.__post_init__
 
     def counting_tree(a, bd, x, steps):
         trees.append(len(steps))
         return tree(a, bd, x, steps)
 
+    def counting_survived_state(a, bd, x, k, survival):
+        survived.append(np.size(k))
+        return survived_state(a, bd, x, k, survival)
+
+    def counting_post_init(params):
+        built.append(params)
+        post_init(params)
+
     monkeypatch.setattr(protocol, "tree", counting_tree)
+    monkeypatch.setattr(protocol, "survived_state", counting_survived_state)
+    monkeypatch.setattr(protocol.ProtocolParams, "__post_init__", counting_post_init)
     fits = cli.scaling_study(parse_config(ADJUDICATE["SCALING"]), "all")
     monkeypatch.undo()
     assert len(fits) == 3 * len(cli.series.SCALING_QUANTITIES)
     assert walked == []
     assert trees == [9]
+    assert survived == [9]
+    assert len(built) == 3
     assert len(fitted) == 1 and len(fitted[0]) == len(fits)
 
 

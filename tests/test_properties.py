@@ -13,13 +13,15 @@ the leaf masses sum to one, relabelling the hypotheses at an even prior
 matches the oracle walk from the swapped pair, swapping the prior for its
 complement leaves the total unchanged, many close probes at a fixed total
 time meet the Misra-Sudarshan limit, a scaling study's rows are those of one
-walk per grid point with one fit per column, a sweep report, rendered and
-written in one pass, and a scaling CSV and a run report have the bytes of
-the cell-by-cell references, optimize finds what building and running each
-of its candidates finds, and no dt of a bracket, in a dense scan, prices
-below the optimum. The oracle comparisons run up to k = 200, the others up
-to k = 10^4. Rounding bounds count one rounding per leaf: (k + 1) eps, or 2
-(k + 1) eps where two sums meet.
+walk per grid point with one fit per column and its error that of the first
+failing walk, each series form of columns is the form of each point (k up
+to 10^18), a sweep report, rendered and written in one pass, and a scaling
+CSV and a run report have the bytes of the cell-by-cell references,
+optimize finds what building and running each of its candidates finds, and
+no dt of a bracket, in a dense scan, prices below the optimum. The oracle
+comparisons run up to k = 200, the others up to k = 10^4 unless stated.
+Rounding bounds count one rounding per leaf: (k + 1) eps, or 2 (k + 1) eps
+where two sums meet.
 """
 
 import csv
@@ -238,12 +240,18 @@ _AUTO_FAILING = cli.SweepConfig(amplitude="b", ab=(0.0, 1.0, 200.0), delta=(0.00
                                 k=(1, 7), xi=(0.5,), modes=(Mode.EXACT, Mode.PAPER))
 
 
+def _rescaled(template: ProtocolParams, delta: float, auto_dt: bool) -> ProtocolParams:
+    """``template`` moved to ``delta`` with b, k and the prior held, dt held or re-solved."""
+    return ProtocolParams.from_b(template.b, delta, template.k, dt=None if auto_dt else template.dt,
+                                 prior=template.prior)
+
+
 def _walked_exponent(params: ProtocolParams, auto_dt: bool) -> float | None:
     """The overlap exponent from one walk per point of the default delta grid."""
     if params.b * max(series.DEFAULT_DELTAS) >= 1.0:
         return None
     try:
-        overlaps = [protocol.run(protocol.rescale_delta(params, d, auto_dt=auto_dt)).final_overlap
+        overlaps = [protocol.run(_rescaled(params, d, auto_dt)).final_overlap
                     for d in series.DEFAULT_DELTAS]
         return series.fit_power_law(series.DEFAULT_DELTAS, overlaps).exponent
     except ValidationError:
@@ -332,11 +340,13 @@ def test_report_has_the_bytes_of_the_cell_by_cell_reference(config, digits):
     assert [r["error"] for r in read] == [row.error for row in rows]
 
 
-# The scaling residuals as they were read off one report per grid point.
+# The scaling residuals as they were read off one report per grid point. Squares are
+# products, as in the series forms.
 _REPORT_RESIDUALS = {
     "baseline": lambda r: abs(series.baseline_paper_convention(r.params)
-                              - 0.25 * (r.params.b * r.params.delta) ** 2),
-    "click_prob": lambda r: abs(r.clicks[0] - 0.5 * r.params.a**2 * r.params.delta**2 * r.params.dt**2),
+                              - 0.25 * ((r.params.b * r.params.delta) * (r.params.b * r.params.delta))),
+    "click_prob": lambda r: abs(r.clicks[0] - 0.5 * (r.params.a * r.params.a)
+                                * (r.params.delta * r.params.delta) * (r.params.dt * r.params.dt)),
     "final_overlap": lambda r: r.final_overlap,
     "k_step_state": lambda r: float(np.max(np.abs(np.abs(r.survived_pair[0].amplitudes)
                                                   - np.abs(series.k_step_state(r.params, 0))))),
@@ -351,25 +361,31 @@ _REPORT_RESIDUALS = {
 
 
 def _walked_scaling_rows(config: cli.SweepConfig, quantity: str) -> list[dict]:
-    """The scaling study point by point: one protocol.run per grid point, each
-    residual read off its report, and one np.polyfit per (template, quantity)."""
+    """The scaling study point by point: every template built, one protocol.run per grid
+    point, each residual read off its report, and one np.polyfit per (template, quantity).
+    The first residual that is not finite, by template, quantity and delta, raises."""
     build = ProtocolParams.from_a if config.amplitude == "a" else ProtocolParams.from_b
     quantities = sorted(_REPORT_RESIDUALS) if quantity == "all" else [quantity]
     deltas = config.delta[::-1]
+    templates = [build(ab, deltas[0], k, dt=dt, prior=xi)
+                 for ab, dt, k, xi in itertools.product(config.ab, config.dt, config.k, config.xi)]
+    walks = [[protocol.run(_rescaled(t, d, config.auto_dt)) for d in deltas] for t in templates]
     rows = []
-    for ab, dt, k, xi in itertools.product(config.ab, config.dt, config.k, config.xi):
-        template = build(ab, deltas[0], k, dt=dt, prior=xi)
-        reports = [protocol.run(protocol.rescale_delta(template, d, auto_dt=config.auto_dt))
-                   for d in deltas]
+    for template, reports in zip(templates, walks):
         for q in quantities:
-            residuals = [_REPORT_RESIDUALS[q](r) for r in reports]
+            with np.errstate(all="ignore"):  # an overflowing series form is inf or NaN
+                residuals = [_REPORT_RESIDUALS[q](r) for r in reports]
+            for p, value in zip((report.params for report in reports), residuals):
+                if not math.isfinite(value):
+                    raise ValidationError(f"{q} overflows at b={p.b!r}, delta={p.delta!r}, dt={p.dt!r}, "
+                                          f"k={protocol.shown(p.k)}")
             n_floored = sum(1 for r in residuals if r < series.NOISE_FLOOR)
             exponent = intercept = math.nan
             if n_floored < len(deltas):
                 floored = [max(r, series.NOISE_FLOOR) for r in residuals]
                 exponent, intercept = np.polyfit(np.log(deltas), np.log(floored), 1).tolist()
             rows.append({
-                "quantity": q, "b": template.b, "k": k, "xi": xi,
+                "quantity": q, "b": template.b, "k": template.k, "xi": template.prior,
                 "dt_rule": "auto" if config.auto_dt else template.dt,
                 "exponent": exponent, "intercept": intercept, "n_floored": n_floored,
                 "indeterminate": n_floored == len(deltas), "flag": series.quantity_flag(q),
@@ -400,11 +416,7 @@ def scaling_configs(draw):
                            modes=(Mode.EXACT,))
 
 
-@settings(max_examples=40, deadline=None)
-@given(scaling_configs(), st.sampled_from(sorted(series.SCALING_QUANTITIES) + ["all"]),
-       st.integers(6, 17))
-def test_scaling_rows_equal_the_rows_of_each_walk(config, quantity, digits):
-    got, want = cli.scaling_study(config, quantity), _walked_scaling_rows(config, quantity)
+def _assert_same_scaling_rows(got: list[dict], want: list[dict]) -> None:
     assert len(got) == len(want)
     for row, ref in zip(got, want):
         assert row.keys() == ref.keys()
@@ -412,7 +424,115 @@ def test_scaling_rows_equal_the_rows_of_each_walk(config, quantity, digits):
             # NaN stands for the exponent and intercept of an indeterminate fit.
             assert value == ref[name] or (isinstance(value, float) and math.isnan(value)
                                           and math.isnan(ref[name])), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(scaling_configs(), st.sampled_from(sorted(series.SCALING_QUANTITIES) + ["all"]),
+       st.integers(6, 17))
+def test_scaling_rows_equal_the_rows_of_each_walk(config, quantity, digits):
+    got = cli.scaling_study(config, quantity)
+    _assert_same_scaling_rows(got, _walked_scaling_rows(config, quantity))
     assert cli.render_scaling_csv(got, digits) == oracles.render_scaling_csv(got, digits)
+
+
+@st.composite
+def failing_scaling_configs(draw):
+    """Like :func:`scaling_configs`, with delta up to 0.1, dt up to 30 and k up to 3000, so
+    that the k-step prefactor often overflows, and with templates that fail: b delta past 1
+    or a past 1 at the largest delta, and a = 0 under auto dt."""
+    top = draw(st.floats(1e-3, 0.1) | st.floats(0.05, 0.1))
+    span = 10.0 ** draw(st.floats(1.0, 2.0))
+    deltas = (top / span, top / span**0.5, top)
+    amplitude = draw(st.sampled_from(("a", "b")))
+    if amplitude == "a":
+        ab = _grid(draw, st.floats(0.0, 1.1))
+    else:
+        ab = tuple(sorted({bd / top for bd in draw(st.lists(st.floats(0.01, 1.1), min_size=1,
+                                                              max_size=2, unique=True))}))
+    dt = (None,) if draw(st.integers(0, 3)) == 0 else _grid(
+        draw, st.floats(0.01, 30.0) | st.floats(1.0, 1.6).map(lambda x: min(x / top, 30.0)))
+    return cli.SweepConfig(amplitude=amplitude, ab=ab, delta=deltas, dt=dt,
+                           k=_grid(draw, st.integers(1, 3000) | st.integers(2000, 3000)),
+                           xi=_grid(draw, st.floats(0.0, 1.0)),
+                           modes=(Mode.EXACT,))
+
+
+# The corpus's scaling-overflow-later-template and scaling-failing-template: the first
+# overflow is in the fourth template, and a failing template (b delta = 2) wins over an
+# earlier template's overflow.
+_LATER_OVERFLOW = cli.SweepConfig(amplitude="a", ab=(0.99, 0.999), delta=(0.01, 0.03, 0.1),
+                                  dt=(1.0, 10.0), k=(1, 3000), xi=(0.5,), modes=(Mode.EXACT,))
+_FAILING_TEMPLATE = cli.SweepConfig(amplitude="b", ab=(1.0, 20.0), delta=(0.01, 0.03, 0.1), dt=(1.0,),
+                                    k=(10**7,), xi=(0.5,), modes=(Mode.EXACT,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(failing_scaling_configs(),
+       st.sampled_from(("all", "k_step_state")) | st.sampled_from(sorted(series.SCALING_QUANTITIES)))
+@example(_LATER_OVERFLOW, "all")
+@example(_FAILING_TEMPLATE, "all")
+def test_scaling_study_raises_the_first_error_of_each_walk(config, quantity):
+    try:
+        want = _walked_scaling_rows(config, quantity)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as err:
+            cli.scaling_study(config, quantity)
+        assert str(err.value) == str(exc)
+        return
+    _assert_same_scaling_rows(cli.scaling_study(config, quantity), want)
+
+
+def _same_entries(column, point) -> bool:
+    """Each entry of ``column`` (the last axis) is the value of ``point`` at that index,
+    equal with its sign in the real and imaginary parts, or non-finite on both sides."""
+    for got, want in zip(np.asarray(column).reshape(-1).tolist(), np.asarray(point).reshape(-1).tolist()):
+        for g, w in ((complex(got).real, complex(want).real), (complex(got).imag, complex(want).imag)):
+            if not (_same(g, w) or not math.isfinite(g) and not math.isfinite(w)):
+                return False
+    return True
+
+
+@st.composite
+def form_points(draw):
+    """One to six valid points, auto or explicit dt, k up to 10^18 and dts that make the
+    k-step prefactor overflow."""
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        delta = draw(st.floats(1e-4, 0.5))
+        dt = draw(st.none() | st.floats(0.01, 3.0) | st.floats(3.0, 1e4))
+        k = draw(st.integers(1, K_MAX) | st.integers(1, 10**18) | st.integers(2**53, 2**53 + 4))
+        try:
+            points.append(ProtocolParams.from_b(draw(st.floats(0.0, 0.95)) / delta, delta, k, dt=dt,
+                                                prior=draw(st.floats(0.0, 1.0))))
+        except ValidationError:
+            pass
+    assume(points)
+    return points
+
+
+_FORMS = (lambda p: series.one_step_state(p, 0), lambda p: series.one_step_state(p, 1),
+          lambda p: series.k_step_state(p, 0), lambda p: series.k_step_state(p, 1),
+          series.one_step_survival, series.survival_k_paper, series.overlap_k_paper,
+          series.baseline_paper_convention)
+
+
+@settings(max_examples=100, deadline=None)
+@given(form_points())
+@example([ProtocolParams.from_b(1.0, 0.1, 10**7, dt=1.0), ProtocolParams.from_b(10.0, 0.01, 2**53 + 1)])
+def test_series_forms_of_columns_are_the_forms_of_each_point(points):
+    columns = protocol.Points(*(np.array([float(getattr(p, name)) for p in points])
+                                for name in protocol.Points._fields))
+    with np.errstate(all="ignore"):  # past the float range k_step_state is inf or NaN
+        for form in _FORMS:
+            got = form(columns)
+            for i, p in enumerate(points):
+                assert _same_entries(got[..., i], form(p)), (form, p)
+    a, bd, x = protocol.normalised(columns)
+    survival = protocol.tree(a, bd, x, columns.k)[1]
+    got = protocol.survived_state(a, bd, x, columns.k, survival)
+    for i, p in enumerate(points):
+        want = protocol.survived_state(a[i].item(), bd[i].item(), x[i].item(), p.k, survival[i].item())
+        assert _same_entries(got[:, i], want), p
 
 
 # `zenodisc run` prints what the per-leaf reference prints, under either ledger.

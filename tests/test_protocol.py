@@ -346,12 +346,3 @@ def test_total_cost_paper_mode_examples():
     ratio = (p.a**2 * p.k**2 * p.dt**2 * p.delta**2) / protocol.total_cost_paper_mode(p)
     assert ratio == pytest.approx(4 * p.k, rel=1e-14)
 
-
-def test_rescale_delta_keeps_b_and_solves_dt():
-    p = ProtocolParams.from_b(10.0, 0.01, k=5)
-    q = protocol.rescale_delta(p, 0.001, auto_dt=True)
-    assert q.b == p.b and q.k == p.k
-    assert q.a == pytest.approx(math.sqrt(1 - 1e-4), abs=1e-15)
-    assert 2 * q.k * q.a * q.dt == pytest.approx(q.b, abs=1e-12)
-    fixed = protocol.rescale_delta(p, 0.001, auto_dt=False)
-    assert fixed.dt == p.dt

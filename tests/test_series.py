@@ -290,6 +290,13 @@ def test_scaling_residual_rejects_unknown_quantity():
         series.quantity_flag("nonsense")
 
 
+def test_scaling_fits_of_an_empty_grid():
+    # No delta is too short a grid; no template is no fit.
+    with pytest.raises(ValidationError, match="at least 3 grid points"):
+        series.scaling_fits(["baseline"], (), [params()])
+    assert series.scaling_fits(["baseline"], DELTAS, []) == []
+
+
 # ---------------------------------------------------------------- checklist
 
 def test_expression_checklist_is_complete():
