@@ -166,7 +166,11 @@ def _decimal_sin(x: Decimal) -> Decimal:
 
 
 def _decimal_helstrom(xi: Decimal, transition: Decimal) -> Decimal:
-    return (1 - (1 - 4 * xi * (1 - xi) * transition).sqrt()) / 2
+    """H(xi, T) = (1 - sqrt(1 - 4 q T)) / 2 with q = xi (1 - xi), in the form that does not
+    cancel, 2 q T / (1 + sqrt((1 - 2 xi)^2 + 4 q (1 - T))): where 4 q T is below the
+    context's rounding of 1, the first form loses every digit."""
+    q = xi * (1 - xi)
+    return 2 * q * transition / (1 + ((1 - 2 * xi) ** 2 + 4 * q * (1 - transition)).sqrt())
 
 
 def decimal_point(b, delta, dt, k: int, xi) -> dict[str, Decimal]:
@@ -175,17 +179,19 @@ def decimal_point(b, delta, dt, k: int, xi) -> dict[str, Decimal]:
     With b delta squared bd2, a^2 = 1 - bd2, s = sin(delta dt) and
     M_k = (a^2 / 2)(1 - (1 - s^2)^k): the survived overlap
     O_k = |bd2 - M_k| / (1 - M_k), the Helstrom baselines H(xi, bd2^2) and
-    H(xi, bd2) with H(xi, T) = (1 - sqrt(1 - 4 xi (1 - xi) T)) / 2, the exact
-    total M_k min(xi, 1 - xi) + (1 - M_k) H(xi, O_k^2), the paper total M_k / 2
-    and the idealized k a^2 dt^2 delta^2 / 4.
+    H(xi, bd2) (see :func:`_decimal_helstrom`), the exact total
+    M_k min(xi, 1 - xi) + (1 - M_k) H(xi, O_k^2), the paper total M_k / 2 and the
+    idealized k a^2 dt^2 delta^2 / 4. From M_k on, the context has as many more digits
+    as s^2 has leading zeros, so that 1 - s^2 holds all of s^2 and M_k keeps 50.
     """
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS
         b, delta, dt, xi = map(Decimal, (b, delta, dt, xi))
         bd2 = (b * delta) ** 2
         a2 = 1 - bd2
-        s = _decimal_sin(delta * dt)
-        mass = a2 / 2 * (1 - (1 - s * s) ** int(k))
+        s2 = _decimal_sin(delta * dt) ** 2
+        ctx.prec += max(0, -s2.adjusted())
+        mass = a2 / 2 * (1 - (1 - s2) ** int(k))
         overlap = abs(bd2 - mass) / (1 - mass)
         return {
             "a": a2.sqrt(),
@@ -201,16 +207,13 @@ def decimal_point(b, delta, dt, k: int, xi) -> dict[str, Decimal]:
 def decimal_exact_total(xi, bd2, mass) -> Decimal:
     """The exact-ledger total as a function of the click mass alone, at 50 digits, from
     floats or Decimals taken as exact: f(M) = M min(xi, 1 - xi) + (1 - M) H(xi, O^2) with
-    O = |bd2 - M| / (1 - M) and a^2 = 1 - bd2. H takes the form that does not cancel,
-    2 q T / (1 + sqrt((1 - 2 xi)^2 + 4 q (1 - T))) with q = xi (1 - xi), so a prior near
-    0 or 1 keeps all 50 digits."""
+    O = |bd2 - M| / (1 - M) and a^2 = 1 - bd2. H takes the form that does not cancel (see
+    :func:`_decimal_helstrom`), so a prior near 0 or 1 keeps all 50 digits."""
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS
         xi, bd2, mass = map(Decimal, (xi, bd2, mass))
         transition = (abs(bd2 - mass) / (1 - mass)) ** 2
-        q = xi * (1 - xi)
-        helstrom = 2 * q * transition / (1 + ((1 - 2 * xi) ** 2 + 4 * q * (1 - transition)).sqrt())
-        return mass * min(xi, 1 - xi) + (1 - mass) * helstrom
+        return mass * min(xi, 1 - xi) + (1 - mass) * _decimal_helstrom(xi, transition)
 
 
 def decimal_auto_dt(b: float, delta: float, k: int) -> Decimal:

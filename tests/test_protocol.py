@@ -346,3 +346,22 @@ def test_total_cost_paper_mode_examples():
     ratio = (p.a**2 * p.k**2 * p.dt**2 * p.delta**2) / protocol.total_cost_paper_mode(p)
     assert ratio == pytest.approx(4 * p.k, rel=1e-14)
 
+
+# Points where the 50-digit reference once lost its answer: s^2 = 7e-59 rounds 1 - s^2
+# to 1, so M_k came out 0 (total 1.4e-48 for 6.9e-43), and 4 xi (1 - xi) T = 7e-51
+# cancelled in (1 - sqrt(1 - 4 xi (1 - xi) T)) / 2 (baseline_exact 5e-51 for 1.8e-51).
+# Bound: relative, the 2e-15 that tests/test_results.py allows the headline.
+@pytest.mark.parametrize("params", [
+    ProtocolParams.from_b(5.648026001264611e-12, 0.3098146573206004, 102752303158226506,
+                          dt=2.748369539010387e-29, prior=0.8136459464274),
+    ProtocolParams.from_b(6.764433581618764e-08, 0.0030410911383329663, 181528,
+                          dt=1.863192890798875e-13, prior=0.999999999999),
+])
+def test_decimal_reference_keeps_a_tiny_click_mass_and_helstrom_cost(params):
+    report = protocol.run(params)
+    ref = oracles.decimal_point(params.b, params.delta, params.dt, params.k, params.prior)
+    got = {"final_overlap": report.final_overlap, "baseline_exact": report.baseline_exact,
+           "baseline_paper": report.baseline_paper, "total_exact": report.total_cost,
+           "total_paper": protocol.price(report, Mode.PAPER).total_cost}
+    for name, value in got.items():
+        assert abs(value - float(ref[name])) <= 2e-15 * float(ref[name]), name
