@@ -222,7 +222,8 @@ def derive_points(amplitude: str, ab, delta, dt, k, prior) -> tuple[Points, list
     Every entry is checked at once with the check tables of :func:`amplitudes`,
     :func:`solve_orthogonality` (where every dt is None) and :class:`ProtocolParams`; a
     message is built only for a failing entry, from its first failing check, with the
-    text the per-point build raises. Valid entries equal that build bit for bit.
+    text the per-point build raises. Valid entries equal that build bit for bit. Empty
+    sequences give empty columns and no message.
     """
     ab_col, d = np.array(ab, float), np.array(delta, float)
     k_col = np.array([float(v) if v <= _MAX else math.inf for v in k])
@@ -230,7 +231,7 @@ def derive_points(amplitude: str, ab, delta, dt, k, prior) -> tuple[Points, list
         a, b, checks = ab_col, np.where(d > 0.0, _rest(ab_col) / d, 0.0), _FROM_A
     else:
         a, b, checks = _rest(ab_col * d), ab_col, _FROM_B
-    auto = dt[0] is None
+    auto = len(dt) > 0 and dt[0] is None
     if auto:
         dt_col, checks = b / (2.0 * k_col * a), checks + _SOLVE
     else:

@@ -115,6 +115,13 @@ def test_k_errors_echo_a_long_k_shortened():
     assert len(str(err.value)) < 200
 
 
+@pytest.mark.parametrize("amplitude", ["a", "b"])
+def test_derive_points_of_empty_columns_is_empty(amplitude):
+    points, errors = protocol.derive_points(amplitude, (), (), (), (), ())
+    assert errors == []
+    assert all(isinstance(column, np.ndarray) and column.shape == (0,) for column in points)
+
+
 # ------------------------------------------------------------- first step
 # A walk of k = 1: its first leaf is the click, its survived pair the
 # renormalized null-outcome states.
