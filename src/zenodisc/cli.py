@@ -261,28 +261,36 @@ def _point_params(config: SweepConfig, ab: float, delta: float, dt: float | None
     return build(ab, delta, k, dt=dt, prior=xi, mode=mode)
 
 
+def _fit_grid(key, prior) -> list[tuple]:
+    """The fit grid of the overlap exponent of ``key``, a (b, dt or None under dt=auto, k):
+    its point (b, delta, dt, k, prior) at each default delta, or none where b delta reaches 1
+    on that grid. A key has an exponent only where it has a grid whose every point is valid.
+    The final overlap depends on neither xi nor delta, so every point of a key shares it."""
+    b, dt, k = key
+    if b * max(series.DEFAULT_DELTAS) >= 1.0:
+        return []
+    return [(b, d, dt, k, prior) for d in series.DEFAULT_DELTAS]
+
+
 def _rows(columns, modes: tuple[Mode, ...], auto_dt: bool) -> list[ReportRow]:
     """The rows of valid points under each of ``modes``, from one :func:`protocol.tree`
     pass over their final step; ``columns`` holds the cells of the points, one sequence
-    each for a, b, delta, dt, k and xi. The final overlap depends on neither xi nor delta,
-    so one fit on the default delta grid, evaluated in the same pass, gives the overlap
-    exponent of each (b, dt or auto, k); None where that grid leaves the valid range."""
+    each for a, b, delta, dt, k and xi. Each (b, dt or auto, k) takes its overlap exponent
+    from its :func:`_fit_grid` at the prior of its first point: one
+    :func:`protocol.derive_points` call validates every grid, the same ``tree`` pass
+    evaluates them, and one :func:`series.fit_power_laws` call fits them."""
     n, deltas = len(columns[0]), series.DEFAULT_DELTAS
-    if not n:
-        return []
     points = protocol.Points(*(np.array(column, float) for column in columns))
     _, b, _, dt, k, xi = columns
     keys = list(zip(b, (None,) * n if auto_dt else dt, k))
-    # Each key whose b delta stays below 1 on the fit grid, with the prior of its first point.
-    tried = {}
+    grids = {}
     for key, prior in zip(keys, xi):
-        if key not in tried and key[0] * max(deltas) < 1.0:
-            tried[key] = prior
+        if key not in grids:
+            grids[key] = _fit_grid(key, prior)
+    tried = [key for key, grid in grids.items() if grid]
     fitted, evaluated = [], points
     if tried:
-        grid, errors = protocol.derive_points("b", *zip(*(
-            (key_b, d, key_dt, key_k, prior) for (key_b, key_dt, key_k), prior in tried.items()
-            for d in deltas)))
+        grid, errors = protocol.derive_points("b", *zip(*chain.from_iterable(grids.values())))
         valid = [not any(errors[j:j + len(deltas)]) for j in range(0, len(errors), len(deltas))]
         fitted = list(compress(tried, valid))
         if len(fitted) < len(tried):
@@ -514,14 +522,28 @@ def _least_click_mass_dt(delta: float, lo: float, hi: float) -> float:
     return lo
 
 
+def _exponent(key, prior) -> float | None:
+    """The overlap exponent of ``key`` (see :func:`_fit_grid`) from one point at a time: each
+    point of its grid built as a ProtocolParams and priced by :func:`protocol.final_step`."""
+    try:
+        overlaps = [protocol.final_step(ProtocolParams.from_b(b, d, k, dt=dt, prior=p))[2]
+                    for b, d, dt, k, p in _fit_grid(key, prior)]
+    except ValidationError:  # a point of the grid is not valid
+        return None
+    return series.fit_power_laws(series.DEFAULT_DELTAS, [overlaps])[0].exponent if overlaps else None
+
+
 def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow]:
     """Minimize the selected ledger's total cost over the free parameters.
 
     Each k's grid dts (under dt=auto, its cancellation dt) are validated as parameter sets.
     Either total never falls as the click mass M_k rises, so a dt bracket adds for each k the dt
     of least M_k (:func:`_least_click_mass_dt`), valid unbuilt as every check on dt is monotone
-    in dt. One :func:`_rows` pass prices all candidates as sweep rows; the least (total, k, dt)
-    wins, so ties go to smaller k, then smaller dt. Other grids must be singletons.
+    in dt. Each candidate is priced in floats, by :func:`protocol.tree` on the shared normalised
+    amplitudes and the ledger; the least (total, k, dt) wins, so ties go to smaller k, then
+    smaller dt. Only the winner gets a row, with the cells of its sweep row, and its exponent
+    is one fit of one column over its :func:`_fit_grid`, each point built as a ProtocolParams.
+    Other grids must be singletons.
     """
     ab, delta, xi = _require_singletons(config, "optimize")
     candidates: dict[tuple[int, float], ProtocolParams | None] = {}
@@ -530,11 +552,20 @@ def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow
         candidates.update(((k, p.dt), p) for p in seeds)
         if len(config.dt) > 1:
             candidates.setdefault((k, _least_click_mass_dt(delta, config.dt[0], config.dt[-1])), None)
-    n, a, b = len(candidates), seeds[0].a, seeds[0].b  # a and b depend on neither k nor dt
-    ks, dts = zip(*candidates)
-    rows = _rows(([a] * n, [b] * n, [delta] * n, dts, ks, [xi] * n), (mode,), config.auto_dt)
-    row = min(rows, key=attrgetter("total_cost", "k", "dt"))
-    return candidates[row.k, row.dt] or _point_params(config, ab, delta, row.dt, row.k, xi, mode), row
+    a, bd, _ = protocol.normalised(seeds[0])  # a and b depend on neither k nor dt
+
+    def priced(k, dt):
+        mass, survival, overlap, gap = protocol.tree(a, bd, delta * dt, float(k))
+        return protocol.ledger(mode, xi, mass, survival, overlap, gap)[2], k, dt, overlap
+
+    total, k, dt, overlap = min(priced(k, dt) for k, dt in candidates)
+    params = candidates[k, dt] or _point_params(config, ab, delta, dt, k, xi, mode)
+    base_exact, base_paper = protocol.baselines(xi, a, bd)
+    row = ReportRow(params.a, params.b, delta, dt, k, xi, mode.value, total, base_exact, base_paper,
+                    protocol.total_cost_paper_mode(params), overlap,
+                    _exponent((params.b, None if config.auto_dt else dt, k), xi),
+                    total - base_exact, total - base_paper)
+    return params, row
 
 
 def _render_run_report(report, digits: int) -> str:

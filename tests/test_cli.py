@@ -2,6 +2,7 @@ import math
 import random
 import runpy
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +352,50 @@ def test_optimize_validates_grids():
     cfg = parse_config("b=10\ndelta=0.01,0.001\ndt=auto\nk=1\nxi=0.5")
     with pytest.raises(ValidationError, match="single value"):
         cli.optimize(cfg, Mode.EXACT)
+
+
+def test_optimize_fits_the_exponent_of_its_optimum_only(monkeypatch):
+    # One k and four dts, as in the zeno_deep workload: the candidates are priced without
+    # an exponent, and one fit of one column gives the optimum's.
+    cfg = parse_config("b=12\ndelta=0.002\ndt=0.02,0.027,0.031,0.04\nk=50\nxi=0.4\nmode=exact")
+    fitted = _count_fits(monkeypatch)
+    _, row = cli.optimize(cfg, Mode.EXACT)
+    monkeypatch.undo()
+    assert len(fitted) == 1 and len(fitted[0]) == 1
+    assert row.overlap_exponent is not None
+
+
+def _sweep_of_the_optimum(cfg, params) -> list:
+    """The rows of a one-point sweep at the optimum's (k, dt or auto)."""
+    return run_sweep(replace(cfg, dt=cfg.dt if cfg.auto_dt else (params.dt,), k=(params.k,)))
+
+
+@pytest.mark.parametrize("text", [
+    # A bracket holding pi / delta, where the click mass is 0.
+    "b=9.29364586521526\ndelta=0.08486942153990186\ndt=3.4382922089011885,41.81160238104807\n"
+    "k=179\nxi=0.3556961698229455\nmode=exact",
+    "b=10\ndelta=0.001\ndt=auto\nk=1,5,20\nxi=0.5\nmode=paper",
+    "a=0.999\ndelta=0.01\ndt=0.5,2.0\nk=3,7\nxi=0.3\nmode=exact",
+])
+def test_optimize_row_is_the_sweep_row_of_its_point(text):
+    cfg = parse_config(text)
+    params, row = cli.optimize(cfg, cfg.modes[0])
+    assert row.overlap_exponent is not None
+    assert _sweep_of_the_optimum(cfg, params) == [row]
+
+
+@pytest.mark.parametrize("text", [
+    # b max(DEFAULT_DELTAS) = 1 exactly: a = 0 at the fit grid's largest delta.
+    "b=100\ndelta=0.001\ndt=0.5,1.5\nk=2\nxi=0.5\nmode=exact",
+    # k (delta dt)^2 overflows at the fit grid's delta 1e-2, just above the point's,
+    # where a^2 is small enough that k a^2 dt^2 stays finite.
+    "b=99.9999\ndelta=0.0099999\ndt=1.3407908489465765e+153\nk=1000000\nxi=0.5\nmode=exact",
+])
+def test_optimize_and_sweep_give_no_exponent_off_the_fit_grid(text):
+    cfg = parse_config(text)
+    params, row = cli.optimize(cfg, cfg.modes[0])
+    assert row.overlap_exponent is None
+    assert _sweep_of_the_optimum(cfg, params) == [row]
 
 
 # ------------------------------------------------------------ main / exits
