@@ -388,7 +388,7 @@ def test_optimize_row_is_the_sweep_row_of_its_point(text):
     # b max(DEFAULT_DELTAS) = 1 exactly: a = 0 at the fit grid's largest delta.
     "b=100\ndelta=0.001\ndt=0.5,1.5\nk=2\nxi=0.5\nmode=exact",
     # k (delta dt)^2 overflows at the fit grid's delta 1e-2, just above the point's,
-    # where a^2 is small enough that k a^2 dt^2 stays finite.
+    # where a^2 is small enough that the paper-mode value k a^2 dt^2 delta^2 / 4 stays finite.
     "b=99.9999\ndelta=0.0099999\ndt=1.3407908489465765e+153\nk=1000000\nxi=0.5\nmode=exact",
 ])
 def test_optimize_and_sweep_give_no_exponent_off_the_fit_grid(text):
