@@ -16,7 +16,6 @@ from .protocol import (
     ProtocolParams,
     ProtocolReport,
     amplitudes,
-    price,
     run,
     solve_orthogonality,
     total_cost_paper_mode,
@@ -43,7 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "guess_only_cost", "helstrom_cost",
     "LeafRecord", "Mode", "ProtocolParams", "ProtocolReport", "amplitudes",
-    "price", "run", "solve_orthogonality", "total_cost_paper_mode",
+    "run", "solve_orthogonality", "total_cost_paper_mode",
     "PureState", "ValidationError",
     "EXPRESSIONS", "SUSPECT_FLAGS", "ScalingFit",
     "baseline_paper_convention", "fit_power_law", "fit_scaling", "k_step_state",

@@ -302,19 +302,16 @@ def _rows(columns, modes: tuple[Mode, ...], auto_dt: bool) -> list[ReportRow]:
     # The first n entries are the points, the rest the fit grids.
     fits = series.fit_power_laws(deltas, overlap[n:].reshape(-1, len(deltas)))
     exponents = {key: fit.exponent for key, fit in zip(fitted, fits)}
-    final_overlap = overlap[:n]
-    base_exact, base_paper = protocol.baselines(points.prior, a[:n], bd[:n])
+    final = (points.prior, a[:n], bd[:n], mass[:n], survival[:n], overlap[:n], gap[:n])
     # The columns every ledger shares.
-    shared = (*columns, base_exact.tolist(), base_paper.tolist(),
-              protocol.total_cost_paper_mode(points).tolist(), final_overlap.tolist(),
+    shared = (*columns, protocol.total_cost_paper_mode(points).tolist(), overlap[:n].tolist(),
               [exponents.get(key) for key in keys])
     rows = []
     for mode in modes:
-        total = protocol.ledger(mode, points.prior, mass[:n], survival[:n], final_overlap, gap[:n])[2]
+        priced = [column.tolist() for column in protocol.costs(mode, *final)]
         rows += [ReportRow(a, b, delta, dt, k, xi, mode.value, t, be, bp, new, fo, exponent, ve, vp)
-                 for a, b, delta, dt, k, xi, be, bp, new, fo, exponent, t, ve, vp
-                 in zip(*shared, total.tolist(), (total - base_exact).tolist(),
-                        (total - base_paper).tolist())]
+                 for a, b, delta, dt, k, xi, new, fo, exponent, t, be, bp, ve, vp
+                 in zip(*shared, *priced)]
     return rows
 
 
@@ -431,7 +428,7 @@ def _report(rows: list[ReportRow], digits: int):
                  f"  overlap delta-exponent  = {exponent or '(not run)'}\n"]
         if exact:
             row, _, margin = exact
-            ok = row.total_cost >= row.baseline_exact - 1e-10
+            ok = row.verdict_vs_baseline_exact >= 0.0
             block.append(f"  exact-ledger sanity (total >= baseline_exact): "
                          f"{'holds' if ok else 'VIOLATED'}  margin={margin}\n")
         if paper:
@@ -541,9 +538,9 @@ def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow
     of least M_k (:func:`_least_click_mass_dt`), valid unbuilt as every check on dt is monotone
     in dt. Each candidate is priced in floats, by :func:`protocol.tree` on the shared normalised
     amplitudes and the ledger; the least (total, k, dt) wins, so ties go to smaller k, then
-    smaller dt. Only the winner gets a row, with the cells of its sweep row, and its exponent
-    is one fit of one column over its :func:`_fit_grid`, each point built as a ProtocolParams.
-    Other grids must be singletons.
+    smaller dt. Only the winner gets a row, priced by :func:`protocol.costs` as a sweep row is,
+    and its exponent is one fit of one column over its :func:`_fit_grid`, each point built as a
+    ProtocolParams. Other grids must be singletons.
     """
     ab, delta, xi = _require_singletons(config, "optimize")
     candidates: dict[tuple[int, float], ProtocolParams | None] = {}
@@ -555,16 +552,16 @@ def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow
     a, bd, _ = protocol.normalised(seeds[0])  # a and b depend on neither k nor dt
 
     def priced(k, dt):
-        mass, survival, overlap, gap = protocol.tree(a, bd, delta * dt, float(k))
-        return protocol.ledger(mode, xi, mass, survival, overlap, gap)[2], k, dt, overlap
+        point = protocol.tree(a, bd, delta * dt, float(k))
+        return protocol.ledger(mode, xi, *point)[2], k, dt, point
 
-    total, k, dt, overlap = min(priced(k, dt) for k, dt in candidates)
+    _, k, dt, point = min(priced(k, dt) for k, dt in candidates)  # (k, dt) is never tied
     params = candidates[k, dt] or _point_params(config, ab, delta, dt, k, xi, mode)
-    base_exact, base_paper = protocol.baselines(xi, a, bd)
+    total, base_exact, base_paper, verdict_exact, verdict_paper = protocol.costs(mode, xi, a, bd, *point)
     row = ReportRow(params.a, params.b, delta, dt, k, xi, mode.value, total, base_exact, base_paper,
-                    protocol.total_cost_paper_mode(params), overlap,
+                    protocol.total_cost_paper_mode(params), point[2],
                     _exponent((params.b, None if config.auto_dt else dt, k), xi),
-                    total - base_exact, total - base_paper)
+                    verdict_exact, verdict_paper)
     return params, row
 
 
@@ -655,17 +652,17 @@ def _emit(text: str, out: str | None, suffix: str, quiet: bool) -> int:
 def _cmd_baseline(args) -> int:
     cfg = _config_from_args(args)
     ab, delta, xi = _require_singletons(cfg, "baseline")
-    # dt and k enter neither baseline: any valid pair gives run's normalised amplitudes.
-    params = _point_params(cfg, ab, delta, 1.0, 1, xi, Mode.EXACT)
-    exact, paper = protocol.baselines(xi, *protocol.normalised(params)[:2])
-    overlap, num = (params.b * delta) ** 2, _float_format(cfg.digits)
+    # dt and k enter neither baseline, so the run of any valid pair prints them.
+    report = protocol.run(_point_params(cfg, ab, delta, 1.0, 1, xi, Mode.EXACT))
+    overlap, num = (report.params.b * delta) ** 2, _float_format(cfg.digits)
     text = (f"overlap |<psi0|psi1>|        = {num}\n"
             f"transition prob (standard)   = {num}\n"
             f"baseline_exact               = {num}\n"
             f"baseline_paper               = {num}\n"
             f"quadratic form b^2 delta^2/4 = {num}\n"
             f"guess_only_cost              = {num}\n"
-            ) % (overlap, overlap ** 2, exact, paper, 0.25 * overlap, guess_only_cost(xi))
+            ) % (overlap, overlap ** 2, report.baseline_exact, report.baseline_paper, 0.25 * overlap,
+                 guess_only_cost(xi))
     return _emit(text, cfg.out, ".txt", args.quiet)
 
 
@@ -677,8 +674,7 @@ def _cmd_run(args) -> int:
     if len(cfg.k) != 1:
         raise ValidationError("run requires a single k")
     params = _point_params(cfg, ab, delta, cfg.dt[0], cfg.k[0], xi, cfg.modes[0])
-    report = protocol.run(params)
-    text = "\n".join(_render_run_report(protocol.price(report, mode), cfg.digits)
+    text = "\n".join(_render_run_report(protocol.run(replace(params, mode=mode)), cfg.digits)
                      for mode in cfg.modes)
     return _emit(text, cfg.out, ".txt", args.quiet)
 

@@ -27,9 +27,10 @@ and at survival the Helstrom cost H of the conditioned pair, so the total is
 M_k min(xi, 1 - xi) + (1 - M_k) H(xi, O_k^2) with O_k the survived overlap.
 ``Mode.PAPER`` is the idealized ledger in which a click costs 1/2 and
 survival 0, so the total is M_k / 2; ``total_cost_paper_mode`` is its
-second-order value. A report stores only the tree, and its costs are views
-under ``params.mode``. The gap between the two ledgers on the same exact
-branch probabilities is the whole point of the laboratory.
+second-order value. A report stores only the tree; its costs are views
+under ``params.mode`` through :func:`costs`, which prices the points of every
+pipeline. The gap between the two ledgers on the same exact branch
+probabilities is the whole point of the laboratory.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, ClassVar, NamedTuple
 
 import numpy as np
@@ -277,14 +278,14 @@ class ProtocolReport:
 
     It stores :func:`final_step`: the click mass M_k, the survival 1 - M_k of
     either hypothesis, the survived overlap O_k and the gap 1 - O_k^2 in closed
-    form, which keeps its digits as the pair nears parallel; and both baselines.
-    total_cost, the verdicts (total_cost minus each baseline; positive: worse
-    than that baseline) and the leaves are computed under params.mode when
-    read, and so is every per-step value, which nothing keeps: clicks[j - 1]
-    is the click at step j under either hypothesis, overlap_trajectory[i] is
-    |<s0|s1>| of the survival states after i steps (entry 0 is b^2 delta^2),
-    survival[i] the cumulative survival (survival_trajectory pairs it up),
-    and survived_pair the survived leaf's states without the e0, e1 phases.
+    form, which keeps its digits as the pair nears parallel. total_cost, both
+    baselines and the verdicts are :func:`costs` under params.mode, a sweep
+    row's cells bit for bit; they, the leaves and every per-step value, which
+    nothing keeps, are computed when read: clicks[j - 1] is the click at step
+    j under either hypothesis, overlap_trajectory[i] is |<s0|s1>| of the
+    survival states after i steps (entry 0 is b^2 delta^2), survival[i] the
+    cumulative survival (survival_trajectory pairs it up), and survived_pair
+    the survived leaf's states without the e0, e1 phases.
     """
 
     params: ProtocolParams
@@ -292,8 +293,6 @@ class ProtocolReport:
     final_survival: float
     final_overlap: float
     final_gap: float
-    baseline_exact: float
-    baseline_paper: float
 
     def _steps(self) -> tuple[np.ndarray, ...]:
         """:func:`_columns` at the steps j = 0..k, computed on each read."""
@@ -328,22 +327,17 @@ class ProtocolReport:
         s0 = survived_state(*normalised(self.params), self.params.k, self.final_survival)
         return PureState(s0), PureState(s0[[3, 2, 1, 0, 4]])
 
-    @property
-    def total_cost(self) -> float:
-        return ledger(self.params.mode, self.params.prior, self.click_mass,
-                      self.final_survival, self.final_overlap, self.final_gap)[2]
+    def _costs(self) -> tuple[float, float, float, float, float]:
+        p = self.params
+        return costs(p.mode, p.prior, *normalised(p)[:2], self.click_mass, self.final_survival,
+                     self.final_overlap, self.final_gap)
 
-    @property
-    def verdict_vs_exact(self) -> float:
-        return self.total_cost - self.baseline_exact
-
-    @property
-    def verdict_vs_paper(self) -> float:
-        return self.total_cost - self.baseline_paper
-
-    @property
-    def paper_new_cost(self) -> float:
-        return total_cost_paper_mode(self.params)
+    total_cost = property(lambda self: self._costs()[0])
+    baseline_exact = property(lambda self: self._costs()[1])
+    baseline_paper = property(lambda self: self._costs()[2])
+    verdict_vs_exact = property(lambda self: self._costs()[3])
+    verdict_vs_paper = property(lambda self: self._costs()[4])
+    paper_new_cost = property(lambda self: total_cost_paper_mode(self.params))
 
     @property
     def leaves(self) -> tuple[LeafRecord, ...]:
@@ -374,15 +368,16 @@ def solve_orthogonality(a: float, b: float, k: int) -> float:
 
 
 def total_cost_paper_mode(params: ProtocolParams) -> float:
-    """Closed-form idealized total cost k a^2 dt^2 delta^2 / 4, of one point or of
-    :class:`Points` columns entry by entry (each square a product).
+    """Closed-form idealized total cost k (a delta dt)^2 / 4, of one point or of
+    :class:`Points` columns entry by entry (the square a product).
 
     This is the second-order value of the PAPER ledger: k click chances of
     probability a^2 dt^2 delta^2 / 2 each costing 1/2 plus a free survived
-    branch. It is independent of the exact simulation by construction.
+    branch. It is independent of the exact simulation by construction. It is
+    finite at every valid point: the checks bound k (delta dt)^2, and a <= 1.
     """
-    p = params
-    return p.k * (p.a * p.a) * (p.dt * p.dt) * (p.delta * p.delta) / 4.0
+    x = params.a * params.delta * params.dt
+    return params.k * (x * x) / 4.0
 
 
 def normalised(params: ProtocolParams) -> tuple[float, float, float]:
@@ -435,18 +430,38 @@ def final_step(params: ProtocolParams) -> tuple[float, float, float, float]:
     return tree(*normalised(params), float(params.k))
 
 
-def baselines(prior, a, bd):
-    """(baseline_exact, baseline_paper): T = b^4 delta^4 and b^2 delta^2 of :func:`normalised`."""
-    bd2 = bd * bd
-    return helstrom_cost(prior, bd2 * bd2, a * a * (1.0 + bd2)), helstrom_cost(prior, bd2, a * a)
-
-
 def ledger(mode: Mode, prior, mass, survival, overlap, gap):
     """Click-leaf cost, survived-leaf cost and total under ``mode`` of floats or arrays of
     :func:`tree`, whose gap 1 - O^2 goes to :func:`helstrom_cost` as its complement as it is."""
     click, survived = (0.5, 0.0) if mode is Mode.PAPER else (
         guess_only_cost(prior), helstrom_cost(prior, overlap * overlap, gap))
     return click, survived, mass * click + survival * survived
+
+
+def costs(mode: Mode, prior, a, bd, mass, survival, overlap, gap):
+    """(total, baseline_exact, baseline_paper, verdict_vs_exact, verdict_vs_paper) under ``mode``
+    from :func:`normalised` a, b delta and :func:`tree`, as every pipeline prices a point; of
+    floats, or of arrays with each entry the float call's bits. A verdict is the total minus that
+    baseline, but the exact ledger's against baseline_exact is M g(M), a sum of nonnegative terms:
+    g = (a^2 / 2)(q a^2 / X(0) + q a^2 / X(M)) / (sqrt(A(0)) + sqrt(A(M))), with q = 4 xi (1 - xi),
+    c = |1 - 2 xi|, beta = b^2 delta^2, A(M) = c^2 (1 - M)^2 + q a^2 (1 + beta - 2 M) and
+    X(M) = c^2 (1 - M) + q a^2 + c sqrt(A(M)). So it keeps its digits where the click mass M is
+    tiny or the pair nears parallel and the difference cancels; every other verdict cancels only
+    where it truly crosses 0."""
+    beta = bd * bd
+    base_exact = helstrom_cost(prior, beta * beta, a * a * (1.0 + beta))
+    base_paper = helstrom_cost(prior, beta, a * a)
+    total = ledger(mode, prior, mass, survival, overlap, gap)[2]
+    if mode is Mode.PAPER:
+        return total, base_exact, base_paper, total - base_exact, total - base_paper
+    sqrt = np.sqrt if isinstance(mass, np.ndarray) else math.sqrt
+    rest, c, qa2 = 1.0 - mass, abs(1.0 - 2.0 * prior), 4.0 * prior * (1.0 - prior) * (a * a)
+    root0 = sqrt(c * c + qa2 * (1.0 + beta))
+    root = sqrt(rest * rest * (c * c) + qa2 * (1.0 + beta - 2.0 * mass))
+    # Each denominator is 0 only where xi = 1/2 and a^2 = 0, and its numerator with it.
+    x0, x, roots = c * c + qa2 + c * root0, rest * (c * c) + qa2 + c * root, root0 + root
+    g = 0.5 * (a * a) * (qa2 / (x0 + (x0 == 0.0)) + qa2 / (x + (x == 0.0))) / (roots + (roots == 0.0))
+    return total, base_exact, base_paper, mass * g, total - base_paper
 
 
 def survived_state(a, bd, x, k, survival) -> np.ndarray:
@@ -463,21 +478,11 @@ def survived_state(a, bd, x, k, survival) -> np.ndarray:
 def run(params: ProtocolParams) -> ProtocolReport:
     """Evaluate the outcome tree in closed form at its final step k, as every pipeline does.
 
-    The report holds :func:`final_step` and both baselines, and computes its
+    The report holds :func:`final_step`, and computes its costs and
     per-step values when read. Both take the closed forms of the module
     docstring with c^(2 j) = exp(j log1p(-s^2)) and the click mass
     M_j = -(a^2 / 2) expm1(j log1p(-s^2)); expm1 keeps M_j accurate where the
     clicks are far below the rounding of 1, as in the Zeno regime of many
     close probes. The survived pair is :func:`survived_state` and its mirror.
     """
-    a, bd, _ = normalised(params)
-    return ProtocolReport(params, *final_step(params), *baselines(params.prior, a, bd))
-
-
-def price(report: ProtocolReport, mode: Mode) -> ProtocolReport:
-    """The outcome tree behind ``report`` charged under the ledger ``mode``.
-
-    Only the ledger's views depend on the mode, so this equals :func:`run`
-    with ``mode`` without evaluating the tree again.
-    """
-    return replace(report, params=replace(report.params, mode=mode))
+    return ProtocolReport(params, *final_step(params))

@@ -345,7 +345,7 @@ def render_summary(rows, suspect_flags: dict[str, str], digits: int = 17) -> str
         push(f"  final_overlap           = {fmt(any_row.final_overlap)}")
         push(f"  overlap delta-exponent  = {fmt(any_row.overlap_exponent)}")
         if exact and exact.total_cost is not None:
-            ok = exact.total_cost >= exact.baseline_exact - 1e-10
+            ok = exact.verdict_vs_baseline_exact >= 0.0
             push(f"  exact-ledger sanity (total >= baseline_exact): "
                  f"{'holds' if ok else 'VIOLATED'}  margin={fmt(exact.verdict_vs_baseline_exact)}")
         if paper and paper.total_cost is not None:
