@@ -302,16 +302,16 @@ def _rows(columns, modes: tuple[Mode, ...], auto_dt: bool) -> list[ReportRow]:
     # The first n entries are the points, the rest the fit grids.
     fits = series.fit_power_laws(deltas, overlap[n:].reshape(-1, len(deltas)))
     exponents = {key: fit.exponent for key, fit in zip(fitted, fits)}
-    final = (points.prior, a[:n], bd[:n], mass[:n], survival[:n], overlap[:n], gap[:n])
-    # The columns every ledger shares.
-    shared = (*columns, protocol.total_cost_paper_mode(points).tolist(), overlap[:n].tolist(),
+    priced = protocol.costs(modes, points.prior, *(v[:n] for v in (a, bd, mass, survival, overlap, gap)))
+    # The columns every ledger shares, the baselines among them.
+    shared = (*columns, priced[0][1].tolist(), priced[0][2].tolist(),
+              protocol.total_cost_paper_mode(points).tolist(), overlap[:n].tolist(),
               [exponents.get(key) for key in keys])
     rows = []
-    for mode in modes:
-        priced = [column.tolist() for column in protocol.costs(mode, *final)]
+    for mode, (total, _, _, verdict_exact, verdict_paper) in zip(modes, priced):
         rows += [ReportRow(a, b, delta, dt, k, xi, mode.value, t, be, bp, new, fo, exponent, ve, vp)
-                 for a, b, delta, dt, k, xi, new, fo, exponent, t, be, bp, ve, vp
-                 in zip(*shared, *priced)]
+                 for a, b, delta, dt, k, xi, be, bp, new, fo, exponent, t, ve, vp
+                 in zip(*shared, total.tolist(), verdict_exact.tolist(), verdict_paper.tolist())]
     return rows
 
 
@@ -557,11 +557,10 @@ def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow
 
     _, k, dt, point = min(priced(k, dt) for k, dt in candidates)  # (k, dt) is never tied
     params = candidates[k, dt] or _point_params(config, ab, delta, dt, k, xi, mode)
-    total, base_exact, base_paper, verdict_exact, verdict_paper = protocol.costs(mode, xi, a, bd, *point)
-    row = ReportRow(params.a, params.b, delta, dt, k, xi, mode.value, total, base_exact, base_paper,
+    priced = protocol.costs((mode,), xi, a, bd, *point)[0]  # total, baselines, verdicts
+    row = ReportRow(params.a, params.b, delta, dt, k, xi, mode.value, *priced[:3],
                     protocol.total_cost_paper_mode(params), point[2],
-                    _exponent((params.b, None if config.auto_dt else dt, k), xi),
-                    verdict_exact, verdict_paper)
+                    _exponent((params.b, None if config.auto_dt else dt, k), xi), *priced[3:])
     return params, row
 
 

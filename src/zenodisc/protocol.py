@@ -285,8 +285,7 @@ class ProtocolReport:
     j under either hypothesis, overlap_trajectory[i] is |<s0|s1>| of the
     survival states after i steps (entry 0 is b^2 delta^2), survival[i] the
     cumulative survival (survival_trajectory pairs it up), and survived_pair
-    the survived leaf's states without the e0, e1 phases.
-    """
+    the survived leaf's states without the e0, e1 phases."""
 
     params: ProtocolParams
     click_mass: float
@@ -329,8 +328,8 @@ class ProtocolReport:
 
     def _costs(self) -> tuple[float, float, float, float, float]:
         p = self.params
-        return costs(p.mode, p.prior, *normalised(p)[:2], self.click_mass, self.final_survival,
-                     self.final_overlap, self.final_gap)
+        return costs((p.mode,), p.prior, *normalised(p)[:2], self.click_mass, self.final_survival,
+                     self.final_overlap, self.final_gap)[0]
 
     total_cost = property(lambda self: self._costs()[0])
     baseline_exact = property(lambda self: self._costs()[1])
@@ -438,30 +437,34 @@ def ledger(mode: Mode, prior, mass, survival, overlap, gap):
     return click, survived, mass * click + survival * survived
 
 
-def costs(mode: Mode, prior, a, bd, mass, survival, overlap, gap):
-    """(total, baseline_exact, baseline_paper, verdict_vs_exact, verdict_vs_paper) under ``mode``
-    from :func:`normalised` a, b delta and :func:`tree`, as every pipeline prices a point; of
-    floats, or of arrays with each entry the float call's bits. A verdict is the total minus that
-    baseline, but the exact ledger's against baseline_exact is M g(M), a sum of nonnegative terms:
-    g = (a^2 / 2)(q a^2 / X(0) + q a^2 / X(M)) / (sqrt(A(0)) + sqrt(A(M))), with q = 4 xi (1 - xi),
-    c = |1 - 2 xi|, beta = b^2 delta^2, A(M) = c^2 (1 - M)^2 + q a^2 (1 + beta - 2 M) and
-    X(M) = c^2 (1 - M) + q a^2 + c sqrt(A(M)). So it keeps its digits where the click mass M is
-    tiny or the pair nears parallel and the difference cancels; every other verdict cancels only
-    where it truly crosses 0."""
-    beta = bd * bd
-    base_exact = helstrom_cost(prior, beta * beta, a * a * (1.0 + beta))
-    base_paper = helstrom_cost(prior, beta, a * a)
-    total = ledger(mode, prior, mass, survival, overlap, gap)[2]
-    if mode is Mode.PAPER:
-        return total, base_exact, base_paper, total - base_exact, total - base_paper
+def costs(modes, prior, a, bd, mass, survival, overlap, gap) -> list[tuple]:
+    """(total, baseline_exact, baseline_paper, verdict_vs_exact, verdict_vs_paper) under each of
+    ``modes``, from :func:`normalised` a, b delta and :func:`tree`, as every pipeline prices a point;
+    of floats, or of arrays with each entry the float call's bits. A verdict is the total minus
+    that baseline, but the exact ledger's against baseline_exact is M g(M) (:func:`_excess`), a sum
+    of nonnegative terms that keeps its digits where the click mass M is tiny or the pair nears
+    parallel and the difference cancels. Every other verdict cancels only where it crosses 0."""
+    a2, beta = a * a, bd * bd
+    base_exact = helstrom_cost(prior, beta * beta, a2 * (1.0 + beta))
+    base_paper = helstrom_cost(prior, beta, a2)
+    priced = []
+    for mode in modes:
+        total = ledger(mode, prior, mass, survival, overlap, gap)[2]
+        margin = mass * _excess(prior, a2, beta, mass) if mode is Mode.EXACT else total - base_exact
+        priced.append((total, base_exact, base_paper, margin, total - base_paper))
+    return priced
+
+
+def _excess(prior, a2, beta, mass):
+    """g = (a^2 / 2)(q a^2 / X(0) + q a^2 / X(M)) / (sqrt(A(0)) + sqrt(A(M))), q = 4 xi (1 - xi),
+    c = |1 - 2 xi|, beta = b^2 delta^2, A(M) = c^2 (1 - M)^2 + q a^2 (1 + beta - 2 M), X(M) =
+    c^2 (1 - M) + q a^2 + c sqrt(A(M)); a denominator is 0 only at xi = 1/2, a = 0, with its numerator."""
     sqrt = np.sqrt if isinstance(mass, np.ndarray) else math.sqrt
-    rest, c, qa2 = 1.0 - mass, abs(1.0 - 2.0 * prior), 4.0 * prior * (1.0 - prior) * (a * a)
-    root0 = sqrt(c * c + qa2 * (1.0 + beta))
-    root = sqrt(rest * rest * (c * c) + qa2 * (1.0 + beta - 2.0 * mass))
-    # Each denominator is 0 only where xi = 1/2 and a^2 = 0, and its numerator with it.
-    x0, x, roots = c * c + qa2 + c * root0, rest * (c * c) + qa2 + c * root, root0 + root
-    g = 0.5 * (a * a) * (qa2 / (x0 + (x0 == 0.0)) + qa2 / (x + (x == 0.0))) / (roots + (roots == 0.0))
-    return total, base_exact, base_paper, mass * g, total - base_paper
+    rest, c, qa2 = 1.0 - mass, abs(1.0 - 2.0 * prior), 4.0 * prior * (1.0 - prior) * a2
+    c2 = c * c
+    root0, root = sqrt(c2 + qa2 * (1.0 + beta)), sqrt(rest * rest * c2 + qa2 * (1.0 + beta - 2.0 * mass))
+    x0, x, roots = c2 + qa2 + c * root0, rest * c2 + qa2 + c * root, root0 + root
+    return 0.5 * a2 * (qa2 / (x0 + (x0 == 0.0)) + qa2 / (x + (x == 0.0))) / (roots + (roots == 0.0))
 
 
 def survived_state(a, bd, x, k, survival) -> np.ndarray:
@@ -478,11 +481,9 @@ def survived_state(a, bd, x, k, survival) -> np.ndarray:
 def run(params: ProtocolParams) -> ProtocolReport:
     """Evaluate the outcome tree in closed form at its final step k, as every pipeline does.
 
-    The report holds :func:`final_step`, and computes its costs and
-    per-step values when read. Both take the closed forms of the module
-    docstring with c^(2 j) = exp(j log1p(-s^2)) and the click mass
-    M_j = -(a^2 / 2) expm1(j log1p(-s^2)); expm1 keeps M_j accurate where the
-    clicks are far below the rounding of 1, as in the Zeno regime of many
-    close probes. The survived pair is :func:`survived_state` and its mirror.
-    """
+    The report holds :func:`final_step` and computes its costs and per-step values when read,
+    by the closed forms of the module docstring with c^(2 j) = exp(j log1p(-s^2)) and the click
+    mass M_j = -(a^2 / 2) expm1(j log1p(-s^2)); expm1 keeps M_j accurate where the clicks are far
+    below the rounding of 1, as in the Zeno regime of many close probes. The survived pair is
+    :func:`survived_state` and its mirror."""
     return ProtocolReport(params, *final_step(params))

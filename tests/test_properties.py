@@ -170,8 +170,8 @@ def test_exact_margin_is_never_negative(a, delta, dt, k, prior):
     p = ProtocolParams.from_a(a, delta, k, dt=dt, prior=prior)
     a, bd, x = protocol.normalised(p)
     point = (p.prior, a, bd, *protocol.tree(a, bd, x, float(k)))
-    got = protocol.costs(Mode.EXACT, *point)
-    entries = protocol.costs(Mode.EXACT, *(np.array([v]) for v in point))
+    (got,) = protocol.costs((Mode.EXACT,), *point)
+    (entries,) = protocol.costs((Mode.EXACT,), *(np.array([v]) for v in point))
     assert all(_same(value, entry.item()) for value, entry in zip(got, entries))
     assert got[3] >= 0.0
     assert protocol.run(p).verdict_vs_exact == got[3]
