@@ -28,9 +28,10 @@ M_k min(xi, 1 - xi) + (1 - M_k) H(xi, O_k^2) with O_k the survived overlap.
 ``Mode.PAPER`` is the idealized ledger in which a click costs 1/2 and
 survival 0, so the total is M_k / 2; ``total_cost_paper_mode`` is its
 second-order value. A report stores only the tree; its costs are views
-under ``params.mode`` through :func:`costs`, which prices the points of every
-pipeline. The gap between the two ledgers on the same exact branch
-probabilities is the whole point of the laboratory.
+under ``params.mode`` through :func:`costs`, every pipeline's one pricing
+function, whose exact-ledger verdict M_k g(M_k) does not cancel as M_k -> 0.
+The gap between the two ledgers on the same exact branch probabilities is
+the whole point of the laboratory.
 """
 
 from __future__ import annotations
@@ -276,16 +277,16 @@ class LeafRecord:
 class ProtocolReport:
     """The outcome tree of one experiment at its final step k; the rest are views.
 
-    It stores :func:`final_step`: the click mass M_k, the survival 1 - M_k of
-    either hypothesis, the survived overlap O_k and the gap 1 - O_k^2 in closed
-    form, which keeps its digits as the pair nears parallel. total_cost, both
-    baselines and the verdicts are :func:`costs` under params.mode, a sweep
-    row's cells bit for bit; they, the leaves and every per-step value, which
-    nothing keeps, are computed when read: clicks[j - 1] is the click at step
-    j under either hypothesis, overlap_trajectory[i] is |<s0|s1>| of the
-    survival states after i steps (entry 0 is b^2 delta^2), survival[i] the
-    cumulative survival (survival_trajectory pairs it up), and survived_pair
-    the survived leaf's states without the e0, e1 phases."""
+    It stores :func:`final_step`: the click mass M_k, the survival 1 - M_k of either hypothesis,
+    the survived overlap O_k and the gap 1 - O_k^2 in closed form, which keeps its digits as the
+    pair nears parallel. total_cost, both baselines and the verdicts (total_cost minus each
+    baseline, but M_k g(M_k) over baseline_exact in the exact ledger) are :func:`costs` under
+    params.mode, a sweep row's cells bit for bit; another ledger's are those of :func:`run` with
+    that mode. They, the leaves and every per-step value are computed on each read and never
+    kept: clicks[j - 1] is the click at step j under either hypothesis, overlap_trajectory[i] is
+    |<s0|s1>| of the survival states after i steps (entry 0 is b^2 delta^2), survival[i] the
+    cumulative survival (survival_trajectory pairs it up), and survived_pair the survived leaf's
+    states without the e0, e1 phases."""
 
     params: ProtocolParams
     click_mass: float
@@ -439,11 +440,10 @@ def ledger(mode: Mode, prior, mass, survival, overlap, gap):
 
 def costs(modes, prior, a, bd, mass, survival, overlap, gap) -> list[tuple]:
     """(total, baseline_exact, baseline_paper, verdict_vs_exact, verdict_vs_paper) under each of
-    ``modes``, from :func:`normalised` a, b delta and :func:`tree`, as every pipeline prices a point;
-    of floats, or of arrays with each entry the float call's bits. A verdict is the total minus
-    that baseline, but the exact ledger's against baseline_exact is M g(M) (:func:`_excess`), a sum
-    of nonnegative terms that keeps its digits where the click mass M is tiny or the pair nears
-    parallel and the difference cancels. Every other verdict cancels only where it crosses 0."""
+    ``modes``, from :func:`normalised` a, b delta and :func:`tree`, of floats or of arrays (each
+    entry the float call's bits), as every pipeline prices a point. A verdict is the total minus
+    that baseline, but the exact ledger's over baseline_exact is M g(M) (:func:`_excess`), which
+    keeps its digits where the click mass M is tiny; the others cancel only where they cross 0."""
     a2, beta = a * a, bd * bd
     base_exact = helstrom_cost(prior, beta * beta, a2 * (1.0 + beta))
     base_paper = helstrom_cost(prior, beta, a2)
