@@ -8,20 +8,20 @@ closed-form total, the tree agrees with the independent dense-exponential
 walk of the oracles, the exact ledger never beats the Helstrom floor, the
 exact total never falls as the click mass rises (at 50 digits) and sits on
 the floor where the click mass is 0, the exact-ledger verdict matches the
-50-digit reference to its own digits and is never negative, the paper total is half the click mass,
-the leaf masses sum to one, relabelling the hypotheses at an even prior
-matches the oracle walk from the swapped pair, swapping the prior for its
-complement leaves the total unchanged, many close probes at a fixed total
-time meet the Misra-Sudarshan limit, a scaling study's rows are those of one
-walk per grid point with one fit per column and its error that of the first
-failing walk, each series form of columns is the form of each point (k up
-to 10^18), a sweep report, rendered and written in one pass, and a scaling
-CSV and a run report have the bytes of the cell-by-cell references,
-optimize finds what building and running each of its candidates finds, and
-no dt of a bracket, in a dense scan, prices below the optimum. The oracle
-comparisons run up to k = 200, the others up to k = 10^4 unless stated.
-Rounding bounds count one rounding per leaf: (k + 1) eps, or 2 (k + 1) eps
-where two sums meet.
+50-digit reference to its own digits and is never negative, the paper total
+is half the click mass, the leaf masses sum to one, relabelling the
+hypotheses at an even prior matches the oracle walk from the swapped pair,
+swapping the prior for its complement leaves the total unchanged, many close
+probes at a fixed total time meet the Misra-Sudarshan limit, a scaling
+study's rows are those of one walk per grid point with one fit per column
+and its error that of the first failing walk, each series form of columns is
+the form of each point (k up to 10^18), a sweep report, rendered and written
+in one pass, and a scaling CSV and a run report have the bytes of the
+cell-by-cell references, optimize finds what building and running each of
+its candidates finds, and no dt of a bracket, in a dense scan, prices below
+the optimum. The oracle comparisons run up to k = 200, the others up to k =
+10^4 unless stated. Rounding bounds count one rounding per leaf: (k + 1)
+eps, or 2 (k + 1) eps where two sums meet.
 """
 
 import csv
@@ -164,7 +164,8 @@ def test_exact_verdict_matches_the_decimal_reference_to_its_own_digits(p):
 @given(st.floats(0.0, 1.0), st.floats(1e-6, 0.3), st.floats(-8.0, 1.5).map(lambda e: 10.0 ** e),
        st.integers(1, 10**18), st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
 @example(0.0, 0.01, 1.0, 3, 0.5)  # xi = 1/2 and a = 0: every denominator of g is 0
-@example(1e-7, 0.0483261100416106, 0.04838487913449086, 668593367202596, 0.11677450713848225)
+# A nearly parallel pair: g written as m minus a term near m came out -2.3e-27 here.
+@example(1.8203650293340727e-05, 0.15948191651457963, 2.298224669334561, 795, 0.9)
 @example(0.6, 0.1, math.pi / 0.1, 5, 0.3)  # dt = pi / delta: M rounds to nearly 0
 def test_exact_margin_is_never_negative(a, delta, dt, k, prior):
     p = ProtocolParams.from_a(a, delta, k, dt=dt, prior=prior)
