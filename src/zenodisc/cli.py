@@ -38,8 +38,6 @@ from itertools import chain, compress, groupby, product
 from operator import attrgetter, not_
 from pathlib import Path
 
-import numpy as np
-
 from . import protocol, series
 from .helstrom import guess_only_cost
 from .protocol import Mode, ProtocolParams, shown
@@ -279,6 +277,8 @@ def _rows(columns, modes: tuple[Mode, ...], auto_dt: bool) -> list[ReportRow]:
     from its :func:`_fit_grid` at the prior of its first point: one
     :func:`protocol.derive_points` call validates every grid, the same ``tree`` pass
     evaluates them, and one :func:`series.fit_power_laws` call fits them."""
+    import numpy as np
+
     n, deltas = len(columns[0]), series.DEFAULT_DELTAS
     points = protocol.Points(*(np.array(column, float) for column in columns))
     _, b, _, dt, k, xi = columns

@@ -16,22 +16,33 @@ one squares the overlap: T = |<psi0|psi1>|^2. The alternative that feeds the
 squared-cosine slot with the overlap magnitude itself lives in
 :mod:`zenodisc.series` as ``baseline_paper_convention``; reports always
 print both so the conventions are never silently merged.
+
+Floats go through ``math`` and never import numpy; only arrays, which exist
+once their caller has imported numpy, go through it.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 from .qcore import ValidationError
+
+
+def _is_array(v) -> bool:
+    """Whether ``v`` is a numpy array, decided without importing numpy: until some caller
+    has imported it, nothing can be an array."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(v, np.ndarray)
 
 
 def _reject(holds, messages, *values) -> None:
     """Raise the message of the first of ``holds`` that fails, filled with ``values``; over
     arrays, with the values of the first entry where that check fails."""
     for ok, message in zip(holds, messages):
-        if isinstance(ok, np.ndarray):
+        if _is_array(ok):
+            import numpy as np
+
             if ok.all():
                 continue
             first = np.flatnonzero(~ok)[0]
@@ -45,7 +56,9 @@ def _clip(v: float) -> float:
     return min(max(v, 0.0), 1.0)
 
 
-def _clip_entries(v: np.ndarray) -> np.ndarray:
+def _clip_entries(v):
+    import numpy as np
+
     return np.minimum(np.maximum(v, 0.0), 1.0)
 
 
@@ -73,10 +86,14 @@ def helstrom_cost(prior, transition_probability, complement):
     holds = ((prior >= 0.0) & (prior <= 1.0), (t >= -1e-12) & (t <= 1.0 + 1e-12),
              (rest >= -1e-12) & (rest <= 1.0 + 1e-12), abs(t + rest - 1.0) <= 1e-9)
     valid = holds[0] & holds[1] & holds[2] & holds[3]
-    entries = isinstance(valid, np.ndarray)
+    entries = _is_array(valid)
     if not (valid.all() if entries else valid):
         _reject(holds, _HELSTROM_MESSAGES, prior, t, rest)
-    clip, sqrt = (_clip_entries, np.sqrt) if entries else (_clip, math.sqrt)
+    clip, sqrt = _clip, math.sqrt
+    if entries:
+        import numpy as np
+
+        clip, sqrt = _clip_entries, np.sqrt
     t, rest = clip(t), clip(rest)
     spread = prior * (1.0 - prior)
     bias = 1.0 - 2.0 * prior
@@ -87,7 +104,11 @@ def guess_only_cost(prior):
     """Bayes cost when no measurement information is available: min(xi, 1 - xi),
     of a float or entry by entry of an array."""
     valid = (prior >= 0.0) & (prior <= 1.0)
-    entries = isinstance(valid, np.ndarray)
+    entries = _is_array(valid)
     if not (valid.all() if entries else valid):
         _reject((valid,), _HELSTROM_MESSAGES, prior)
-    return np.minimum(prior, 1.0 - prior) if entries else min(prior, 1.0 - prior)
+    if entries:
+        import numpy as np
+
+        return np.minimum(prior, 1.0 - prior)
+    return min(prior, 1.0 - prior)

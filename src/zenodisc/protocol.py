@@ -40,11 +40,10 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, ClassVar, NamedTuple
 
-import numpy as np
-
-from .helstrom import guess_only_cost, helstrom_cost
+from .helstrom import _is_array, guess_only_cost, helstrom_cost
 from .qcore import PureState, ValidationError
 
 # Candidate-state normalization a^2 + (b delta)^2 = 1 is enforced to this
@@ -131,11 +130,11 @@ _MAX = sys.float_info.max
 def _finite(v):
     """abs(v) <= the largest float: false for inf, NaN and anything but a real number,
     entry by entry over an array."""
-    return isinstance(v, (int, float, np.ndarray)) and abs(v) <= _MAX
+    return (isinstance(v, (int, float)) or _is_array(v)) and abs(v) <= _MAX
 
 
 def _k_in_range(p):
-    k = p.k if isinstance(p.k, (int, np.ndarray)) else 0  # a k of any other type fails
+    k = p.k if isinstance(p.k, int) or _is_array(p.k) else 0  # a k of any other type fails
     return (k >= 1) & (k <= _MAX)
 
 
@@ -201,7 +200,9 @@ def _enforce(checks, point) -> None:
 
 def _rest(v):
     """sqrt(max(1 - v^2, 0)) of a float, or entry by entry of an array."""
-    if isinstance(v, np.ndarray):
+    if _is_array(v):
+        import numpy as np
+
         return np.sqrt(np.maximum(1.0 - v * v, 0.0))
     return math.sqrt(max(1.0 - v * v, 0.0))
 
@@ -216,7 +217,6 @@ def amplitudes(delta: float, a: float | None = None, b: float | None = None
     return a, _rest(a) / delta if delta > 0.0 else 0.0
 
 
-@np.errstate(all="ignore")  # failing entries may overflow or divide by zero
 def derive_points(amplitude: str, ab, delta, dt, k, prior) -> tuple[Points, list[str]]:
     """The points that ``from_a`` (amplitude "a") or ``from_b`` would build from equal-length
     sequences of values, as columns, and for each entry why it fails, "" where it is valid.
@@ -227,20 +227,23 @@ def derive_points(amplitude: str, ab, delta, dt, k, prior) -> tuple[Points, list
     text the per-point build raises. Valid entries equal that build bit for bit. Empty
     sequences give empty columns and no message.
     """
+    import numpy as np
+
     ab_col, d = np.array(ab, float), np.array(delta, float)
     k_col = np.array([float(v) if v <= _MAX else math.inf for v in k])
-    if amplitude == "a":
-        a, b, checks = ab_col, np.where(d > 0.0, _rest(ab_col) / d, 0.0), _FROM_A
-    else:
-        a, b, checks = _rest(ab_col * d), ab_col, _FROM_B
     auto = len(dt) > 0 and dt[0] is None
-    if auto:
-        dt_col, checks = b / (2.0 * k_col * a), checks + _SOLVE
-    else:
-        dt_col = np.array(dt, float)
-    points = Points(a, b, d, dt_col, k_col, np.array(prior, float))
-    checks += _PARAM_CHECKS
-    held = np.array([holds(points) for holds, _ in checks])
+    with np.errstate(all="ignore"):  # failing entries may overflow or divide by zero
+        if amplitude == "a":
+            a, b, checks = ab_col, np.where(d > 0.0, _rest(ab_col) / d, 0.0), _FROM_A
+        else:
+            a, b, checks = _rest(ab_col * d), ab_col, _FROM_B
+        if auto:
+            dt_col, checks = b / (2.0 * k_col * a), checks + _SOLVE
+        else:
+            dt_col = np.array(dt, float)
+        points = Points(a, b, d, dt_col, k_col, np.array(prior, float))
+        checks += _PARAM_CHECKS
+        held = np.array([holds(points) for holds, _ in checks])
     errors = [""] * len(ab)
     valid = held.all(axis=0)
     failing = [] if valid.all() else np.flatnonzero(~valid).tolist()
@@ -282,8 +285,8 @@ class ProtocolReport:
     pair nears parallel. total_cost, both baselines and the verdicts (total_cost minus each
     baseline, but M_k g(M_k) over baseline_exact in the exact ledger) are :func:`costs` under
     params.mode, a sweep row's cells bit for bit; another ledger's are those of :func:`run` with
-    that mode. They, the leaves and every per-step value are computed on each read and never
-    kept: clicks[j - 1] is the click at step j under either hypothesis, overlap_trajectory[i] is
+    that mode. They are priced in one :func:`costs` call, on the first read; the leaves and every
+    per-step value are computed on each read, through numpy, and never kept: clicks[j - 1] is the click at step j under either hypothesis, overlap_trajectory[i] is
     |<s0|s1>| of the survival states after i steps (entry 0 is b^2 delta^2), survival[i] the
     cumulative survival (survival_trajectory pairs it up), and survived_pair the survived leaf's
     states without the e0, e1 phases."""
@@ -294,8 +297,10 @@ class ProtocolReport:
     final_overlap: float
     final_gap: float
 
-    def _steps(self) -> tuple[np.ndarray, ...]:
-        """:func:`_columns` at the steps j = 0..k, computed on each read."""
+    def _steps(self) -> tuple:
+        """:func:`_columns` at the steps j = 0..k as arrays, computed on each read."""
+        import numpy as np
+
         (a, bd, x), k = normalised(self.params), self.params.k
         too_many = f"k = {k}: its {k + 1} per-step values cannot be allocated"
         if (k + 1) * 8 > sys.maxsize:  # past numpy's index range arange may come back empty
@@ -327,16 +332,17 @@ class ProtocolReport:
         s0 = survived_state(*normalised(self.params), self.params.k, self.final_survival)
         return PureState(s0), PureState(s0[[3, 2, 1, 0, 4]])
 
+    @cached_property
     def _costs(self) -> tuple[float, float, float, float, float]:
         p = self.params
         return costs((p.mode,), p.prior, *normalised(p)[:2], self.click_mass, self.final_survival,
                      self.final_overlap, self.final_gap)[0]
 
-    total_cost = property(lambda self: self._costs()[0])
-    baseline_exact = property(lambda self: self._costs()[1])
-    baseline_paper = property(lambda self: self._costs()[2])
-    verdict_vs_exact = property(lambda self: self._costs()[3])
-    verdict_vs_paper = property(lambda self: self._costs()[4])
+    total_cost = property(lambda self: self._costs[0])
+    baseline_exact = property(lambda self: self._costs[1])
+    baseline_paper = property(lambda self: self._costs[2])
+    verdict_vs_exact = property(lambda self: self._costs[3])
+    verdict_vs_paper = property(lambda self: self._costs[4])
     paper_new_cost = property(lambda self: total_cost_paper_mode(self.params))
 
     @property
@@ -397,8 +403,11 @@ def _decay(x: float) -> tuple[float, float]:
 
 def _each(fn, *args, dtype=float):
     """The ``math`` function ``fn`` of floats, or entry by entry over broadcast arrays as an
-    array of ``dtype``, where numpy's counterpart would round differently."""
-    if np.ndarray in map(type, args):
+    array of ``dtype``: numpy's counterpart of a ``math`` function may round differently, so
+    an entry is the float call on it bit for bit, and floats never import numpy."""
+    if any(map(_is_array, args)):
+        import numpy as np
+
         return np.frompyfunc(fn, len(args), 1)(*args).astype(dtype)
     return fn(*args)
 
@@ -406,20 +415,18 @@ def _each(fn, *args, dtype=float):
 def _columns(a, bd, x, steps):
     """c^(2 j), M_j, 1 - M_j and O_j of :func:`tree`, without the gap."""
     log_decay = steps * _each(lambda v: _decay(v)[1], x)
-    expm1, decay = np.expm1(log_decay), np.exp(log_decay)
-    if not isinstance(log_decay, np.ndarray):  # numpy scalars with the bits of an array entry
-        expm1, decay = float(expm1), float(decay)
-    mass = -(0.5 * a * a) * expm1
+    mass = -(0.5 * a * a) * _each(math.expm1, log_decay)
     survival = 1.0 - mass
-    return decay, mass, survival, abs(bd * bd - mass) / survival
+    return _each(math.exp, log_decay), mass, survival, abs(bd * bd - mass) / survival
 
 
 def tree(a, bd, x, steps):
     """M_j, 1 - M_j, O_j and the gap 1 - O_j^2, the survived pair's Helstrom complement, at
     j = ``steps`` of one point of floats, as floats, or entry by entry over broadcast arrays of
-    :func:`normalised` values (see :func:`run`); log c^2 takes ``math`` per entry of x, expm1
-    and exp take numpy's on both paths. The gap a^2 (2 b^2 delta^2 + a^2 c^(2 j)) / (1 - M_j)^2
-    adds nonnegative terms, where a^2 (1 + b^2 delta^2 - 2 M_j) / (1 - M_j)^2 cancels as b -> 0."""
+    :func:`normalised` values (see :func:`run`). log c^2, expm1 and exp take ``math`` per entry
+    (:func:`_each`), so an entry is the float call on it bit for bit, and floats import no numpy.
+    The gap a^2 (2 b^2 delta^2 + a^2 c^(2 j)) / (1 - M_j)^2 adds nonnegative terms, where
+    a^2 (1 + b^2 delta^2 - 2 M_j) / (1 - M_j)^2 cancels as b -> 0."""
     decay, mass, survival, overlap = _columns(a, bd, x, steps)
     a2 = a * a
     return mass, survival, overlap, a2 * (2.0 * bd * bd + a2 * decay) / (survival * survival)
@@ -459,7 +466,11 @@ def _excess(prior, a2, beta, mass):
     """g = (a^2 / 2)(q a^2 / X(0) + q a^2 / X(M)) / (sqrt(A(0)) + sqrt(A(M))), q = 4 xi (1 - xi),
     c = |1 - 2 xi|, beta = b^2 delta^2, A(M) = c^2 (1 - M)^2 + q a^2 (1 + beta - 2 M), X(M) =
     c^2 (1 - M) + q a^2 + c sqrt(A(M)); a denominator is 0 only at xi = 1/2, a = 0, with its numerator."""
-    sqrt = np.sqrt if isinstance(mass, np.ndarray) else math.sqrt
+    sqrt = math.sqrt
+    if _is_array(mass):
+        import numpy as np
+
+        sqrt = np.sqrt
     rest, c, qa2 = 1.0 - mass, abs(1.0 - 2.0 * prior), 4.0 * prior * (1.0 - prior) * a2
     c2 = c * c
     root0, root = sqrt(c2 + qa2 * (1.0 + beta)), sqrt(rest * rest * c2 + qa2 * (1.0 + beta - 2.0 * mass))
@@ -467,10 +478,12 @@ def _excess(prior, a2, beta, mass):
     return 0.5 * a2 * (qa2 / (x0 + (x0 == 0.0)) + qa2 / (x + (x == 0.0))) / (roots + (roots == 0.0))
 
 
-def survived_state(a, bd, x, k, survival) -> np.ndarray:
+def survived_state(a, bd, x, k, survival):
     """The survived state of hypothesis 0 (its mirror is hypothesis 1's) from :func:`normalised`
     values, k and 1 - M_k, as a 5-vector or 5 x n over columns (``math`` per entry), x = delta dt:
     ((a/2)(c^k + cos kx), -i (a/2) sin kx, i (a/2) sin kx, (a/2)(c^k - cos kx), b delta) / sqrt(1 - M_k)."""
+    import numpy as np
+
     # c^k with its sign: the even amplitude flips at every step when c < 0.
     ck = _each(lambda v, j: math.exp(0.5 * (j * _decay(v)[1])) * math.copysign(1.0, math.cos(v)) ** j, x, k)
     cos_kx, sin_kx = _each(math.cos, k * x), _each(math.sin, k * x)

@@ -5,12 +5,12 @@ Every layer raises :class:`ValidationError` on bad input. A
 ``protocol.ProtocolReport``'s ``survived_pair`` is read. The outcome tree has
 a closed form (see ``protocol``), so nothing here evolves or measures a
 state; the dense step-by-step walk is an independent oracle of the test
-suite.
+suite. Neither needs numpy to be imported; a PureState imports it when built.
 """
 
-from dataclasses import dataclass
+from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
 
 # Absolute tolerance for unit-norm checks: comfortable double-precision
 # headroom at d = 5.
@@ -34,6 +34,8 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         vec = np.asarray(self.amplitudes, dtype=np.complex128)
         if vec.ndim != 1:
             raise ValidationError(f"expected a 1-d amplitude vector, got shape {vec.shape}")

@@ -13,8 +13,10 @@ report the log-log slope, the empirical truncation order. Each form that a
 residual reads takes one point or :class:`protocol.Points` columns in one
 body (squares as products, k a float, the k-step prefactor Python's ``**``
 per entry), so a column entry is its point's value bit for bit.
-:func:`scaling_fits` evaluates a whole study as columns, from one
-:func:`protocol.tree` call, and fits every residual with one solve.
+:func:`scaling_fits` evaluates a whole study as numpy columns, from one
+:func:`protocol.tree` call. :func:`fit_power_laws` fits each residual
+column in closed form, in floats through ``math``, so a fit of one
+column of floats imports no numpy.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, mul
 from typing import NamedTuple
 
-import numpy as np
-
 from . import protocol
-from .helstrom import helstrom_cost
+from .helstrom import _is_array, helstrom_cost
 from .protocol import ProtocolParams, _each, shown
 from .qcore import ValidationError
 
@@ -135,11 +137,17 @@ class ScalingFit:
 
 
 def fit_power_laws(deltas, columns) -> list[ScalingFit]:
-    """:func:`fit_power_law` of each residual column on one delta grid, checked as one array and
-    fitted in one ``np.linalg.lstsq`` on the scaled design ``np.polyfit`` solves, as it solves it."""
+    """:func:`fit_power_law` of each residual column on one delta grid, in closed form.
+
+    With u = log delta and y = log of the floored residual (``math.log`` per entry), the
+    least-squares slope is p = sum (u - mean u)(y - mean y) / sum (u - mean u)^2 and the
+    intercept mean y - p mean u. Every sum adds left to right, one rounding per term (``sum``
+    compensates from Python 3.12 on), so the fit of a column is the same on every Python. A
+    column with a non-finite log fits NaN; one whose every entry is floored is indeterminate.
+    """
     ds = tuple(map(float, deltas))
     # Rows of a 2-D array (as a sweep passes them) or of sequences; a float keeps its object.
-    cols = [tuple(map(float, rs)) for rs in (columns.tolist() if isinstance(columns, np.ndarray) else columns)]
+    cols = [tuple(map(float, rs)) for rs in (columns.tolist() if _is_array(columns) else columns)]
     if any(len(rs) != len(ds) for rs in cols):
         raise ValidationError("deltas and residuals must have equal length")
     if len(ds) < 3:
@@ -148,19 +156,24 @@ def fit_power_laws(deltas, columns) -> list[ScalingFit]:
         raise ValidationError("delta grid entries must be positive")
     if max(ds) / min(ds) < 10.0 - 1e-9:
         raise ValidationError("delta grid must span at least one decade")
-    res = np.array(cols).reshape(len(cols), len(ds))
-    if (res < 0.0).any():
+    if any(r < 0.0 for rs in cols for r in rs):
         raise ValidationError("residuals must be nonnegative")
-    logs = np.log(np.maximum(res, NOISE_FLOOR))
-    # Non-finite columns stay out of the solve and fit NaN; all-floored ones are indeterminate.
-    finite = np.isfinite(logs).all(axis=1)
-    design = np.vander(np.log(ds), 2)
-    scale = np.sqrt((design * design).sum(axis=0))
-    solved = np.linalg.lstsq(design / scale, np.where(finite, logs.T, 0.0), len(ds) * np.finfo(float).eps)[0]
-    coefs = (solved.T / scale).tolist()
-    n_floored = (res < NOISE_FLOOR).sum(axis=1).tolist()
-    return [ScalingFit(*(c if ok and n < len(ds) else (math.nan, math.nan)), ds, rs, n, n == len(ds))
-            for rs, c, ok, n in zip(cols, coefs, finite.tolist(), n_floored)]
+    n = len(ds)
+    us = [math.log(d) for d in ds]
+    u_mean = reduce(add, us) / n
+    du = [u - u_mean for u in us]
+    spread = reduce(add, map(mul, du, du))
+    fits = []
+    for rs in cols:
+        n_floored = sum(r < NOISE_FLOOR for r in rs)
+        ys = [math.log(max(r, NOISE_FLOOR)) for r in rs]  # max keeps a NaN; log(inf) is inf
+        slope = intercept = math.nan
+        if n_floored < n and all(map(math.isfinite, ys)):
+            y_mean = reduce(add, ys) / n
+            slope = reduce(add, [d * (y - y_mean) for d, y in zip(du, ys)]) / spread
+            intercept = y_mean - slope * u_mean
+        fits.append(ScalingFit(slope, intercept, ds, rs, n_floored, n_floored == n))
+    return fits
 
 
 def fit_power_law(deltas, residuals) -> ScalingFit:
@@ -176,15 +189,19 @@ def _power(base: float, exponent: float):
         return math.inf
 
 
-def _state(components, hypothesis: int) -> np.ndarray:
+def _state(components, hypothesis: int):
     """The components as a complex 5-vector (5 x n over columns), 1<->4, 2<->3 mirrored for 1."""
+    import numpy as np
+
     if hypothesis not in (0, 1):
         raise ValidationError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
     state = np.array(np.broadcast_arrays(*components), dtype=np.complex128)
     return state[[3, 2, 1, 0, 4]] if hypothesis else state
 
 
-def _magnitude_gap(exact: np.ndarray, approx: np.ndarray) -> np.ndarray:
+def _magnitude_gap(exact, approx):
+    import numpy as np
+
     return np.max(np.abs(np.abs(exact) - np.abs(approx)), axis=0)
 
 
@@ -318,7 +335,6 @@ def quantity_flag(quantity: str) -> str:
     return entry.name if entry.suspect else ""
 
 
-@np.errstate(all="ignore")  # an overflowing residual is non-finite, and reported as such
 def scaling_fits(quantities, deltas, templates, auto_dt: bool = False) -> list[ScalingFit]:
     """The fit of each quantity over the delta grid for each template, template-major.
 
@@ -328,6 +344,8 @@ def scaling_fits(quantities, deltas, templates, auto_dt: bool = False) -> list[S
     :func:`protocol.survived_state` call evaluate it, and each residual is one pass of its form;
     the first that is not finite, by template, quantity and delta, raises. One
     :func:`fit_power_laws` fits every column."""
+    import numpy as np
+
     for q in quantities:
         _tested_expression(q)  # rejects an unknown name before any evaluation
     grid = [(t.b, d, None if auto_dt else t.dt, t.k, t.prior) for t in templates for d in deltas]
@@ -336,13 +354,15 @@ def scaling_fits(quantities, deltas, templates, auto_dt: bool = False) -> list[S
     points, errors = protocol.derive_points("b", *zip(*grid))
     if any(errors):
         raise ValidationError(next(filter(None, errors)))
-    a, bd, x = protocol.normalised(points)
-    _, survival, overlap, _ = protocol.tree(a, bd, x, points.k)
-    final = FinalStep(points, 0.5 * a * a * _each(lambda v: math.sin(v) ** 2, x), survival, overlap,
-                      protocol.survived_state(a, bd, x, points.k, survival))
     n = len(deltas)
-    # The residuals by (template, quantity, delta).
-    res = np.stack([SCALING_QUANTITIES[q].residuals[q](final).reshape(-1, n) for q in quantities], axis=1)
+    with np.errstate(all="ignore"):  # an overflowing residual is non-finite, and reported as such
+        a, bd, x = protocol.normalised(points)
+        _, survival, overlap, _ = protocol.tree(a, bd, x, points.k)
+        final = FinalStep(points, 0.5 * a * a * _each(lambda v: math.sin(v) ** 2, x), survival, overlap,
+                          protocol.survived_state(a, bd, x, points.k, survival))
+        # The residuals by (template, quantity, delta).
+        res = np.stack([SCALING_QUANTITIES[q].residuals[q](final).reshape(-1, n) for q in quantities],
+                       axis=1)
     if not np.isfinite(res).all():
         t, q, j = np.argwhere(~np.isfinite(res))[0].tolist()
         raise ValidationError(f"{quantities[q]} overflows at b={templates[t].b!r}, delta={deltas[j]!r}, "

@@ -7,7 +7,8 @@ with 1 - T taken from the walk's states by the Lagrange identity, and the
 mixed-state Helstrom cost goes through the trace norm, so agreement with
 the package is a genuine cross-check rather than the same code evaluated
 twice. The closed forms are also evaluated at 50 digits with ``decimal``,
-a reference far below the rounding of any float result. A sweep report, a
+a reference far below the rounding of any float result, and a least-squares
+line is solved in exact rational arithmetic. A sweep report, a
 scaling CSV and a run report are rendered cell by cell, each float through
 ``format(v, f".{digits}g")`` and each CSV through ``csv.writer``: the bytes
 the package's renderers must write.
@@ -19,6 +20,7 @@ import csv
 import io
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -173,10 +175,21 @@ def _decimal_helstrom(xi: Decimal, transition: Decimal) -> Decimal:
     return 2 * q * transition / (1 + ((1 - 2 * xi) ** 2 + 4 * q * (1 - transition)).sqrt())
 
 
-def decimal_point(b, delta, dt, k: int, xi) -> dict[str, Decimal]:
+def decimal_amplitude(b, delta) -> Decimal:
+    """a = sqrt(1 - (b delta)^2) at 50 digits, from floats or Decimals taken as exact."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        return (1 - (Decimal(b) * Decimal(delta)) ** 2).sqrt()
+
+
+def decimal_point(a, bd, delta, dt, k: int, xi) -> dict[str, Decimal]:
     """The closed forms of one point at 50 digits, from floats or Decimals taken as exact.
 
-    With b delta squared bd2, a^2 = 1 - bd2, s = sin(delta dt) and
+    a and bd are the pair's amplitudes a and b delta, rescaled here to unit norm: given the
+    engine's normalised values, the reference prices the very pair the engine prices, so
+    the rounding of a = sqrt(1 - (b delta)^2) from the inputs b and delta, which costs
+    eps / a^2 relative as the pair nears parallel, is not counted against the engine.
+    With a^2 and bd2 = (b delta)^2 so rescaled, s = sin(delta dt) and
     M_k = (a^2 / 2)(1 - (1 - s^2)^k): the survived overlap
     O_k = |bd2 - M_k| / (1 - M_k), the Helstrom baselines H(xi, bd2^2) and
     H(xi, bd2) (see :func:`_decimal_helstrom`), the exact total
@@ -186,15 +199,14 @@ def decimal_point(b, delta, dt, k: int, xi) -> dict[str, Decimal]:
     """
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS
-        b, delta, dt, xi = map(Decimal, (b, delta, dt, xi))
-        bd2 = (b * delta) ** 2
-        a2 = 1 - bd2
+        a, bd, delta, dt, xi = map(Decimal, (a, bd, delta, dt, xi))
+        norm2 = a * a + bd * bd
+        a2, bd2 = a * a / norm2, bd * bd / norm2
         s2 = _decimal_sin(delta * dt) ** 2
         ctx.prec += max(0, -s2.adjusted())
         mass = a2 / 2 * (1 - (1 - s2) ** int(k))
         overlap = abs(bd2 - mass) / (1 - mass)
         return {
-            "a": a2.sqrt(),
             "final_overlap": overlap,
             "baseline_exact": _decimal_helstrom(xi, bd2 * bd2),
             "baseline_paper": _decimal_helstrom(xi, bd2),
@@ -220,8 +232,7 @@ def decimal_auto_dt(b: float, delta: float, k: int) -> Decimal:
     """dt = b / (2 k a) of the cancellation condition, at 50 digits."""
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS
-        b, delta = Decimal(b), Decimal(delta)
-        return b / (2 * int(k) * (1 - (b * delta) ** 2).sqrt())
+        return Decimal(b) / (2 * int(k) * decimal_amplitude(b, delta))
 
 
 def decimal_overlap_exponent(b: float, k: int, deltas) -> Decimal:
@@ -229,11 +240,51 @@ def decimal_overlap_exponent(b: float, k: int, deltas) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS
         xs = [Decimal(d).ln() for d in deltas]
-        ys = [decimal_point(b, d, decimal_auto_dt(b, d, k), k, 0.5)["final_overlap"].ln()
+        ys = [decimal_point(decimal_amplitude(b, d), Decimal(b) * Decimal(d), d, decimal_auto_dt(b, d, k),
+                            k, 0.5)["final_overlap"].ln()
               for d in deltas]
         x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
         return (sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
                 / sum((x - x_mean) ** 2 for x in xs))
+
+
+# How far a fitted slope or intercept may lie from the exact least-squares line of the same
+# float points, in ulp of its scale (see :func:`least_squares_line`); fixed before measuring.
+FIT_ULPS = 4
+
+
+class Near:
+    """Equal to each finite float within ``tol`` of ``value``, both exact Fractions."""
+
+    def __init__(self, value: Fraction, tol: Fraction):
+        self.value, self.tol = value, tol
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, float) and math.isfinite(other) and abs(Fraction(other) - self.value) <= self.tol
+
+    def __float__(self) -> float:
+        return float(self.value)
+
+    def __repr__(self) -> str:
+        return f"Near({float(self.value)!r} +- {float(self.tol):.3g})"
+
+
+def least_squares_line(xs, ys) -> tuple[Near, Near]:
+    """The least-squares line y = slope x + intercept through the points, floats taken as
+    exact, in exact rational arithmetic: with dx = x - mean x and dy = y - mean y, slope =
+    sum dx dy / sum dx^2 and intercept = mean y - slope mean x. Each comes as the floats within
+    FIT_ULPS ulp of its scale: sum |dx dy| / sum dx^2 for the slope, which is |slope| where no
+    term of the sum cancels, and |mean y| + |mean x| times that for the intercept."""
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    terms = [(x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)]
+    spread = sum((x - x_mean) ** 2 for x in xs)
+    slope, scale = sum(terms) / spread, sum(map(abs, terms)) / spread
+
+    def near(value, scale):
+        return Near(value, FIT_ULPS * Fraction(math.ulp(float(scale))))
+
+    return near(slope, scale), near(y_mean - slope * x_mean, abs(y_mean) + abs(x_mean) * scale)
 
 
 # The sweep CSV's columns: the fields of a report row, in order.

@@ -183,7 +183,7 @@ def test_paper_new_cost_is_finite_where_its_product_overflowed(tmp_path, capsys)
     out, err = capsys.readouterr()
     assert err == ""
     printed = float(next(csv.DictReader(io.StringIO(out)))["paper_new_cost"])
-    want = oracles.decimal_point(10.0, 1e-6, 1e5, 10**300, 0.5)["paper_new_cost"]
+    want = oracles.decimal_point(*protocol.normalised(params)[:2], 1e-6, 1e5, 10**300, 0.5)["paper_new_cost"]
     assert abs(Decimal(printed) - want) <= Decimal("2e-15") * want
     assert row.paper_new_cost == printed and params.k == 10**300
 

@@ -1,7 +1,56 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import zenodisc
+
+REPO = Path(__file__).resolve().parent.parent
+HEADLINE = "b=10\ndelta=0.01,0.001\ndt=auto\nk=1,5,20\nxi=0.5\nmode=both\n"
 
 
 def test_every_export_resolves():
     # A stale name in __all__ fails only a star import, which nothing else makes.
     assert [name for name in zenodisc.__all__ if not hasattr(zenodisc, name)] == []
     exec("from zenodisc import *", {})
+
+
+def _fresh_python(code: str, cwd: Path) -> str:
+    """Run ``code`` in a fresh interpreter, which has not imported numpy as this one has,
+    with the package's src first on its path; return its stdout."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_one_point_pipelines_never_import_numpy(tmp_path):
+    # A baseline, an optimize search (with its exponent fit, and emit_report through --out)
+    # and a run at k = 10^4 priced in every view: floats all the way, through math.
+    (tmp_path / "optimize.cfg").write_text("b=10\ndelta=0.001\ndt=0.1,0.2,0.3\nk=1,5,20\nxi=0.3\n"
+                                           "mode=exact\n")
+    out = _fresh_python(
+        "import sys\n"
+        "from zenodisc import cli, protocol\n"
+        "assert cli.main(['baseline', '--b', '10', '--delta', '0.01']) == 0\n"
+        "assert cli.main(['optimize', '--config', 'optimize.cfg', '--out', 'optimum']) == 0\n"
+        "report = protocol.run(protocol.ProtocolParams.from_b(10.0, 0.001, 10**4))\n"
+        "print(report.total_cost, report.baseline_exact, report.verdict_vs_exact, report.paper_new_cost)\n"
+        "print('numpy imported:', 'numpy' in sys.modules)\n", tmp_path)
+    assert out.startswith("overlap |<psi0|psi1>|")
+    assert out.endswith("numpy imported: False\n")
+    assert (tmp_path / "optimum.csv").is_file() and (tmp_path / "optimum.txt").is_file()
+
+
+def test_a_sweep_imports_numpy_and_writes_the_committed_headline(tmp_path):
+    (tmp_path / "headline.cfg").write_text(HEADLINE)
+    out = _fresh_python(
+        "import sys\n"
+        "from zenodisc import cli\n"
+        "print('numpy imported:', 'numpy' in sys.modules)\n"
+        "assert cli.main(['sweep', '--config', 'headline.cfg', '--out', 'headline', '--quiet']) == 0\n"
+        "print('numpy imported:', 'numpy' in sys.modules)\n", tmp_path)
+    assert out == "numpy imported: False\nnumpy imported: True\n"
+    for name in ("headline.csv", "headline.txt"):
+        assert (tmp_path / name).read_bytes() == (REPO / "results" / name).read_bytes(), name

@@ -59,9 +59,9 @@ ORACLE_K_MAX = 200
 
 @st.composite
 def valid_params(draw, mode=st.sampled_from(Mode), prior=st.floats(0.0, 1.0), k_max=K_MAX,
-                 dt=st.floats(0.05, 3.0)):
+                 dt=st.floats(0.05, 3.0), bd=st.floats(0.0, 0.9)):
     delta = draw(st.floats(1e-4, 0.2))
-    bd = draw(st.floats(0.0, 0.9))
+    bd = draw(bd)
     return ProtocolParams.from_b(
         bd / delta, delta, draw(st.integers(1, k_max)), dt=draw(dt),
         prior=draw(prior), mode=draw(mode))
@@ -140,21 +140,48 @@ def test_exact_ledger_never_beats_the_helstrom_floor(p):
 # reference and relative to the verdict itself: where the click mass M is tiny the verdict is
 # far below total and baseline_exact, whose difference kept few of its digits (1.25e-5
 # relative at the first example). Bound, fixed before measuring: 1e-13, about 450 eps. M g(M)
-# takes a few dozen roundings, and the rounded delta dt and the normalised a enter M and g
-# with a condition of at most ~10 on this domain (b delta <= 0.9, delta dt < 1). A subnormal
-# verdict holds fewer digits, so the smallest normal float is allowed absolutely.
+# takes a few dozen roundings, and the rounded delta dt enters M and g with a condition of at
+# most ~10 on this domain (delta dt < 2). The reference takes the engine's normalised a and
+# b delta, so the nearly parallel pair (b delta up to 1 - 1e-6, where g is O(a^4)) costs no
+# digits of the inputs; past that, the verdict is below 1e-32 of the total, and a difference
+# of two 50-digit totals no longer holds it. A subnormal verdict holds fewer digits, so the
+# smallest normal float is allowed absolutely.
 VERDICT_REL = Decimal("1e-13")
 
 
 @settings(max_examples=100, deadline=None)
-@given(valid_params(mode=st.just(Mode.EXACT), k_max=10**5, dt=DECADES_DT))
+@given(valid_params(mode=st.just(Mode.EXACT), k_max=10**5, dt=DECADES_DT, bd=st.floats(0.0, 0.999999)))
 @example(ProtocolParams.from_b(88.85074653873919, 0.00934590131528339, 17,
                                dt=0.00016620039754226847, prior=0.3045145664658649))
+# b delta = 1 - 1e-6: a reference from the float b and delta was off by 2.0e-10 here.
+@example(ProtocolParams.from_b(39.0624609375, 0.0256, 643, dt=0.00604, prior=0.57))
 def test_exact_verdict_matches_the_decimal_reference_to_its_own_digits(p):
-    ref = oracles.decimal_point(p.b, p.delta, p.dt, p.k, p.prior)
+    ref = oracles.decimal_point(*protocol.normalised(p)[:2], p.delta, p.dt, p.k, p.prior)
     want = ref["total_exact"] - ref["baseline_exact"]
     got = protocol.run(p).verdict_vs_exact
     assert abs(Decimal(got) - want) <= VERDICT_REL * want + Decimal(sys.float_info.min)
+
+
+# The exact total is f(M), the price of the click mass alone (see
+# test_the_exact_total_never_falls_as_the_click_mass_rises), at the engine's own click mass M_k
+# and normalised b delta, both taken as exact. Bound, fixed before measuring: 1e-14 relative,
+# about 45 eps. The total adds two nonnegative terms of a few roundings each, and b delta <= 0.9
+# keeps a^2 >= 0.19, so the gap 1 - O^2 that the engine passes Helstrom in closed form enters
+# with a condition near 1. A total of 0 (a prior of 0 or 1) must be 0, up to the smallest
+# normal float.
+TOTAL_REL = Decimal("1e-14")
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_params(mode=st.just(Mode.EXACT), k_max=10**5, dt=DECADES_DT,
+                    prior=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))))
+def test_exact_total_is_the_price_of_its_click_mass(p):
+    report = protocol.run(p)
+    _, bd, _ = protocol.normalised(p)
+    with localcontext() as ctx:
+        ctx.prec = oracles.DECIMAL_DIGITS
+        want = oracles.decimal_exact_total(p.prior, Decimal(bd) ** 2, report.click_mass)
+    assert abs(Decimal(report.total_cost) - want) <= TOTAL_REL * want + Decimal(sys.float_info.min)
 
 
 # The exact ledger's margin M g(M) is never negative, with no slack, and the costs of
@@ -388,8 +415,9 @@ _REPORT_RESIDUALS = {
 
 def _walked_scaling_rows(config: cli.SweepConfig, quantity: str) -> list[dict]:
     """The scaling study point by point: every template built, one protocol.run per grid
-    point, each residual read off its report, and one np.polyfit per (template, quantity).
-    The first residual that is not finite, by template, quantity and delta, raises."""
+    point, each residual read off its report, and per (template, quantity) the exact
+    least-squares line of the logs, which a fit matches to oracles.FIT_ULPS ulp. The first
+    residual that is not finite, by template, quantity and delta, raises."""
     build = ProtocolParams.from_a if config.amplitude == "a" else ProtocolParams.from_b
     quantities = sorted(_REPORT_RESIDUALS) if quantity == "all" else [quantity]
     deltas = config.delta[::-1]
@@ -408,8 +436,8 @@ def _walked_scaling_rows(config: cli.SweepConfig, quantity: str) -> list[dict]:
             n_floored = sum(1 for r in residuals if r < series.NOISE_FLOOR)
             exponent = intercept = math.nan
             if n_floored < len(deltas):
-                floored = [max(r, series.NOISE_FLOOR) for r in residuals]
-                exponent, intercept = np.polyfit(np.log(deltas), np.log(floored), 1).tolist()
+                logs = [math.log(max(r, series.NOISE_FLOOR)) for r in residuals]
+                exponent, intercept = oracles.least_squares_line(map(math.log, deltas), logs)
             rows.append({
                 "quantity": q, "b": template.b, "k": template.k, "xi": template.prior,
                 "dt_rule": "auto" if config.auto_dt else template.dt,

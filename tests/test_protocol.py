@@ -366,7 +366,8 @@ def test_total_cost_paper_mode_examples():
 ])
 def test_decimal_reference_keeps_a_tiny_click_mass_and_helstrom_cost(params):
     report = protocol.run(params)
-    ref = oracles.decimal_point(params.b, params.delta, params.dt, params.k, params.prior)
+    ref = oracles.decimal_point(*protocol.normalised(params)[:2], params.delta, params.dt, params.k,
+                                params.prior)
     got = {"final_overlap": report.final_overlap, "baseline_exact": report.baseline_exact,
            "baseline_paper": report.baseline_paper, "total_exact": report.total_cost,
            "total_paper": protocol.run(dataclasses.replace(params, mode=Mode.PAPER)).total_cost}

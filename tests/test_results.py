@@ -19,7 +19,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import oracles
-from zenodisc import series
+from zenodisc import protocol, series
 
 REPO = Path(__file__).resolve().parent.parent
 RESULTS = REPO / "results"
@@ -110,13 +110,13 @@ def test_committed_headline_matches_the_decimal_reference():
     rows = list(csv.DictReader(io.StringIO((RESULTS / "headline.csv").read_text(encoding="utf-8"))))
     assert rows
     for n, row in enumerate(rows, start=2):
-        b, delta, dt, k, xi = (float(row["b"]), float(row["delta"]), float(row["dt"]),
-                               int(row["k"]), float(row["xi"]))
-        ref = oracles.decimal_point(b, delta, dt, k, xi)
+        a, b, delta, dt, k, xi = (float(row["a"]), float(row["b"]), float(row["delta"]),
+                                  float(row["dt"]), int(row["k"]), float(row["xi"]))
+        ref = oracles.decimal_point(*protocol.normalised(protocol.Points(a, b, delta, dt))[:2], delta, dt, k, xi)
         total = ref[f"total_{row['mode']}"]
         # The headline solves dt from the cancellation condition, per delta
         # of the overlap exponent's fit grid too (scripts/adjudicate.py).
-        want = {"a": ref["a"], "dt": oracles.decimal_auto_dt(b, delta, k), "total_cost": total,
+        want = {"a": oracles.decimal_amplitude(b, delta), "dt": oracles.decimal_auto_dt(b, delta, k), "total_cost": total,
                 "paper_new_cost": ref["paper_new_cost"], "final_overlap": ref["final_overlap"],
                 "baseline_exact": ref["baseline_exact"], "baseline_paper": ref["baseline_paper"],
                 "overlap_exponent": oracles.decimal_overlap_exponent(b, k, series.DEFAULT_DELTAS)}

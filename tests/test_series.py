@@ -234,26 +234,27 @@ def _same(got, want) -> bool:
 
 
 def test_fit_power_laws_equals_the_fit_of_each_column():
-    # One least-squares solve over every column gives each column's own fit,
-    # bit for bit: a clean column, one with floored entries, one all at the
-    # floor (indeterminate), and columns with a NaN or an inf residual, which
-    # fit NaN and leave the others untouched.
+    # A fit of many columns gives each column's own fit, bit for bit: a clean
+    # column, one with floored entries, one all at the floor (indeterminate),
+    # and columns with a NaN or an inf residual, which fit NaN and leave the
+    # others untouched. np.polyfit fits the last column's exponent 9.4 ulp
+    # from the exact line.
     deltas = (1e-2, 10**-2.5, 1e-3, 10**-3.4)
     columns = [[0.7 * d**3 for d in deltas], [3e-7, 2e-15, 4e-9, 0.0], [0.0, 1e-15, 0.0, 5e-16],
-               [1.0, math.nan, 0.1, 0.01], [math.inf, 2.0, 0.5, 0.2], [2.5 * d**2 for d in deltas]]
+               [1.0, math.nan, 0.1, 0.01], [math.inf, 2.0, 0.5, 0.2], [2.5 * d**2 for d in deltas],
+               [6.01e-08, 6e-10, 6e-12, 1.51e-13]]
     batch = series.fit_power_laws(deltas, columns)
     assert len(batch) == len(columns)
     for column, fit in zip(columns, batch):
         one = series.fit_power_law(deltas, column)
         for name in ("exponent", "intercept", "sample_deltas", "residuals", "n_floored", "indeterminate"):
             assert _same(getattr(fit, name), getattr(one, name)), name
-        # The fit of the column alone, as np.polyfit makes it on one column.
-        floored = [max(r, series.NOISE_FLOOR) for r in column]
+        # The exact least-squares line of the same logs, to FIT_ULPS ulp.
         if fit.n_floored < len(deltas) and all(map(math.isfinite, column)):
-            want = np.polyfit(np.log(deltas), np.log(floored), 1).tolist()
-            assert [fit.exponent, fit.intercept] == want
-    assert [f.n_floored for f in batch] == [0, 2, 4, 0, 0, 0]
-    assert [f.indeterminate for f in batch] == [False, False, True, False, False, False]
+            logs = [math.log(max(r, series.NOISE_FLOOR)) for r in column]
+            assert (fit.exponent, fit.intercept) == oracles.least_squares_line(map(math.log, deltas), logs)
+    assert [f.n_floored for f in batch] == [0, 2, 4, 0, 0, 0, 0]
+    assert [f.indeterminate for f in batch] == [False, False, True, False, False, False, False]
     assert all(math.isnan(f.exponent) and math.isnan(f.intercept) for f in batch[2:5])
     assert batch[0].exponent == pytest.approx(3.0, abs=1e-9)
     assert series.fit_power_laws(deltas, []) == []
