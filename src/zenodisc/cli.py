@@ -278,7 +278,6 @@ def _rows(columns, modes: tuple[Mode, ...], auto_dt: bool) -> list[ReportRow]:
     :func:`protocol.derive_points` call validates every grid, the same ``tree`` pass
     evaluates them, and one :func:`series.fit_power_laws` call fits them."""
     import numpy as np
-
     n, deltas = len(columns[0]), series.DEFAULT_DELTAS
     points = protocol.Points(*(np.array(column, float) for column in columns))
     _, b, _, dt, k, xi = columns

@@ -29,20 +29,23 @@ import sys
 from .qcore import ValidationError
 
 
-def _is_array(v) -> bool:
-    """Whether ``v`` is a numpy array, decided without importing numpy: until some caller
-    has imported it, nothing can be an array."""
+def _numpy(*values):
+    """numpy where one of ``values`` is a numpy array, else None, decided without importing
+    numpy: until some caller has imported it, nothing can be an array."""
     np = sys.modules.get("numpy")
-    return np is not None and isinstance(v, np.ndarray)
+    if np is not None:
+        for v in values:
+            if isinstance(v, np.ndarray):
+                return np
+    return None
 
 
 def _reject(holds, messages, *values) -> None:
     """Raise the message of the first of ``holds`` that fails, filled with ``values``; over
     arrays, with the values of the first entry where that check fails."""
     for ok, message in zip(holds, messages):
-        if _is_array(ok):
-            import numpy as np
-
+        np = _numpy(ok)
+        if np:
             if ok.all():
                 continue
             first = np.flatnonzero(~ok)[0]
@@ -58,7 +61,6 @@ def _clip(v: float) -> float:
 
 def _clip_entries(v):
     import numpy as np
-
     return np.minimum(np.maximum(v, 0.0), 1.0)
 
 
@@ -86,14 +88,10 @@ def helstrom_cost(prior, transition_probability, complement):
     holds = ((prior >= 0.0) & (prior <= 1.0), (t >= -1e-12) & (t <= 1.0 + 1e-12),
              (rest >= -1e-12) & (rest <= 1.0 + 1e-12), abs(t + rest - 1.0) <= 1e-9)
     valid = holds[0] & holds[1] & holds[2] & holds[3]
-    entries = _is_array(valid)
-    if not (valid.all() if entries else valid):
+    np = _numpy(valid)
+    if not (valid.all() if np else valid):
         _reject(holds, _HELSTROM_MESSAGES, prior, t, rest)
-    clip, sqrt = _clip, math.sqrt
-    if entries:
-        import numpy as np
-
-        clip, sqrt = _clip_entries, np.sqrt
+    clip, sqrt = (_clip_entries, np.sqrt) if np else (_clip, math.sqrt)
     t, rest = clip(t), clip(rest)
     spread = prior * (1.0 - prior)
     bias = 1.0 - 2.0 * prior
@@ -104,11 +102,7 @@ def guess_only_cost(prior):
     """Bayes cost when no measurement information is available: min(xi, 1 - xi),
     of a float or entry by entry of an array."""
     valid = (prior >= 0.0) & (prior <= 1.0)
-    entries = _is_array(valid)
-    if not (valid.all() if entries else valid):
+    np = _numpy(valid)
+    if not (valid.all() if np else valid):
         _reject((valid,), _HELSTROM_MESSAGES, prior)
-    if entries:
-        import numpy as np
-
-        return np.minimum(prior, 1.0 - prior)
-    return min(prior, 1.0 - prior)
+    return np.minimum(prior, 1.0 - prior) if np else min(prior, 1.0 - prior)

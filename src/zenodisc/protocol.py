@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, ClassVar, NamedTuple
 
-from .helstrom import _is_array, guess_only_cost, helstrom_cost
+from .helstrom import _numpy, guess_only_cost, helstrom_cost
 from .qcore import PureState, ValidationError
 
 # Candidate-state normalization a^2 + (b delta)^2 = 1 is enforced to this
@@ -130,11 +130,11 @@ _MAX = sys.float_info.max
 def _finite(v):
     """abs(v) <= the largest float: false for inf, NaN and anything but a real number,
     entry by entry over an array."""
-    return (isinstance(v, (int, float)) or _is_array(v)) and abs(v) <= _MAX
+    return (isinstance(v, (int, float)) or _numpy(v) is not None) and abs(v) <= _MAX
 
 
 def _k_in_range(p):
-    k = p.k if isinstance(p.k, int) or _is_array(p.k) else 0  # a k of any other type fails
+    k = p.k if isinstance(p.k, int) or _numpy(p.k) else 0  # a k of any other type fails
     return (k >= 1) & (k <= _MAX)
 
 
@@ -200,9 +200,8 @@ def _enforce(checks, point) -> None:
 
 def _rest(v):
     """sqrt(max(1 - v^2, 0)) of a float, or entry by entry of an array."""
-    if _is_array(v):
-        import numpy as np
-
+    np = _numpy(v)
+    if np:
         return np.sqrt(np.maximum(1.0 - v * v, 0.0))
     return math.sqrt(max(1.0 - v * v, 0.0))
 
@@ -228,7 +227,6 @@ def derive_points(amplitude: str, ab, delta, dt, k, prior) -> tuple[Points, list
     sequences give empty columns and no message.
     """
     import numpy as np
-
     ab_col, d = np.array(ab, float), np.array(delta, float)
     k_col = np.array([float(v) if v <= _MAX else math.inf for v in k])
     auto = len(dt) > 0 and dt[0] is None
@@ -284,12 +282,12 @@ class ProtocolReport:
     the survived overlap O_k and the gap 1 - O_k^2 in closed form, which keeps its digits as the
     pair nears parallel. total_cost, both baselines and the verdicts (total_cost minus each
     baseline, but M_k g(M_k) over baseline_exact in the exact ledger) are :func:`costs` under
-    params.mode, a sweep row's cells bit for bit; another ledger's are those of :func:`run` with
-    that mode. They are priced in one :func:`costs` call, on the first read; the leaves and every
-    per-step value are computed on each read, through numpy, and never kept: clicks[j - 1] is the click at step j under either hypothesis, overlap_trajectory[i] is
-    |<s0|s1>| of the survival states after i steps (entry 0 is b^2 delta^2), survival[i] the
-    cumulative survival (survival_trajectory pairs it up), and survived_pair the survived leaf's
-    states without the e0, e1 phases."""
+    params.mode, a sweep row's cells bit for bit, priced in one call on the first read; another
+    ledger's are those of :func:`run` with that mode. The leaves and every per-step value are
+    computed through numpy on each read and never kept: clicks[j - 1] is the click at step j
+    under either hypothesis, overlap_trajectory[i] is |<s0|s1>| of the survival states after i
+    steps (entry 0 is b^2 delta^2), survival[i] the cumulative survival (survival_trajectory
+    pairs it up), and survived_pair the survived leaf's states without the e0, e1 phases."""
 
     params: ProtocolParams
     click_mass: float
@@ -300,7 +298,6 @@ class ProtocolReport:
     def _steps(self) -> tuple:
         """:func:`_columns` at the steps j = 0..k as arrays, computed on each read."""
         import numpy as np
-
         (a, bd, x), k = normalised(self.params), self.params.k
         too_many = f"k = {k}: its {k + 1} per-step values cannot be allocated"
         if (k + 1) * 8 > sys.maxsize:  # past numpy's index range arange may come back empty
@@ -405,9 +402,8 @@ def _each(fn, *args, dtype=float):
     """The ``math`` function ``fn`` of floats, or entry by entry over broadcast arrays as an
     array of ``dtype``: numpy's counterpart of a ``math`` function may round differently, so
     an entry is the float call on it bit for bit, and floats never import numpy."""
-    if any(map(_is_array, args)):
-        import numpy as np
-
+    np = _numpy(*args)
+    if np:
         return np.frompyfunc(fn, len(args), 1)(*args).astype(dtype)
     return fn(*args)
 
@@ -466,11 +462,8 @@ def _excess(prior, a2, beta, mass):
     """g = (a^2 / 2)(q a^2 / X(0) + q a^2 / X(M)) / (sqrt(A(0)) + sqrt(A(M))), q = 4 xi (1 - xi),
     c = |1 - 2 xi|, beta = b^2 delta^2, A(M) = c^2 (1 - M)^2 + q a^2 (1 + beta - 2 M), X(M) =
     c^2 (1 - M) + q a^2 + c sqrt(A(M)); a denominator is 0 only at xi = 1/2, a = 0, with its numerator."""
-    sqrt = math.sqrt
-    if _is_array(mass):
-        import numpy as np
-
-        sqrt = np.sqrt
+    np = _numpy(mass)
+    sqrt = np.sqrt if np else math.sqrt
     rest, c, qa2 = 1.0 - mass, abs(1.0 - 2.0 * prior), 4.0 * prior * (1.0 - prior) * a2
     c2 = c * c
     root0, root = sqrt(c2 + qa2 * (1.0 + beta)), sqrt(rest * rest * c2 + qa2 * (1.0 + beta - 2.0 * mass))
@@ -483,7 +476,6 @@ def survived_state(a, bd, x, k, survival):
     values, k and 1 - M_k, as a 5-vector or 5 x n over columns (``math`` per entry), x = delta dt:
     ((a/2)(c^k + cos kx), -i (a/2) sin kx, i (a/2) sin kx, (a/2)(c^k - cos kx), b delta) / sqrt(1 - M_k)."""
     import numpy as np
-
     # c^k with its sign: the even amplitude flips at every step when c < 0.
     ck = _each(lambda v, j: math.exp(0.5 * (j * _decay(v)[1])) * math.copysign(1.0, math.cos(v)) ** j, x, k)
     cos_kx, sin_kx = _each(math.cos, k * x), _each(math.sin, k * x)

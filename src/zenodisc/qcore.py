@@ -35,7 +35,6 @@ class PureState:
 
     def __post_init__(self):
         import numpy as np
-
         vec = np.asarray(self.amplitudes, dtype=np.complex128)
         if vec.ndim != 1:
             raise ValidationError(f"expected a 1-d amplitude vector, got shape {vec.shape}")

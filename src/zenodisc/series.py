@@ -29,7 +29,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from . import protocol
-from .helstrom import _is_array, helstrom_cost
+from .helstrom import _numpy, helstrom_cost
 from .protocol import ProtocolParams, _each, shown
 from .qcore import ValidationError
 
@@ -141,13 +141,13 @@ def fit_power_laws(deltas, columns) -> list[ScalingFit]:
 
     With u = log delta and y = log of the floored residual (``math.log`` per entry), the
     least-squares slope is p = sum (u - mean u)(y - mean y) / sum (u - mean u)^2 and the
-    intercept mean y - p mean u. Every sum adds left to right, one rounding per term (``sum``
-    compensates from Python 3.12 on), so the fit of a column is the same on every Python. A
-    column with a non-finite log fits NaN; one whose every entry is floored is indeterminate.
+    intercept mean y - p mean u. Every sum adds left to right, one rounding per term: ``sum``
+    compensates from Python 3.12 on, so a fit would depend on the Python version. A column
+    with a non-finite log fits NaN; one whose every entry is floored is indeterminate.
     """
     ds = tuple(map(float, deltas))
     # Rows of a 2-D array (as a sweep passes them) or of sequences; a float keeps its object.
-    cols = [tuple(map(float, rs)) for rs in (columns.tolist() if _is_array(columns) else columns)]
+    cols = [tuple(map(float, rs)) for rs in (columns.tolist() if _numpy(columns) else columns)]
     if any(len(rs) != len(ds) for rs in cols):
         raise ValidationError("deltas and residuals must have equal length")
     if len(ds) < 3:
@@ -165,8 +165,8 @@ def fit_power_laws(deltas, columns) -> list[ScalingFit]:
     spread = reduce(add, map(mul, du, du))
     fits = []
     for rs in cols:
-        n_floored = sum(r < NOISE_FLOOR for r in rs)
-        ys = [math.log(max(r, NOISE_FLOOR)) for r in rs]  # max keeps a NaN; log(inf) is inf
+        n_floored = len([r for r in rs if r < NOISE_FLOOR])
+        ys = [math.log(r if not r < NOISE_FLOOR else NOISE_FLOOR) for r in rs]  # a NaN stays NaN
         slope = intercept = math.nan
         if n_floored < n and all(map(math.isfinite, ys)):
             y_mean = reduce(add, ys) / n
@@ -192,7 +192,6 @@ def _power(base: float, exponent: float):
 def _state(components, hypothesis: int):
     """The components as a complex 5-vector (5 x n over columns), 1<->4, 2<->3 mirrored for 1."""
     import numpy as np
-
     if hypothesis not in (0, 1):
         raise ValidationError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
     state = np.array(np.broadcast_arrays(*components), dtype=np.complex128)
@@ -201,7 +200,6 @@ def _state(components, hypothesis: int):
 
 def _magnitude_gap(exact, approx):
     import numpy as np
-
     return np.max(np.abs(np.abs(exact) - np.abs(approx)), axis=0)
 
 
@@ -345,7 +343,6 @@ def scaling_fits(quantities, deltas, templates, auto_dt: bool = False) -> list[S
     the first that is not finite, by template, quantity and delta, raises. One
     :func:`fit_power_laws` fits every column."""
     import numpy as np
-
     for q in quantities:
         _tested_expression(q)  # rejects an unknown name before any evaluation
     grid = [(t.b, d, None if auto_dt else t.dt, t.k, t.prior) for t in templates for d in deltas]

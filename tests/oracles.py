@@ -260,7 +260,8 @@ class Near:
         self.value, self.tol = value, tol
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, float) and math.isfinite(other) and abs(Fraction(other) - self.value) <= self.tol
+        return (isinstance(other, float) and math.isfinite(other)
+                and abs(Fraction(other) - self.value) <= self.tol)
 
     def __float__(self) -> float:
         return float(self.value)

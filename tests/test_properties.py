@@ -6,15 +6,17 @@ floats, as floats, the values of its one-entry arrays, the survival
 trajectory pairs up the stored survival, the charged leaves sum to the
 closed-form total, the tree agrees with the independent dense-exponential
 walk of the oracles, the exact ledger never beats the Helstrom floor, the
-exact total never falls as the click mass rises (at 50 digits) and sits on
-the floor where the click mass is 0, the exact-ledger verdict matches the
-50-digit reference to its own digits and is never negative, the paper total
+exact total never falls as the click mass rises (at 50 digits), is that
+function of the engine's own click mass and sits on the floor where the
+click mass is 0, the exact-ledger verdict matches the 50-digit reference
+to its own digits and is never negative, the paper total
 is half the click mass, the leaf masses sum to one, relabelling the
 hypotheses at an even prior matches the oracle walk from the swapped pair,
 swapping the prior for its complement leaves the total unchanged, many close
 probes at a fixed total time meet the Misra-Sudarshan limit, a scaling
-study's rows are those of one walk per grid point with one fit per column
-and its error that of the first failing walk, each series form of columns is
+study's rows are those of one walk per grid point with the exact
+least-squares fit of each column (to oracles.FIT_ULPS ulp) and its error
+that of the first failing walk, each series form of columns is
 the form of each point (k up to 10^18), a sweep report, rendered and written
 in one pass, and a scaling CSV and a run report have the bytes of the
 cell-by-cell references, optimize finds what building and running each of
@@ -83,8 +85,9 @@ def test_final_step_price_equals_the_run_total(p):
     assert report.survival_trajectory == tuple(zip(s, s))
 
 
-# A point of floats goes through tree in Python floats, with numpy's expm1 and exp of the
-# float, so a run gets the numbers a sweep gets from its columns.
+# A point of floats goes through tree in Python floats and math, and an array entry through
+# the same math function per entry (expm1 and exp too), so a run gets the numbers a sweep
+# gets from its columns.
 @settings(max_examples=60, deadline=None)
 @given(valid_params())
 @example(ProtocolParams(a=1.0, b=0.0, delta=0.1875, dt=3.0, k=61))  # M_k >= b^2 delta^2
