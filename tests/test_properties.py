@@ -144,11 +144,12 @@ def test_exact_ledger_never_beats_the_helstrom_floor(p):
 # far below total and baseline_exact, whose difference kept few of its digits (1.25e-5
 # relative at the first example). Bound, fixed before measuring: 1e-13, about 450 eps. M g(M)
 # takes a few dozen roundings, and the rounded delta dt enters M and g with a condition of at
-# most ~10 on this domain (delta dt < 2). The reference takes the engine's normalised a and
+# most ~10 on this domain (delta dt < 1). The reference takes the engine's normalised a and
 # b delta, so the nearly parallel pair (b delta up to 1 - 1e-6, where g is O(a^4)) costs no
-# digits of the inputs; past that, the verdict is below 1e-32 of the total, and a difference
-# of two 50-digit totals no longer holds it. A subnormal verdict holds fewer digits, so the
-# smallest normal float is allowed absolutely.
+# digits of the inputs. Past that the verdict shrinks like a^6 against the total (to ~1e-43
+# of it at b delta = 1 - 1e-15), and the reference's difference of two 50-digit totals loses
+# its digits. A subnormal verdict holds fewer digits, so the smallest normal float is
+# allowed absolutely.
 VERDICT_REL = Decimal("1e-13")
 
 
