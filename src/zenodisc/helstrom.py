@@ -56,7 +56,7 @@ def _reject(holds, messages, *values) -> None:
 
 
 def _clip(v: float) -> float:
-    return min(max(v, 0.0), 1.0)
+    return min(max(v, 0.0), 1.0) + 0.0  # max keeps a -0, which numpy's maximum makes 0
 
 
 def _clip_entries(v):
@@ -86,7 +86,9 @@ def helstrom_cost(prior, transition_probability, complement):
     """
     t, rest = transition_probability, complement
     holds = ((prior >= 0.0) & (prior <= 1.0), (t >= -1e-12) & (t <= 1.0 + 1e-12),
-             (rest >= -1e-12) & (rest <= 1.0 + 1e-12), abs(t + rest - 1.0) <= 1e-9)
+             (rest >= -1e-12) & (rest <= 1.0 + 1e-12),
+             # T within 1e-9 of 1 - (1 - T), with no sum of inf and -inf, which numpy warns of
+             (t >= 1.0 - 1e-9 - rest) & (t <= 1.0 + 1e-9 - rest))
     valid = holds[0] & holds[1] & holds[2] & holds[3]
     np = _numpy(valid)
     if not (valid.all() if np else valid):

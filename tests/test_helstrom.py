@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zenodisc import helstrom
@@ -106,3 +106,94 @@ def test_expected_posterior_guess_cost_never_exceeds_prior_guess_cost(xi, p0, p1
             post = xi * q0 / marginal
             expected += marginal * min(post, 1.0 - post)
     assert expected <= helstrom.guess_only_cost(xi) + 1e-12
+
+
+# ------------------------------------------------------------ arrays
+# T or 1 - T up to 1e-12 outside [0, 1] (the clip edges), and [0, 1] itself.
+EDGE_T = st.floats(0.0, 1.0) | st.floats(-1e-12, 0.0) | st.floats(1.0, 1.0 + 1e-12)
+PRIORS = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+ANY = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def pure_pairs(draw, priors=PRIORS, edges=EDGE_T):
+    """(prior, T, 1 - T) with one of T and 1 - T at an edge and the other its complement,
+    exact or off by up to 2e-12, so some entries leave the admitted range."""
+    edge = draw(edges)
+    other = 1.0 - edge + draw(st.just(0.0) | st.floats(-2e-12, 2e-12))
+    t, rest = (edge, other) if draw(st.booleans()) else (other, edge)
+    return draw(priors), t, rest
+
+
+def _priced(entries):
+    """The float call of each entry that it accepts."""
+    valid = []
+    for entry in entries:
+        try:
+            valid.append((entry, helstrom.helstrom_cost(*entry)))
+        except ValidationError:
+            pass
+    return valid
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+# Each array entry is the float call on it bit for bit, the prior as an array or one float.
+@settings(max_examples=150, deadline=None)
+@given(st.lists(pure_pairs(), min_size=1, max_size=20), st.booleans())
+@example([(0.3, -0.0, 1.0), (0.3, 1e-12 - 1e-12, 1.0)], False)  # a T of -0 clips to 0
+@example([(0.0, 0.5, 0.5), (1.0, 1.0 + 1e-12, -1e-12)], False)
+def test_helstrom_cost_of_arrays_is_the_float_call_of_each_entry(entries, one_prior):
+    if one_prior:
+        entries = [(entries[0][0], t, rest) for _, t, rest in entries]
+    valid = _priced(entries)
+    assume(valid)
+    prior, t, rest = (np.array(column) for column in zip(*(entry for entry, _ in valid)))
+    got = helstrom.helstrom_cost(valid[0][0][0] if one_prior else prior, t, rest)
+    assert _bits(got.tolist()) == _bits(cost for _, cost in valid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(PRIORS, min_size=1, max_size=20))
+def test_guess_only_cost_of_an_array_is_the_float_call_of_each_entry(priors):
+    got = helstrom.guess_only_cost(np.array(priors))
+    assert _bits(got.tolist()) == _bits(map(helstrom.guess_only_cost, priors))
+
+
+_CHECKS = ("prior must", "transition probability must", "complement must", "T = ")
+
+
+def _first_failure(call, entries):
+    """What ``call`` raises over arrays of ``entries``, as ``_reject`` documents it: the message
+    of the first check that fails anywhere, from the first entry where it fails. That entry's
+    float call raises it, since every earlier check holds everywhere."""
+    failures = []
+    for i, entry in enumerate(entries):
+        try:
+            call(*entry)
+        except ValidationError as err:
+            failures.append((next(c for c, s in enumerate(_CHECKS) if str(err).startswith(s)), i, str(err)))
+    return min(failures)[2] if failures else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(pure_pairs(priors=PRIORS | ANY, edges=EDGE_T | ANY), min_size=1, max_size=10))
+@example([(0.5, 0.5, 0.5), (2.0, 0.3, 0.3), (0.5, 1.5, -0.5)])
+def test_an_invalid_array_raises_the_first_failing_check_of_its_first_failing_entry(entries):
+    want = _first_failure(helstrom.helstrom_cost, entries)
+    assume(want is not None)
+    with pytest.raises(ValidationError) as err:
+        helstrom.helstrom_cost(*(np.array(column) for column in zip(*entries)))
+    assert str(err.value) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(PRIORS | ANY, min_size=1, max_size=10))
+def test_an_invalid_prior_array_raises_at_its_first_failing_entry(priors):
+    want = _first_failure(helstrom.guess_only_cost, [(p,) for p in priors])
+    assume(want is not None)
+    with pytest.raises(ValidationError) as err:
+        helstrom.guess_only_cost(np.array(priors))
+    assert str(err.value) == want
