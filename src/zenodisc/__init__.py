@@ -26,8 +26,6 @@ from .series import (
     SUSPECT_FLAGS,
     ScalingFit,
     baseline_paper_convention,
-    fit_power_law,
-    fit_scaling,
     k_step_state,
     one_step_state,
     one_step_survival,
@@ -45,7 +43,7 @@ __all__ = [
     "run", "solve_orthogonality", "total_cost_paper_mode",
     "PureState", "ValidationError",
     "EXPRESSIONS", "SUSPECT_FLAGS", "ScalingFit",
-    "baseline_paper_convention", "fit_power_law", "fit_scaling", "k_step_state",
+    "baseline_paper_convention", "k_step_state",
     "one_step_state", "one_step_survival", "original_cost", "overlap_k_paper",
     "quantity_flag", "survival_k_paper",
     "__version__",

@@ -316,10 +316,9 @@ def _rows(columns, modes: tuple[Mode, ...], auto_dt: bool) -> list[ReportRow]:
 
 def _row_sort_key(row: ReportRow):
     def clean(x):
-        return math.inf if x is None or (isinstance(x, float) and math.isnan(x)) else x
+        return math.inf if isinstance(x, float) and math.isnan(x) else x
 
-    return (clean(row.delta), clean(row.dt), row.k, clean(row.xi),
-            clean(row.a), clean(row.b), row.mode)
+    return tuple(map(clean, _VALID_SORT_KEY(row)))
 
 
 def run_sweep(config: SweepConfig) -> list[ReportRow]:
@@ -355,7 +354,7 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
 
 # The columns that name a row's parameter point, CSV_COLUMNS[:6].
 _POINT = attrgetter("a", "b", "delta", "dt", "k", "xi")
-# :func:`_row_sort_key` of a row with no error, whose key fields hold no None or NaN.
+# :func:`_row_sort_key` of a row with no error, whose key fields hold no NaN.
 _VALID_SORT_KEY = attrgetter("delta", "dt", "k", "xi", "a", "b", "mode")
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
+from types import SimpleNamespace
 
 from .qcore import ValidationError
 
@@ -55,13 +56,13 @@ def _reject(holds, messages, *values) -> None:
         raise ValidationError(message.format(*values))
 
 
-def _clip(v: float) -> float:
-    return min(max(v, 0.0), 1.0) + 0.0  # max keeps a -0, which numpy's maximum makes 0
+_FLOATS = SimpleNamespace(all=bool, sqrt=math.sqrt, minimum=min, maximum=max)
 
 
-def _clip_entries(v):
-    import numpy as np
-    return np.minimum(np.maximum(v, 0.0), 1.0)
+def _math(*values):
+    """numpy where one of ``values`` is a numpy array (see :func:`_numpy`), else ``math`` and
+    builtins under numpy's names: ``all``, ``sqrt``, ``minimum`` and ``maximum``."""
+    return _numpy(*values) or _FLOATS
 
 
 _HELSTROM_MESSAGES = ("prior must lie in [0, 1], got {0!r}",
@@ -81,8 +82,8 @@ def helstrom_cost(prior, transition_probability, complement):
     caller's choice; see the module docstring.
 
     Takes floats, or arrays entry by entry: floats go through ``math``, arrays
-    through numpy, and the square is a product on both, so each entry equals
-    the float call on it bit for bit.
+    through numpy (:func:`_math`), and the square is a product on both, so each
+    entry equals the float call on it bit for bit.
     """
     t, rest = transition_probability, complement
     holds = ((prior >= 0.0) & (prior <= 1.0), (t >= -1e-12) & (t <= 1.0 + 1e-12),
@@ -90,21 +91,22 @@ def helstrom_cost(prior, transition_probability, complement):
              # T within 1e-9 of 1 - (1 - T), with no sum of inf and -inf, which numpy warns of
              (t >= 1.0 - 1e-9 - rest) & (t <= 1.0 + 1e-9 - rest))
     valid = holds[0] & holds[1] & holds[2] & holds[3]
-    np = _numpy(valid)
-    if not (valid.all() if np else valid):
+    m = _math(valid)
+    if not m.all(valid):
         _reject(holds, _HELSTROM_MESSAGES, prior, t, rest)
-    clip, sqrt = (_clip_entries, np.sqrt) if np else (_clip, math.sqrt)
-    t, rest = clip(t), clip(rest)
+    # Clipped to [0, 1]; max keeps a -0, which numpy's maximum makes 0, and + 0.0 makes it 0.
+    t = m.minimum(m.maximum(t, 0.0), 1.0) + 0.0
+    rest = m.minimum(m.maximum(rest, 0.0), 1.0) + 0.0
     spread = prior * (1.0 - prior)
     bias = 1.0 - 2.0 * prior
-    return 2.0 * spread * t / (1.0 + sqrt(bias * bias + 4.0 * spread * rest))
+    return 2.0 * spread * t / (1.0 + m.sqrt(bias * bias + 4.0 * spread * rest))
 
 
 def guess_only_cost(prior):
     """Bayes cost when no measurement information is available: min(xi, 1 - xi),
     of a float or entry by entry of an array."""
     valid = (prior >= 0.0) & (prior <= 1.0)
-    np = _numpy(valid)
-    if not (valid.all() if np else valid):
+    m = _math(valid)
+    if not m.all(valid):
         _reject((valid,), _HELSTROM_MESSAGES, prior)
-    return np.minimum(prior, 1.0 - prior) if np else min(prior, 1.0 - prior)
+    return m.minimum(prior, 1.0 - prior)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, ClassVar, NamedTuple
 
-from .helstrom import _numpy, guess_only_cost, helstrom_cost
+from .helstrom import _math, _numpy, guess_only_cost, helstrom_cost
 from .qcore import PureState, ValidationError
 
 # Candidate-state normalization a^2 + (b delta)^2 = 1 is enforced to this
@@ -200,10 +200,8 @@ def _enforce(checks, point) -> None:
 
 def _rest(v):
     """sqrt(max(1 - v^2, 0)) of a float, or entry by entry of an array."""
-    np = _numpy(v)
-    if np:
-        return np.sqrt(np.maximum(1.0 - v * v, 0.0))
-    return math.sqrt(max(1.0 - v * v, 0.0))
+    m = _math(v)
+    return m.sqrt(m.maximum(1.0 - v * v, 0.0))
 
 
 def amplitudes(delta: float, a: float | None = None, b: float | None = None
@@ -462,8 +460,7 @@ def _excess(prior, a2, beta, mass):
     """g = (a^2 / 2)(q a^2 / X(0) + q a^2 / X(M)) / (sqrt(A(0)) + sqrt(A(M))), q = 4 xi (1 - xi),
     c = |1 - 2 xi|, beta = b^2 delta^2, A(M) = c^2 (1 - M)^2 + q a^2 (1 + beta - 2 M), X(M) =
     c^2 (1 - M) + q a^2 + c sqrt(A(M)); a denominator is 0 only at xi = 1/2, a = 0, with its numerator."""
-    np = _numpy(mass)
-    sqrt = np.sqrt if np else math.sqrt
+    sqrt = _math(mass).sqrt
     rest, c, qa2 = 1.0 - mass, abs(1.0 - 2.0 * prior), 4.0 * prior * (1.0 - prior) * a2
     c2 = c * c
     root0, root = sqrt(c2 + qa2 * (1.0 + beta)), sqrt(rest * rest * c2 + qa2 * (1.0 + beta - 2.0 * mass))

@@ -137,7 +137,8 @@ class ScalingFit:
 
 
 def fit_power_laws(deltas, columns) -> list[ScalingFit]:
-    """:func:`fit_power_law` of each residual column on one delta grid, in closed form.
+    """Fit residual ~ C delta^p to each residual column on one delta grid, in closed form (see
+    :class:`ScalingFit` for the flooring rules).
 
     With u = log delta and y = log of the floored residual (``math.log`` per entry), the
     least-squares slope is p = sum (u - mean u)(y - mean y) / sum (u - mean u)^2 and the
@@ -174,11 +175,6 @@ def fit_power_laws(deltas, columns) -> list[ScalingFit]:
             intercept = y_mean - slope * u_mean
         fits.append(ScalingFit(slope, intercept, ds, rs, n_floored, n_floored == n))
     return fits
-
-
-def fit_power_law(deltas, residuals) -> ScalingFit:
-    """Fit residual ~ C * delta^p on a grid; see ScalingFit for flooring rules."""
-    return fit_power_laws(deltas, [residuals])[0]
 
 
 def _power(base: float, exponent: float):
@@ -258,60 +254,42 @@ def _residual_baseline(point: FinalStep) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Expression:
-    """One literal series expression with its doubt, if any, and the scaling
-    quantities whose series side it is (name -> residual of a FinalStep).
+    """One literal series expression, named by its function, with its doubt, if any, and the
+    scaling quantities whose series side it is (name -> residual of a FinalStep).
     """
 
-    name: str
-    summary: str
     evaluate: Callable
     stated_error_order: int
     suspect: str | None = None
     residuals: dict[str, Callable[[FinalStep], np.ndarray]] = field(default_factory=dict)
 
     @property
-    def implemented_by(self) -> str:
-        return f"{self.evaluate.__module__}.{self.evaluate.__name__}"
+    def name(self) -> str:
+        return self.evaluate.__name__
 
 
 # The one table of series expressions; coverage tests enumerate it.
 EXPRESSIONS: tuple[Expression, ...] = (
-    Expression("baseline_paper_convention",
-               "initial cost b^2 delta^2 / 4 from the closed Helstrom form at xi = 1/2",
-               baseline_paper_convention, 4,
+    Expression(baseline_paper_convention, 4,
                residuals={"baseline": _residual_baseline}),
-    Expression("one_step_state",
-               "evolved candidate state after one dt, truncated at delta^2",
-               one_step_state, 3,
+    Expression(one_step_state, 3,
                residuals={"one_step_state": _residual_one_step_state}),
-    Expression("one_step_survival",
-               "single-step null-outcome probability 1 - a^2 delta^2 dt^2 / 2",
-               one_step_survival, 3,
+    Expression(one_step_survival, 3,
                residuals={"click_prob": _residual_click_prob,
                           "survival_step": _residual_survival_step}),
-    Expression("k_step_state",
-               "null-branch state after k iterations, with compound renormalization prefactor",
-               k_step_state, 3,
+    Expression(k_step_state, 3,
                residuals={"k_step_state": _residual_k_step_state}),
-    Expression("survival_k_paper",
-               "k-step cumulative survival 1 - a^2 k delta^2 dt^2 / 4",
-               survival_k_paper, 3,
+    Expression(survival_k_paper, 3,
                suspect=("k-step coefficient 1/4 disagrees with compounding the per-step "
                         "decline a^2 delta^2 dt^2 / 2, which gives k/2"),
                residuals={"survival_k": _residual_survival_k}),
-    Expression("overlap_k_paper",
-               "k-step overlap (1 + a^2 k delta^2 dt^2 / 4)(b^2 delta^2 - 2 a^2 k^2 dt delta^2)",
-               overlap_k_paper, 3,
+    Expression(overlap_k_paper, 3,
                suspect=("second term carries a single power of dt where dimensional "
                         "consistency requires dt**2"),
                residuals={"overlap_vs_series": _residual_overlap_vs_series,
                           "final_overlap": _residual_final_overlap}),
-    Expression("total_cost_paper_mode",
-               "idealized total cost k a^2 dt^2 delta^2 / 4",
-               protocol.total_cost_paper_mode, 3),
-    Expression("original_cost",
-               "single-shot cost a^2 k^2 dt^2 delta^2 under the cancellation condition",
-               original_cost, 4),
+    Expression(protocol.total_cost_paper_mode, 3),
+    Expression(original_cost, 4),
 )
 
 # Views of the table: the flagged expressions' doubts, and each scaling
@@ -366,7 +344,3 @@ def scaling_fits(quantities, deltas, templates, auto_dt: bool = False) -> list[S
                               f"dt={points.dt[t * n + j].item()!r}, k={shown(templates[t].k)}")
     return fit_power_laws(deltas, res.reshape(-1, n))
 
-
-def fit_scaling(quantity: str, deltas, template: ProtocolParams, auto_dt: bool = False) -> ScalingFit:
-    """Empirical truncation order of one quantity over a delta grid (see :func:`scaling_fits`)."""
-    return scaling_fits([quantity], deltas, [template], auto_dt)[0]

@@ -84,16 +84,16 @@ def test_criterion_3_exact_click_probability():
         p, _ = random_params(rng)
         click = protocol.run(p).leaves[0].p_given_h0  # the first click leaf
         worst = max(worst, abs(click - oracles.first_click_closed_form(p.a, p.delta, p.dt)))
-    fit = series.fit_scaling("click_prob", DELTA_GRID,
-                             ProtocolParams.from_b(10.0, 0.01, 1, dt=1.0))
+    fit = series.scaling_fits(["click_prob"], DELTA_GRID,
+                              [ProtocolParams.from_b(10.0, 0.01, 1, dt=1.0)])[0]
     _criterion(3, "one-step click probability: closed form and residual order",
                worst <= 1e-12 and fit.exponent >= 3.5,
                f"worst gap {worst:.3e}, exponent {fit.exponent:.3f}")
 
 
 def test_criterion_4_one_step_state_fidelity():
-    fit = series.fit_scaling("one_step_state", DELTA_GRID,
-                             ProtocolParams.from_b(10.0, 0.01, 1, dt=1.0))
+    fit = series.scaling_fits(["one_step_state"], DELTA_GRID,
+                              [ProtocolParams.from_b(10.0, 0.01, 1, dt=1.0)])[0]
     _criterion(4, "one-step series state magnitudes track exact evolution",
                fit.exponent >= 2.5, f"exponent {fit.exponent:.3f}")
 

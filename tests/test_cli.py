@@ -518,11 +518,11 @@ def test_main_scaling_reports_an_overflowing_series_form(tmp_path, capsys):
 def test_k_step_state_overflow_is_a_validation_error():
     template = protocol.ProtocolParams.from_b(1.0, 0.1, 10**7, dt=1.0)
     with pytest.raises(ValidationError, match="k_step_state overflows at .*k=10000000"):
-        cli.series.fit_scaling("k_step_state", (0.1, 0.03, 0.01), template)
+        cli.series.scaling_fits(["k_step_state"], (0.1, 0.03, 0.01), [template])
     # k (k + 1) / 4 overflows too once the prefactor rounds to 1 (dt = auto).
     huge = protocol.ProtocolParams.from_b(10.0, 0.01, 10**200)
     with pytest.raises(ValidationError, match="k_step_state overflows"):
-        cli.series.fit_scaling("k_step_state", cli.series.DEFAULT_DELTAS, huge, auto_dt=True)
+        cli.series.scaling_fits(["k_step_state"], cli.series.DEFAULT_DELTAS, [huge], auto_dt=True)
 
 
 def test_main_rejects_an_integer_past_the_digit_limit(tmp_path, capsys):

@@ -310,7 +310,7 @@ def _walked_exponent(params: ProtocolParams, auto_dt: bool) -> float | None:
     try:
         overlaps = [protocol.run(_rescaled(params, d, auto_dt)).final_overlap
                     for d in series.DEFAULT_DELTAS]
-        return series.fit_power_law(series.DEFAULT_DELTAS, overlaps).exponent
+        return series.fit_power_laws(series.DEFAULT_DELTAS, [overlaps])[0].exponent
     except ValidationError:
         return None
 
