@@ -308,16 +308,23 @@ def test_run_zeno_regime_keeps_leaf_mass_and_meets_the_limit():
         assert abs(got - limit) <= (delta * total_time) ** 2 * limit
 
 
-# At k = 10^18 malloc refuses the per-step arrays at once. From 2^63 - 2 on,
-# numpy's arange returns an empty array instead of refusing. run itself
+# The per-step views list at most 10^6 steps, a fixed cap checked before anything
+# is allocated: past it, whether the arrays fit depended on the host, and from
+# 2^63 - 2 on numpy's arange returns an empty array instead of refusing. run itself
 # prices only the final step, as a sweep does, so only the per-step views fail.
-@pytest.mark.parametrize("k", [10**18, 2**63 - 2])
+@pytest.mark.parametrize("k", [10**6 + 1, 10**18, 2**63 - 2])
 def test_run_rejects_a_k_whose_step_arrays_cannot_be_allocated(k):
     p = ProtocolParams.from_b(10.0, 0.01, k, dt=1e-12)
     report = protocol.run(p)
-    for view in ("clicks", "survival", "overlap_trajectory", "survival_trajectory", "leaves"):
-        with pytest.raises(ValidationError, match="cannot be allocated"):
-            getattr(report, view)
+    tracemalloc.start()
+    try:
+        for view in ("clicks", "survival", "overlap_trajectory", "survival_trajectory", "leaves"):
+            with pytest.raises(ValidationError, match="cannot be allocated"):
+                getattr(report, view)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
     (row,) = run_sweep(parse_config(f"b=10\ndelta=0.01\ndt=1e-12\nk={k}\nmode=exact"))
     assert not row.error
     assert (report.total_cost, report.final_overlap, report.baseline_exact, report.baseline_paper) \
