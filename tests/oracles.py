@@ -182,8 +182,9 @@ def decimal_amplitude(b, delta) -> Decimal:
         return (1 - (Decimal(b) * Decimal(delta)) ** 2).sqrt()
 
 
-def decimal_point(a, bd, delta, dt, k: int, xi) -> dict[str, Decimal]:
-    """The closed forms of one point at 50 digits, from floats or Decimals taken as exact.
+def decimal_point(a, bd, delta, dt, k: int, xi, digits: int = DECIMAL_DIGITS) -> dict[str, Decimal]:
+    """The closed forms of one point at ``digits`` (by default 50) digits, from floats or
+    Decimals taken as exact.
 
     a and bd are the pair's amplitudes a and b delta, rescaled here to unit norm: given the
     engine's normalised values, the reference prices the very pair the engine prices, so
@@ -195,10 +196,10 @@ def decimal_point(a, bd, delta, dt, k: int, xi) -> dict[str, Decimal]:
     H(xi, bd2) (see :func:`_decimal_helstrom`), the exact total
     M_k min(xi, 1 - xi) + (1 - M_k) H(xi, O_k^2), the paper total M_k / 2 and the
     idealized k a^2 dt^2 delta^2 / 4. From M_k on, the context has as many more digits
-    as s^2 has leading zeros, so that 1 - s^2 holds all of s^2 and M_k keeps 50.
+    as s^2 has leading zeros, so that 1 - s^2 holds all of s^2 and M_k keeps ``digits``.
     """
     with localcontext() as ctx:
-        ctx.prec = DECIMAL_DIGITS
+        ctx.prec = digits
         a, bd, delta, dt, xi = map(Decimal, (a, bd, delta, dt, xi))
         norm2 = a * a + bd * bd
         a2, bd2 = a * a / norm2, bd * bd / norm2
@@ -214,6 +215,25 @@ def decimal_point(a, bd, delta, dt, k: int, xi) -> dict[str, Decimal]:
             "total_paper": mass / 2,
             "paper_new_cost": int(k) * a2 * dt * dt * delta * delta / 4,
         }
+
+
+def decimal_exact_verdict(a, bd, delta, dt, k: int, xi) -> Decimal:
+    """The exact-ledger verdict total_exact - baseline_exact of :func:`decimal_point`, to 50
+    digits. The difference cancels the digits its two terms share, as many as the verdict is
+    orders below the total (~43 at b delta = 1 - 1e-15, where the verdict is O(a^6) of it), so
+    each pass adds the digits the last one saw cancel, all of them where it came out 0, until
+    50 are left. A total of 0 (a prior of 0 or 1) gives 0, and a pass at 400 digits the last."""
+    digits = DECIMAL_DIGITS
+    while True:
+        ref = decimal_point(a, bd, delta, dt, k, xi, digits)
+        total = ref["total_exact"]
+        with localcontext() as ctx:
+            ctx.prec = digits
+            verdict = total - ref["baseline_exact"]
+        lost = total.adjusted() - verdict.adjusted() if verdict else digits
+        if not total or digits - lost >= DECIMAL_DIGITS or digits >= 8 * DECIMAL_DIGITS:
+            return verdict
+        digits = min(DECIMAL_DIGITS + lost + 2, 8 * DECIMAL_DIGITS)
 
 
 def decimal_exact_total(xi, bd2, mass) -> Decimal:

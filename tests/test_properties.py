@@ -145,23 +145,25 @@ def test_exact_ledger_never_beats_the_helstrom_floor(p):
 # relative at the first example). Bound, fixed before measuring: 1e-13, about 450 eps. M g(M)
 # takes a few dozen roundings, and the rounded delta dt enters M and g with a condition of at
 # most ~10 on this domain (delta dt < 1). The reference takes the engine's normalised a and
-# b delta, so the nearly parallel pair (b delta up to 1 - 1e-6, where g is O(a^4)) costs no
-# digits of the inputs. Past that the verdict shrinks like a^6 against the total (to ~1e-43
-# of it at b delta = 1 - 1e-15), and the reference's difference of two 50-digit totals loses
-# its digits. A subnormal verdict holds fewer digits, so the smallest normal float is
+# b delta, so the nearly parallel pair (b delta up to 1 - 1e-15, where the verdict is O(a^6)
+# of the total) costs no digits of the inputs, and it raises its precision by the digits its
+# difference of two totals cancels (:func:`oracles.decimal_exact_verdict`), so it keeps 50 of
+# the verdict. A subnormal verdict holds fewer digits, so the smallest normal float is
 # allowed absolutely.
 VERDICT_REL = Decimal("1e-13")
 
 
 @settings(max_examples=100, deadline=None)
-@given(valid_params(mode=st.just(Mode.EXACT), k_max=10**5, dt=DECADES_DT, bd=st.floats(0.0, 0.999999)))
+@given(valid_params(mode=st.just(Mode.EXACT), k_max=10**5, dt=DECADES_DT, bd=st.floats(0.0, 1.0 - 1e-15)))
 @example(ProtocolParams.from_b(88.85074653873919, 0.00934590131528339, 17,
                                dt=0.00016620039754226847, prior=0.3045145664658649))
 # b delta = 1 - 1e-6: a reference from the float b and delta was off by 2.0e-10 here.
 @example(ProtocolParams.from_b(39.0624609375, 0.0256, 643, dt=0.00604, prior=0.57))
+# b delta = 1 - 1.2e-15: the 50-digit difference of the two totals was off by 7.6e-9 here.
+@example(ProtocolParams.from_b(5.061303075403882, 0.19757757737521, 91226, dt=1.7514302377118476,
+                               prior=0.6913344758903868))
 def test_exact_verdict_matches_the_decimal_reference_to_its_own_digits(p):
-    ref = oracles.decimal_point(*protocol.normalised(p)[:2], p.delta, p.dt, p.k, p.prior)
-    want = ref["total_exact"] - ref["baseline_exact"]
+    want = oracles.decimal_exact_verdict(*protocol.normalised(p)[:2], p.delta, p.dt, p.k, p.prior)
     got = protocol.run(p).verdict_vs_exact
     assert abs(Decimal(got) - want) <= VERDICT_REL * want + Decimal(sys.float_info.min)
 
