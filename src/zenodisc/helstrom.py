@@ -94,7 +94,7 @@ def helstrom_cost(prior, transition_probability, complement):
     m = _math(valid)
     if not m.all(valid):
         _reject(holds, _HELSTROM_MESSAGES, prior, t, rest)
-    # Clipped to [0, 1]; max keeps a -0, which numpy's maximum makes 0, and + 0.0 makes it 0.
+    # Clipped to [0, 1]; + 0.0 turns a -0 into 0, which max keeps and numpy's maximum need not.
     t = m.minimum(m.maximum(t, 0.0), 1.0) + 0.0
     rest = m.minimum(m.maximum(rest, 0.0), 1.0) + 0.0
     spread = prior * (1.0 - prior)

@@ -309,8 +309,8 @@ def test_run_zeno_regime_keeps_leaf_mass_and_meets_the_limit():
 
 
 # The per-step views list at most 10^6 steps, a fixed cap checked before anything
-# is allocated: past it, whether the arrays fit depended on the host, and from
-# 2^63 - 2 on numpy's arange returns an empty array instead of refusing. run itself
+# is allocated, so the largest listable k does not depend on the host; from 2^63 - 2
+# on, numpy's arange would return an empty array instead of refusing. run itself
 # prices only the final step, as a sweep does, so only the per-step views fail.
 @pytest.mark.parametrize("k", [10**6 + 1, 10**18, 2**63 - 2])
 def test_run_rejects_a_k_whose_step_arrays_cannot_be_allocated(k):
