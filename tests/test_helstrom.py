@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -181,6 +183,7 @@ def _first_failure(call, entries):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(pure_pairs(priors=PRIORS | ANY, edges=EDGE_T | ANY), min_size=1, max_size=10))
 @example([(0.5, 0.5, 0.5), (2.0, 0.3, 0.3), (0.5, 1.5, -0.5)])
+@example([(0.0, 1.0, 0.0), (0.0, -math.inf, math.inf)])  # no sum of inf and -inf, no warning
 def test_an_invalid_array_raises_the_first_failing_check_of_its_first_failing_entry(entries):
     want = _first_failure(helstrom.helstrom_cost, entries)
     assume(want is not None)
