@@ -29,8 +29,6 @@ Exit codes: 0 success, 1 validation or i/o error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -367,8 +365,8 @@ def _report(rows: list[ReportRow], digits: int):
     ledgers of a point do. So each float is formatted once, with ``%.<digits>g``: a point's
     cells serve its CSV lines and its summary block, and a row adds only its total and
     verdicts. A parameter cell is formatted once per distinct value of its column. Valid
-    rows need no quoting and are joined as text; the rows of a failed point go through
-    ``csv.writer``, because an error message may need quoting.
+    rows need no quoting and are joined as text; the rows of a failed point go through a
+    ``csv.writer`` of their own, because an error message may need quoting.
     """
     num = _float_format(digits)
     # The text of each value met in each parameter column. A zero is keyed by its repr,
@@ -380,8 +378,6 @@ def _report(rows: list[ReportRow], digits: int):
            f"rows evaluated : {len(rows)}\n"
            f"parameter sets : {sum(1 for _ in groupby(rows, _POINT))}\n"
            "flagged series expressions (evaluated verbatim, never corrected):\n" + flags + "\n")
-    quoted = io.StringIO()
-    writer = csv.writer(quoted, lineterminator="\n")
     for idx, (_, group) in enumerate(groupby(rows, _POINT), start=1):
         group = list(group)
         first = group[0]
@@ -394,12 +390,13 @@ def _report(rows: list[ReportRow], digits: int):
             point.append(text)
         head = "set %d: a=%s b=%s delta=%s dt=%s k=%s xi=%s\n" % (idx, *point)
         if any(row.error for row in group):
-            for row in group:
-                writer.writerow(point + [_fmt(getattr(row, col), num) for col in CSV_COLUMNS[6:]])
+            import csv
+            import io
+            quoted = io.StringIO()
+            csv.writer(quoted, lineterminator="\n").writerows(
+                point + [_fmt(getattr(row, col), num) for col in CSV_COLUMNS[6:]] for row in group)
             errors = sorted((row.mode, row.error) for row in group if row.error)
             yield quoted.getvalue(), head + "".join(f"  error[{m}]: {msg}\n" for m, msg in errors) + "\n"
-            quoted.seek(0)
-            quoted.truncate()
             continue
         prefix = ",".join(point)
         base_exact, base_paper, new_cost, final_overlap = (
@@ -439,22 +436,18 @@ def _report(rows: list[ReportRow], digits: int):
         yield "".join(lines), "".join(block)
 
 
-def render_csv(rows: list[ReportRow], digits: int = DEFAULT_DIGITS) -> str:
-    """The sweep CSV of ``rows``: the CSV half of the one rendering pass."""
-    return "".join(text for text, _ in _report(rows, digits))
-
-
-def render_summary(rows: list[ReportRow], digits: int = DEFAULT_DIGITS) -> str:
-    """Human-readable adjudication of every parameter set in the sweep: the summary
-    half of the one rendering pass, which also makes the CSV."""
-    return "".join(text for _, text in _report(rows, digits))
+def render_report(rows: list[ReportRow], digits: int = DEFAULT_DIGITS) -> tuple[str, str]:
+    """The sweep CSV of ``rows`` and the human-readable adjudication of every parameter
+    set in it, as (CSV text, summary text), each joined from the one rendering pass."""
+    csv_texts, txt_texts = zip(*_report(rows, digits))
+    return "".join(csv_texts), "".join(txt_texts)
 
 
 def emit_report(rows: list[ReportRow], out: str, digits: int = DEFAULT_DIGITS
                 ) -> tuple[Path, Path]:
     """Write <out>.csv and <out>.txt in one rendering pass, each point's text to its
     file as soon as it is made, so neither whole text is held; returns the two paths.
-    The bytes are those of :func:`render_csv` and :func:`render_summary`."""
+    The bytes are those of :func:`render_report`."""
     if not rows:
         raise ValidationError("no rows to report")
     csv_path = Path(out + ".csv")
@@ -678,12 +671,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    csv_text, txt_text = io.StringIO(), io.StringIO()
-    for csv_piece, txt_piece in _report(run_sweep(cfg), cfg.digits):
-        csv_text.write(csv_piece)
-        txt_text.write(txt_piece)
-    _emit(csv_text.getvalue(), cfg.out, ".csv", args.quiet)
-    return _emit(txt_text.getvalue(), cfg.out, ".txt", args.quiet)
+    csv_text, txt_text = render_report(run_sweep(cfg), cfg.digits)
+    _emit(csv_text, cfg.out, ".csv", args.quiet)
+    return _emit(txt_text, cfg.out, ".txt", args.quiet)
 
 
 def _cmd_scaling(args) -> int:
@@ -697,13 +687,13 @@ def _cmd_optimize(args) -> int:
     if len(cfg.modes) != 1:
         raise ValidationError("optimize requires a single mode (exact or paper)")
     params, row = optimize(cfg, cfg.modes[0])
+    csv_text, txt_text = render_report([row], cfg.digits)
+    _emit(csv_text, cfg.out, ".csv", quiet=True)
+    _emit(txt_text, cfg.out, ".txt", quiet=True)
     num = _float_format(cfg.digits)
     text = f"optimum: k=%s dt={num} total_cost={num}\n" % (params.k, params.dt, row.total_cost)
-    if cfg.out:
-        emit_report([row], cfg.out, cfg.digits)
     if not args.quiet:
-        sys.stdout.write(text)
-        sys.stdout.write(render_csv([row], cfg.digits))
+        sys.stdout.write(text + csv_text)
     return 0
 
 

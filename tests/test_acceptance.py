@@ -129,7 +129,7 @@ def test_criterion_5_and_6_branch_tree_soundness_and_optimality_floor():
 def test_criterion_7_adjudication_summary(tmp_path):
     cfg = cli.parse_config(FIXTURE)
     rows = cli.run_sweep(cfg)
-    text = cli.render_summary(rows)
+    text = cli.render_report(rows)[1]
     sets = text.count("set ")
     ok = sets == 6 and "(not run)" not in text
     field_lines = [ln.strip() for ln in text.splitlines()]

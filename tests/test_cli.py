@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from zenodisc import cli, protocol
-from zenodisc.cli import parse_config, render_csv, render_summary, run_sweep
+from zenodisc.cli import parse_config, render_report, run_sweep
 from zenodisc.protocol import Mode
 from zenodisc.qcore import ValidationError
 
@@ -283,7 +283,7 @@ def test_run_sweep_fixture_paper_total_matches_reduction_identity():
 
 def test_render_csv_shape():
     cfg = parse_config("b=10\ndelta=0.001\ndt=1.0\nk=1\nxi=0.5")
-    text = render_csv(run_sweep(cfg))
+    text = render_report(run_sweep(cfg))[0]
     lines = text.split("\n")
     assert lines[0] == ",".join(cli.CSV_COLUMNS)
     assert len(lines) == 3 and lines[2] == ""  # header + row + trailing LF
@@ -292,7 +292,7 @@ def test_render_csv_shape():
 
 def test_render_summary_mentions_baselines_and_flags():
     cfg = parse_config(FIXTURE)
-    text = render_summary(run_sweep(cfg))
+    text = render_report(run_sweep(cfg))[1]
     assert "baseline_exact" in text and "baseline_paper" in text
     assert "baseline exact/paper" in text
     assert "overlap_k_paper" in text and "survival_k_paper" in text
