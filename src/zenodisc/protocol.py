@@ -302,7 +302,7 @@ class ProtocolReport:
         import numpy as np
         k = self.params.k
         if k > _MAX_STEPS:
-            raise ValidationError(f"k = {k}: its {k + 1} per-step values cannot be allocated")
+            raise ValidationError(f"k = {k}: per-step values are listed for k up to {_MAX_STEPS}")
         return _columns(*normalised(self.params), np.arange(k + 1))
 
     @property

@@ -587,9 +587,10 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
                   ["--a", "1", "--delta", "1e-160", "--dt", "1e160"]):
         assert cli.main(["run", *point, "--k", "1"]) == 1
         assert "must be finite" in capsys.readouterr().err
-    # A k whose per-step arrays cannot be allocated; a sweep evaluates it.
+    # A k past the cap on the per-step views; a sweep evaluates it.
     assert cli.main(["run", "--b", "10", "--delta", "0.01", "--dt", "1e-12", "--k", str(10**18)]) == 1
-    assert "cannot be allocated" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "error: k = 1000000000000000000: per-step values are listed for k up to 1000000\n"
     # A k beyond the float range, with explicit and with auto dt.
     for dt in ("0.5", "auto"):
         assert cli.main(["run", "--b", "10", "--delta", "0.01", "--dt", dt, "--k", "5" + "0" * 400]) == 1
