@@ -111,6 +111,18 @@ def test_parse_config_parameterization_rules():
         parse_config("b=10\ndelta=0.01\ndt=auto,1.0")
 
 
+def test_parse_config_rejects_an_empty_grid_entry():
+    with pytest.raises(ValidationError) as info:
+        parse_config("b=10\ndelta=0.01,,0.02")
+    assert str(info.value) == "line 2: empty entry in grid for 'delta'"
+
+
+def test_parse_config_requires_delta():
+    with pytest.raises(ValidationError) as info:
+        parse_config("b=10\nk=5")
+    assert str(info.value) == "missing required key 'delta'"
+
+
 # ------------------------------------------------------------------ sweeps
 
 def test_run_sweep_single_point_single_row():
@@ -308,6 +320,13 @@ def test_emit_report_round_trips_bytes(tmp_path):
     assert first[1].read_bytes() == second[1].read_bytes()
 
 
+def test_emit_report_rejects_no_rows(tmp_path):
+    with pytest.raises(ValidationError) as info:
+        cli.emit_report([], str(tmp_path / "empty"))
+    assert str(info.value) == "no rows to report"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_emit_report_holds_neither_whole_text(tmp_path):
     # 1500 points, 3000 rows: the two files come to 1.8 MB. The rows are built
     # before tracing; the report of one point gives the cost of the open files.
@@ -390,6 +409,26 @@ def test_optimize_fits_the_exponent_of_its_optimum_only(monkeypatch):
     monkeypatch.undo()
     assert len(fitted) == 1 and len(fitted[0]) == 1
     assert row.overlap_exponent is not None
+
+
+def test_main_optimize_renders_its_row_in_one_pass(tmp_path, monkeypatch, capsys):
+    # --out and stdout share one rendering pass of the optimum's row; its files are
+    # those emit_report writes for that row.
+    text = "b=10\ndelta=0.001\ndt=auto\nk=1,5,20\nxi=0.5\nmode=exact\n"
+    (tmp_path / "optimize.cfg").write_text(text)
+    passes, report = [], cli._report
+    monkeypatch.setattr(cli, "_report", lambda rows, digits: passes.append(rows) or report(rows, digits))
+    argv = ["optimize", "--config", str(tmp_path / "optimize.cfg"), "--out", str(tmp_path / "optimum")]
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    (row,) = passes[0]
+    assert len(passes) == 1
+    assert row == cli.optimize(parse_config(text), Mode.EXACT)[1]
+    streamed = cli.emit_report([row], str(tmp_path / "streamed"))
+    for suffix, path in zip((".csv", ".txt"), streamed):
+        assert (tmp_path / f"optimum{suffix}").read_bytes() == path.read_bytes()
+    out = capsys.readouterr().out
+    assert out.startswith("optimum: k=20 ") and out.endswith(streamed[0].read_text())
 
 
 def _sweep_of_the_optimum(cfg, params) -> list:
@@ -596,6 +635,13 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
         assert cli.main(["run", "--b", "10", "--delta", "0.01", "--dt", dt, "--k", "5" + "0" * 400]) == 1
         assert capsys.readouterr().err.startswith("error: ")
     assert cli.main(["nonsense"]) == 1
+
+
+def test_main_run_requires_a_single_dt_and_k(capsys):
+    for flags, message in ((["--dt", "0.5,1.0", "--k", "5"], "run requires a single dt (or auto)"),
+                           (["--dt", "0.5", "--k", "5,7"], "run requires a single k")):
+        assert cli.main(["run", "--b", "10", "--delta", "0.01", *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_main_rejects_flags_that_change_nothing(capsys):
