@@ -26,8 +26,9 @@ def _fresh_python(code: str, cwd: Path) -> str:
 
 
 def test_one_point_pipelines_never_import_numpy(tmp_path):
-    # A baseline, an optimize search (with its exponent fit, and emit_report through --out)
-    # and a run at k = 10^4 priced in every view: floats all the way, through math.
+    # A baseline, an optimize search (with its exponent fit, and its one rendering pass
+    # written through --out) and a run at k = 10^4 priced in every view: floats all the
+    # way, through math. No point fails, so no CSV writer is built and csv is not imported.
     (tmp_path / "optimize.cfg").write_text("b=10\ndelta=0.001\ndt=0.1,0.2,0.3\nk=1,5,20\nxi=0.3\n"
                                            "mode=exact\n")
     out = _fresh_python(
@@ -37,9 +38,10 @@ def test_one_point_pipelines_never_import_numpy(tmp_path):
         "assert cli.main(['optimize', '--config', 'optimize.cfg', '--out', 'optimum']) == 0\n"
         "report = protocol.run(protocol.ProtocolParams.from_b(10.0, 0.001, 10**4))\n"
         "print(report.total_cost, report.baseline_exact, report.verdict_vs_exact, report.paper_new_cost)\n"
-        "print('numpy imported:', 'numpy' in sys.modules)\n", tmp_path)
+        "print('numpy imported:', 'numpy' in sys.modules)\n"
+        "print('csv imported:', 'csv' in sys.modules)\n", tmp_path)
     assert out.startswith("overlap |<psi0|psi1>|")
-    assert out.endswith("numpy imported: False\n")
+    assert out.endswith("numpy imported: False\ncsv imported: False\n")
     assert (tmp_path / "optimum.csv").is_file() and (tmp_path / "optimum.txt").is_file()
 
 
@@ -54,3 +56,22 @@ def test_a_sweep_imports_numpy_and_writes_the_committed_headline(tmp_path):
     assert out == "numpy imported: False\nnumpy imported: True\n"
     for name in ("headline.csv", "headline.txt"):
         assert (tmp_path / name).read_bytes() == (REPO / "results" / name).read_bytes(), name
+
+
+def test_only_a_failing_point_imports_csv(tmp_path):
+    # A report with no failing point is joined as text; a failing point's rows go through
+    # a csv.writer of their own, which quotes an error message that holds commas.
+    out = _fresh_python(
+        "import sys\n"
+        "from zenodisc import cli\n"
+        "valid = cli.parse_config('b=10\\ndelta=0.01,0.001\\ndt=auto\\nk=1,5\\nmode=both')\n"
+        "cli.render_report(cli.run_sweep(valid))\n"
+        "print('csv imported:', 'csv' in sys.modules)\n"
+        "failing = cli.parse_config('b=1\\ndelta=0.01\\ndt=1e200\\nk=1')\n"
+        "print(cli.render_report(cli.run_sweep(failing))[0], end='')\n"
+        "print('csv imported:', 'csv' in sys.modules)\n", tmp_path)
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert lines[0] == "csv imported: False" and lines[3] == "csv imported: True"
+    assert lines[2].endswith(',"dt^2, delta^2 and k (delta dt)^2 must be finite, '
+                             'got dt=1e+200, delta=0.01, k=1"')
