@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from itertools import chain, compress, groupby, product
 from operator import attrgetter, not_
@@ -555,33 +556,29 @@ def optimize(config: SweepConfig, mode: Mode) -> tuple[ProtocolParams, ReportRow
     return params, row
 
 
-def _render_run_report(report, digits: int) -> str:
-    num = _float_format(digits)
-    p = report.params
+def _render_run_report(report, digits: int):
+    """The lines ``zenodisc run`` prints for ``report``: its head, then each leaf's as the leaf is
+    made. The report is priced and its k checked against the step cap on the call."""
+    num, p, leaves = _float_format(digits), report.params, report.iter_leaves()
     head = (f"mode=%s a={num} b={num} delta={num} dt={num} k=%s xi={num}\n"
-            f"total_cost       = {num}\n"
-            f"baseline_exact   = {num}\n"
-            f"baseline_paper   = {num}\n"
-            f"paper_new_cost   = {num}\n"
-            f"final_overlap    = {num}\n"
-            f"verdict_vs_exact = {num}\n"
-            f"verdict_vs_paper = {num}\n"
-            "leaves (kind, step, p|h0, p|h1, marginal, posterior, cost):\n"
-            ) % (p.mode.value, p.a, p.b, p.delta, p.dt, p.k, p.prior, report.total_cost,
-                 report.baseline_exact, report.baseline_paper, report.paper_new_cost,
-                 report.final_overlap, report.verdict_vs_exact, report.verdict_vs_paper)
-    # A click leaf's three probabilities are one float, and every click leaf shares the
-    # prior and the click cost: a cell's float is formatted only when its object differs
-    # from the one above it, or else from the cell before it in the line.
-    above, texts, lines = [None] * 5, [""] * 5, [head]
-    for x in report.leaves:
-        line = (x.p_given_h0, x.p_given_h1, x.marginal, x.posterior, x.leaf_cost)
-        for i, v in enumerate(line):
-            if v is not above[i]:
-                above[i] = v
-                texts[i] = texts[i - 1] if i and v is line[i - 1] else num % v
-        lines.append("  %-8s %3s %s %s %s %s %s\n" % (x.kind, "-" if x.step is None else x.step, *texts))
-    return "".join(lines)
+            % (p.mode.value, p.a, p.b, p.delta, p.dt, p.k, p.prior)
+            + "".join(f"{name:<16} = {num % getattr(report, name)}\n" for name in (
+                "total_cost", "baseline_exact", "baseline_paper", "paper_new_cost", "final_overlap",
+                "verdict_vs_exact", "verdict_vs_paper"))
+            + "leaves (kind, step, p|h0, p|h1, marginal, posterior, cost):\n")
+    def lines():
+        # A click leaf's three probabilities are one float, and every click leaf shares the
+        # prior and the click cost: a cell's float is formatted only when its object differs
+        # from the one above it, or else from the cell before it in the line.
+        above, texts = [None] * 5, [""] * 5
+        for x in leaves:
+            line = (x.p_given_h0, x.p_given_h1, x.marginal, x.posterior, x.leaf_cost)
+            for i, v in enumerate(line):
+                if v is not above[i]:
+                    above[i] = v
+                    texts[i] = texts[i - 1] if i and v is line[i - 1] else num % v
+            yield "  %-8s %3s %s %s %s %s %s\n" % (x.kind, "-" if x.step is None else x.step, *texts)
+    return chain((head,), lines())
 
 
 # The point flags of baseline and run, each read as the config key of its name.
@@ -628,14 +625,17 @@ def _require_singletons(cfg: SweepConfig, command: str) -> tuple[float, float, f
     return cfg.ab[0], cfg.delta[0], cfg.xi[0]
 
 
-def _emit(text: str, out: str | None, suffix: str, quiet: bool) -> int:
-    """Write ``text`` to <out><suffix> when out is set, and to stdout unless quiet."""
+def _emit(chunks, out: str | None, suffix: str, quiet: bool) -> int:
+    """Write each of ``chunks`` as it comes to <out><suffix> when out is set, and to stdout
+    unless quiet, so a caller that streams its text never holds it whole."""
     if out:
-        path = Path(out + suffix)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="")
-    if not quiet:
-        sys.stdout.write(text)
+        Path(out + suffix).parent.mkdir(parents=True, exist_ok=True)
+    with open(out + suffix, "w", encoding="utf-8", newline="") if out else nullcontext() as file:
+        for chunk in chunks:
+            if file:
+                file.write(chunk)
+            if not quiet:
+                sys.stdout.write(chunk)
     return 0
 
 
@@ -653,7 +653,7 @@ def _cmd_baseline(args) -> int:
             f"guess_only_cost              = {num}\n"
             ) % (overlap, overlap ** 2, report.baseline_exact, report.baseline_paper, 0.25 * overlap,
                  guess_only_cost(xi))
-    return _emit(text, cfg.out, ".txt", args.quiet)
+    return _emit((text,), cfg.out, ".txt", args.quiet)
 
 
 def _cmd_run(args) -> int:
@@ -664,22 +664,23 @@ def _cmd_run(args) -> int:
     if len(cfg.k) != 1:
         raise ValidationError("run requires a single k")
     params = _point_params(cfg, ab, delta, cfg.dt[0], cfg.k[0], xi, cfg.modes[0])
-    text = "\n".join(_render_run_report(protocol.run(replace(params, mode=mode)), cfg.digits)
-                     for mode in cfg.modes)
-    return _emit(text, cfg.out, ".txt", args.quiet)
+    first, *rest = [_render_run_report(protocol.run(replace(params, mode=mode)), cfg.digits)
+                    for mode in cfg.modes]
+    # Every check has run before a line is written; a blank line parts two ledgers.
+    return _emit(chain(first, *(chain(("\n",), lines) for lines in rest)), cfg.out, ".txt", args.quiet)
 
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     csv_text, txt_text = render_report(run_sweep(cfg), cfg.digits)
-    _emit(csv_text, cfg.out, ".csv", args.quiet)
-    return _emit(txt_text, cfg.out, ".txt", args.quiet)
+    _emit((csv_text,), cfg.out, ".csv", args.quiet)
+    return _emit((txt_text,), cfg.out, ".txt", args.quiet)
 
 
 def _cmd_scaling(args) -> int:
     cfg = _config_from_args(args)
     rows = scaling_study(cfg, args.quantity)
-    return _emit(render_scaling_csv(rows, cfg.digits), cfg.out, ".csv", args.quiet)
+    return _emit((render_scaling_csv(rows, cfg.digits),), cfg.out, ".csv", args.quiet)
 
 
 def _cmd_optimize(args) -> int:
@@ -688,8 +689,8 @@ def _cmd_optimize(args) -> int:
         raise ValidationError("optimize requires a single mode (exact or paper)")
     params, row = optimize(cfg, cfg.modes[0])
     csv_text, txt_text = render_report([row], cfg.digits)
-    _emit(csv_text, cfg.out, ".csv", quiet=True)
-    _emit(txt_text, cfg.out, ".txt", quiet=True)
+    _emit((csv_text,), cfg.out, ".csv", quiet=True)
+    _emit((txt_text,), cfg.out, ".txt", quiet=True)
     num = _float_format(cfg.digits)
     text = f"optimum: k=%s dt={num} total_cost={num}\n" % (params.k, params.dt, row.total_cost)
     if not args.quiet:

@@ -40,7 +40,9 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
+from operator import itemgetter, mul
 from typing import Any, ClassVar, NamedTuple
 
 from .helstrom import _math, _numpy, guess_only_cost, helstrom_cost
@@ -125,8 +127,9 @@ class Points(NamedTuple):
 
 
 _MAX = sys.float_info.max
-# The most steps whose per-step values a report lists: the largest listing measured (62 s, a
-# 340 MB peak), and 100 times the largest k that a test, corpus entry or workload lists.
+# The most steps whose per-step values a report lists: 100 times the largest k that a test, corpus
+# entry or workload lists. A listing is made step by step, so this bounds not its memory but the
+# tuple views (k + 1 floats each) and the text of `zenodisc run` (94.6 MB at 10^6).
 _MAX_STEPS = 10**6
 
 
@@ -284,11 +287,11 @@ class ProtocolReport:
     pair nears parallel. total_cost, both baselines and the verdicts (total_cost minus each
     baseline, but M_k g(M_k) over baseline_exact in the exact ledger) are :func:`costs` under
     params.mode, a sweep row's cells bit for bit, priced in one call on the first read; another
-    ledger's are those of :func:`run` with that mode. The leaves and every per-step value are
-    computed through numpy on each read and never kept: clicks[j - 1] is the click at step j
-    under either hypothesis, overlap_trajectory[i] is |<s0|s1>| of the survival states after i
-    steps (entry 0 is b^2 delta^2), survival[i] the cumulative survival (survival_trajectory
-    pairs it up), and survived_pair the survived leaf's states without the e0, e1 phases."""
+    ledger's are those of :func:`run` with that mode. The leaves and per-step values are made step
+    by step in floats on each read and never kept: clicks[j - 1] is the click at step j under either
+    hypothesis, overlap_trajectory[i] is |<s0|s1>| of the survival states after i steps (entry 0 is
+    b^2 delta^2), survival[i] the cumulative survival (survival_trajectory pairs it up), and
+    survived_pair, the one view built of arrays, the survived leaf's states without e0, e1 phases."""
 
     params: ProtocolParams
     click_mass: float
@@ -296,31 +299,23 @@ class ProtocolReport:
     final_overlap: float
     final_gap: float
 
-    def _steps(self) -> tuple:
-        """:func:`_columns` at the steps j = 0..k as arrays, computed on each read, for k up
-        to _MAX_STEPS, checked before anything is allocated."""
-        import numpy as np
+    def _steps(self):
+        """The clicks (a^2 s^2 / 2) c^(2 (j - 1)) at j = 1..k and :func:`_closed_forms` at j = 0..k,
+        made step by step as read, with log c^2 taken once; k is checked against _MAX_STEPS first."""
         k = self.params.k
         if k > _MAX_STEPS:
             raise ValidationError(f"k = {k}: per-step values are listed for k up to {_MAX_STEPS}")
-        return _columns(*normalised(self.params), np.arange(k + 1))
+        a, bd, x = normalised(self.params)
+        s2, log_decay = _decay(x)
+        half_a2 = 0.5 * a * a
+        step = partial(_closed_forms, math.expm1, math.exp, half_a2, bd * bd, log_decay)
+        return map(partial(mul, half_a2 * s2), map(itemgetter(0), map(step, range(k)))), map(step, range(k + 1))
 
-    @property
-    def clicks(self) -> tuple[float, ...]:
-        a, _, x = normalised(self.params)
-        return tuple((0.5 * a * a * _decay(x)[0] * self._steps()[0][:-1]).tolist())
-
-    @property
-    def survival(self) -> tuple[float, ...]:
-        return tuple(self._steps()[2].tolist())
-
-    @property
-    def overlap_trajectory(self) -> tuple[float, ...]:
-        return tuple(self._steps()[3].tolist())
-
-    @property
-    def survival_trajectory(self) -> tuple[tuple[float, float], ...]:
-        return tuple((s, s) for s in self.survival)
+    clicks = property(lambda self: tuple(self._steps()[0]))
+    survival = property(lambda self: tuple(map(itemgetter(2), self._steps()[1])))
+    overlap_trajectory = property(lambda self: tuple(map(itemgetter(3), self._steps()[1])))
+    survival_trajectory = property(lambda self: tuple((s, s) for s in self.survival))
+    leaves = property(lambda self: tuple(self.iter_leaves()))
 
     @property
     def survived_pair(self) -> tuple[PureState, PureState]:
@@ -340,16 +335,15 @@ class ProtocolReport:
     verdict_vs_paper = property(lambda self: self._costs[4])
     paper_new_cost = property(lambda self: total_cost_paper_mode(self.params))
 
-    @property
-    def leaves(self) -> tuple[LeafRecord, ...]:
-        """The k click leaves in step order, then the survived leaf; every
-        posterior is the prior."""
+    def iter_leaves(self):
+        """The k click leaves in step order, then the survived leaf, made one at a time, k checked
+        against the step cap on the call; every posterior is the prior."""
         prior, survived = self.params.prior, self.final_survival
         click_cost, survived_cost, _ = ledger(self.params.mode, prior, self.click_mass, survived,
                                               self.final_overlap, self.final_gap)
-        return (*(LeafRecord("click", step, p, p, p, prior, click_cost)
-                  for step, p in enumerate(self.clicks, start=1)),
-                LeafRecord("survived", None, survived, survived, survived, prior, survived_cost))
+        return chain((LeafRecord("click", step, p, p, p, prior, click_cost)
+                      for step, p in enumerate(self._steps()[0], start=1)),
+                     (LeafRecord("survived", None, survived, survived, survived, prior, survived_cost),))
 
 
 def shown(value) -> str:
@@ -402,16 +396,20 @@ def _each(fn, *args, dtype=float):
     an entry is the float call on it bit for bit, and floats never import numpy."""
     np = _numpy(*args)
     if np:
-        return np.frompyfunc(fn, len(args), 1)(*args).astype(dtype)
+        columns = np.broadcast_arrays(*args)
+        entries = map(fn, *(column.ravel().tolist() for column in columns))
+        return np.fromiter(entries, dtype, columns[0].size).reshape(columns[0].shape)
     return fn(*args)
 
 
-def _columns(a, bd, x, steps):
-    """c^(2 j), M_j, 1 - M_j and O_j of :func:`tree`, without the gap."""
-    log_decay = steps * _each(lambda v: _decay(v)[1], x)
-    mass = -(0.5 * a * a) * _each(math.expm1, log_decay)
+def _closed_forms(expm1, exp, half_a2, beta, log_decay, steps):
+    """c^(2 j), M_j, 1 - M_j and O_j at j = ``steps`` from a^2 / 2, b^2 delta^2 and log c^2, without
+    the gap: the one copy of the closed forms, which :func:`tree` evaluates with ``expm1`` and
+    ``exp`` through :func:`_each` and a report's per-step views with ``math``'s, step by step."""
+    log_decay = steps * log_decay
+    mass = -half_a2 * expm1(log_decay)
     survival = 1.0 - mass
-    return _each(math.exp, log_decay), mass, survival, abs(bd * bd - mass) / survival
+    return exp(log_decay), mass, survival, abs(beta - mass) / survival
 
 
 def tree(a, bd, x, steps):
@@ -421,7 +419,8 @@ def tree(a, bd, x, steps):
     (:func:`_each`), so an entry is the float call on it bit for bit, and floats import no numpy.
     The gap a^2 (2 b^2 delta^2 + a^2 c^(2 j)) / (1 - M_j)^2 adds nonnegative terms, where
     a^2 (1 + b^2 delta^2 - 2 M_j) / (1 - M_j)^2 cancels as b -> 0."""
-    decay, mass, survival, overlap = _columns(a, bd, x, steps)
+    decay, mass, survival, overlap = _closed_forms(partial(_each, math.expm1), partial(_each, math.exp),
+                                                   0.5 * a * a, bd * bd, _each(lambda v: _decay(v)[1], x), steps)
     a2 = a * a
     return mass, survival, overlap, a2 * (2.0 * bd * bd + a2 * decay) / (survival * survival)
 

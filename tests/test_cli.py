@@ -339,6 +339,27 @@ def test_emit_report_holds_neither_whole_text(tmp_path):
     assert peak(rows) - peak(one_point) < 64 * 1024
 
 
+def test_run_lists_its_leaves_in_bounded_memory(tmp_path):
+    # Each leaf's line is written to <out>.txt as it is made, so the peak of a run with
+    # 10^4 leaves per ledger, 1.9 MB of text, is that of a run with 10: no listing is held.
+    def peak(k: int) -> int:
+        args = ["run", "--b", "10", "--delta", "0.001", "--dt", "2e-6", "--k", str(k),
+                "--mode", "both", "--out", str(tmp_path / f"run{k}"), "--quiet"]
+        tracemalloc.start()
+        try:
+            assert cli.main(args) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10**4) - peak(10) < 64 * 1024
+    text = (tmp_path / "run10000.txt").read_text(encoding="utf-8")
+    assert text.count("\n  click ") == 2 * 10**4 and text.count("\n  survived ") == 2
+    p = protocol.ProtocolParams.from_b(10.0, 0.001, 10, dt=2e-6)
+    assert (tmp_path / "run10.txt").read_text(encoding="utf-8") == "\n".join(
+        "".join(cli._render_run_report(protocol.run(replace(p, mode=mode)), 17)) for mode in Mode)
+
+
 def test_render_scaling_csv_holds_no_record_buffer():
     # csv.writer grows its record buffer in steps of 32768 characters; the joined
     # text of the headline study's fits stays well below that.

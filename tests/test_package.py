@@ -27,8 +27,9 @@ def _fresh_python(code: str, cwd: Path) -> str:
 
 def test_one_point_pipelines_never_import_numpy(tmp_path):
     # A baseline, an optimize search (with its exponent fit, and its one rendering pass
-    # written through --out) and a run at k = 10^4 priced in every view: floats all the
-    # way, through math. No point fails, so no CSV writer is built and csv is not imported.
+    # written through --out), a run listing its leaves under both ledgers and a run at
+    # k = 10^4 priced in every view: floats all the way, through math. No point fails, so
+    # no CSV writer is built and csv is not imported.
     (tmp_path / "optimize.cfg").write_text("b=10\ndelta=0.001\ndt=0.1,0.2,0.3\nk=1,5,20\nxi=0.3\n"
                                            "mode=exact\n")
     out = _fresh_python(
@@ -36,6 +37,8 @@ def test_one_point_pipelines_never_import_numpy(tmp_path):
         "from zenodisc import cli, protocol\n"
         "assert cli.main(['baseline', '--b', '10', '--delta', '0.01']) == 0\n"
         "assert cli.main(['optimize', '--config', 'optimize.cfg', '--out', 'optimum']) == 0\n"
+        "assert cli.main(['run', '--b', '10', '--delta', '0.001', '--k', '20', '--dt', 'auto',\n"
+        "                 '--mode', 'both']) == 0\n"
         "report = protocol.run(protocol.ProtocolParams.from_b(10.0, 0.001, 10**4))\n"
         "print(report.total_cost, report.baseline_exact, report.verdict_vs_exact, report.paper_new_cost)\n"
         "print('numpy imported:', 'numpy' in sys.modules)\n"

@@ -601,7 +601,7 @@ def test_series_forms_of_columns_are_the_forms_of_each_point(points):
 def test_run_report_has_the_bytes_of_the_per_leaf_reference(p, digits):
     for mode in Mode:
         report = protocol.run(dataclasses.replace(p, mode=mode))
-        assert cli._render_run_report(report, digits) == oracles.render_run_report(report, digits)
+        assert "".join(cli._render_run_report(report, digits)) == oracles.render_run_report(report, digits)
 
 
 def _optimize_over_built_candidates(config: cli.SweepConfig, mode: Mode):

@@ -310,9 +310,8 @@ def test_run_zeno_regime_keeps_leaf_mass_and_meets_the_limit():
         assert abs(got - limit) <= (delta * total_time) ** 2 * limit
 
 
-# The per-step views list at most 10^6 steps, a fixed cap checked before anything
-# is allocated, so the largest listable k does not depend on the host; from 2^63 - 2
-# on, numpy's arange would return an empty array instead of refusing. run itself
+# The per-step views list at most 10^6 steps, a fixed cap checked before any step
+# is made, so the largest listable k does not depend on the host. run itself
 # prices only the final step, as a sweep does, so only the per-step views fail.
 @pytest.mark.parametrize("k", [10**6 + 1, 10**18, 2**63 - 2])
 def test_run_rejects_a_k_past_the_step_cap(k):
