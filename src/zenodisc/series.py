@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 from . import protocol
@@ -142,8 +141,8 @@ def fit_power_laws(deltas, columns) -> list[ScalingFit]:
 
     With u = log delta and y = log of the floored residual (``math.log`` per entry), the
     least-squares slope is p = sum (u - mean u)(y - mean y) / sum (u - mean u)^2 and the
-    intercept mean y - p mean u. Every sum adds left to right, one rounding per term: ``sum``
-    compensates from Python 3.12 on, so a fit would depend on the Python version. A column
+    intercept mean y - p mean u. Every sum is ``math.fsum``'s, correctly rounded on every Python
+    version (``sum`` compensates only from Python 3.12 on, adding left to right before). A column
     with a non-finite log fits NaN; one whose every entry is floored is indeterminate.
     """
     ds = tuple(map(float, deltas))
@@ -161,17 +160,17 @@ def fit_power_laws(deltas, columns) -> list[ScalingFit]:
         raise ValidationError("residuals must be nonnegative")
     n = len(ds)
     us = [math.log(d) for d in ds]
-    u_mean = reduce(add, us) / n
+    u_mean = math.fsum(us) / n
     du = [u - u_mean for u in us]
-    spread = reduce(add, map(mul, du, du))
+    spread = math.fsum(map(mul, du, du))
     fits = []
     for rs in cols:
         n_floored = len([r for r in rs if r < NOISE_FLOOR])
         ys = [math.log(r if not r < NOISE_FLOOR else NOISE_FLOOR) for r in rs]  # a NaN stays NaN
         slope = intercept = math.nan
         if n_floored < n and all(map(math.isfinite, ys)):
-            y_mean = reduce(add, ys) / n
-            slope = reduce(add, [d * (y - y_mean) for d, y in zip(du, ys)]) / spread
+            y_mean = math.fsum(ys) / n
+            slope = math.fsum([d * (y - y_mean) for d, y in zip(du, ys)]) / spread
             intercept = y_mean - slope * u_mean
         fits.append(ScalingFit(slope, intercept, ds, rs, n_floored, n_floored == n))
     return fits
