@@ -467,9 +467,9 @@ def scaling_study(config: SweepConfig, quantity: str = "all") -> list[dict]:
 
     The config delta grid is the fit grid and needs at least 3 points over a
     decade. With an ``a`` grid, b is derived at the largest delta and then
-    held fixed across the fit. A ProtocolParams is built per template only; the study is
-    one :func:`series.scaling_fits` pass over the grid as columns: one validation, one tree
-    call, one pass per residual and one fit call. Indeterminate fits are flagged, not raised.
+    held fixed across the fit. The study is one :func:`series.scaling_fits` call: each
+    (template, delta) point built and priced once in floats, and one fit call. Indeterminate
+    fits are flagged, not raised.
     """
     quantities = sorted(series.SCALING_QUANTITIES) if quantity == "all" else [quantity]
     flags = {q: series.quantity_flag(q) for q in quantities}  # rejects unknown names

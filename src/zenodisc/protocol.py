@@ -320,7 +320,7 @@ class ProtocolReport:
     @property
     def survived_pair(self) -> tuple[PureState, PureState]:
         s0 = survived_state(*normalised(self.params), self.params.k, self.final_survival)
-        return PureState(s0), PureState(s0[[3, 2, 1, 0, 4]])
+        return PureState(s0), PureState(s0[3::-1] + s0[4:])
 
     @cached_property
     def _costs(self) -> tuple[float, float, float, float, float]:
@@ -390,15 +390,15 @@ def _decay(x: float) -> tuple[float, float]:
     return s2, math.log1p(-s2) if s2 < 1.0 else 2.0 * math.log(abs(math.cos(x)))
 
 
-def _each(fn, *args, dtype=float):
-    """The ``math`` function ``fn`` of floats, or entry by entry over broadcast arrays as an
-    array of ``dtype``: numpy's counterpart of a ``math`` function may round differently, so
-    an entry is the float call on it bit for bit, and floats never import numpy."""
+def _each(fn, *args):
+    """The ``math`` function ``fn`` of floats, or entry by entry over broadcast arrays as a
+    float array: numpy's counterpart of a ``math`` function may round differently, so an
+    entry is the float call on it bit for bit, and floats never import numpy."""
     np = _numpy(*args)
     if np:
         columns = np.broadcast_arrays(*args)
         entries = map(fn, *(column.ravel().tolist() for column in columns))
-        return np.fromiter(entries, dtype, columns[0].size).reshape(columns[0].shape)
+        return np.fromiter(entries, float, columns[0].size).reshape(columns[0].shape)
     return fn(*args)
 
 
@@ -467,16 +467,16 @@ def _excess(prior, a2, beta, mass):
     return 0.5 * a2 * (qa2 / (x0 + (x0 == 0.0)) + qa2 / (x + (x == 0.0))) / (roots + (roots == 0.0))
 
 
-def survived_state(a, bd, x, k, survival):
+def survived_state(a, bd, x, k, survival) -> tuple[complex, ...]:
     """The survived state of hypothesis 0 (its mirror is hypothesis 1's) from :func:`normalised`
-    values, k and 1 - M_k, as a 5-vector or 5 x n over columns (``math`` per entry), x = delta dt:
-    ((a/2)(c^k + cos kx), -i (a/2) sin kx, i (a/2) sin kx, (a/2)(c^k - cos kx), b delta) / sqrt(1 - M_k)."""
-    import numpy as np
+    floats, k and 1 - M_k, as a 5-tuple of complex, x = delta dt: ((a/2)(c^k + cos kx),
+    -i (a/2) sin kx, i (a/2) sin kx, (a/2)(c^k - cos kx), b delta) times 1 / sqrt(1 - M_k), a
+    product, which rounds as numpy's division of a complex array by a real one does."""
     # c^k with its sign: the even amplitude flips at every step when c < 0.
-    ck = _each(lambda v, j: math.exp(0.5 * (j * _decay(v)[1])) * math.copysign(1.0, math.cos(v)) ** j, x, k)
-    cos_kx, sin_kx = _each(math.cos, k * x), _each(math.sin, k * x)
-    return np.array([0.5 * a * (ck + cos_kx), -0.5j * a * sin_kx, 0.5j * a * sin_kx,
-                     0.5 * a * (ck - cos_kx), bd]) / np.sqrt(survival)
+    ck = math.exp(0.5 * (k * _decay(x)[1])) * math.copysign(1.0, math.cos(x)) ** k
+    cos_kx, sin_kx, scale = math.cos(k * x), math.sin(k * x), 1.0 / math.sqrt(survival)
+    return tuple(complex(c) * scale for c in (0.5 * a * (ck + cos_kx), -0.5j * a * sin_kx, 0.5j * a * sin_kx,
+                                              0.5 * a * (ck - cos_kx), bd))
 
 
 def run(params: ProtocolParams) -> ProtocolReport:

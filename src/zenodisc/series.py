@@ -9,14 +9,13 @@ Overall e^{i E t} phase factors are dropped from the state forms
 imaginary units between components are kept.
 
 The delta-scaling fits measure |exact - series| on a small delta grid and
-report the log-log slope, the empirical truncation order. Each form that a
-residual reads takes one point or :class:`protocol.Points` columns in one
-body (squares as products, k a float, the k-step prefactor Python's ``**``
-per entry), so a column entry is its point's value bit for bit.
-:func:`scaling_fits` evaluates a whole study as numpy columns, from one
-:func:`protocol.tree` call. :func:`fit_power_laws` fits each residual
-column in closed form, in floats through ``math``, so a fit of one
-column of floats imports no numpy.
+report the log-log slope, the empirical truncation order. The state forms
+take one point and return 5-tuples of complex; the scalar forms take one
+point or :class:`protocol.Points` columns in one body (squares as products,
+k a float), so a column entry is its point's value bit for bit.
+:func:`scaling_fits` evaluates a study point by point in floats, from
+:func:`protocol.final_step`, and :func:`fit_power_laws` fits each residual
+column in closed form through ``math``, so a scaling study imports no numpy.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import NamedTuple
 
 from . import protocol
 from .helstrom import _numpy, helstrom_cost
-from .protocol import ProtocolParams, _each, shown
+from .protocol import ProtocolParams, shown
 from .qcore import ValidationError
 
 # Residuals below this are double-precision noise, not series error.
@@ -39,7 +38,7 @@ NOISE_FLOOR = 1e-14
 DEFAULT_DELTAS = (1e-2, 10**-2.5, 1e-3)
 
 
-def one_step_state(params: ProtocolParams, hypothesis: int) -> np.ndarray:
+def one_step_state(params: ProtocolParams, hypothesis: int) -> tuple[complex, ...]:
     """Evolved candidate state after one dt, truncated at second order.
 
     Unnormalized; hypothesis 1 is the component mirror (1<->4, 2<->3) of
@@ -52,20 +51,20 @@ def one_step_state(params: ProtocolParams, hypothesis: int) -> np.ndarray:
     return _state((lead, off, 0.0, 0.0, d * b), hypothesis)
 
 
-def k_step_state(params: ProtocolParams, hypothesis: int) -> np.ndarray:
+def k_step_state(params: ProtocolParams, hypothesis: int) -> tuple[complex, ...]:
     """Null-branch state after k evolve-and-ask iterations, truncated series form.
 
     Carries the compound renormalization prefactor (1 - a^2 delta^2 dt^2 / 2)^(-k/2),
-    Python's ``**`` per point (complex for a negative base at odd k), inf where it overflows.
+    Python's ``**`` (complex for a negative base at odd k), inf where it overflows.
     The fourth component is written with the sign it is written with; magnitude comparisons
     are sign-blind.
     """
     a, b, d, dt, k = params.a, params.b, params.delta, params.dt, params.k * 1.0
-    pref = _each(_power, 1.0 - 0.5 * (a * a) * (d * d) * (dt * dt), -k / 2.0, dtype=complex)
+    pref = _power(1.0 - 0.5 * (a * a) * (d * d) * (dt * dt), -k / 2.0)
     lead = a * (1.0 - 0.25 * k * (k + 1.0) * (dt * dt) * (d * d))
     off = 0.5j * k * d * a * dt
     fourth = -0.25 * k * (k - 1.0) * (d * d) * a * (dt * dt)
-    return pref * _state((lead, off, -off, fourth, d * b), hypothesis)
+    return tuple(pref * c for c in _state((lead, off, -off, fourth, d * b), hypothesis))
 
 
 def one_step_survival(params: ProtocolParams) -> float:
@@ -184,69 +183,80 @@ def _power(base: float, exponent: float):
         return math.inf
 
 
-def _state(components, hypothesis: int):
-    """The components as a complex 5-vector (5 x n over columns), 1<->4, 2<->3 mirrored for 1."""
-    import numpy as np
+def _state(components, hypothesis: int) -> tuple[complex, ...]:
+    """The components as a complex 5-tuple, 1<->4, 2<->3 mirrored for hypothesis 1."""
     if hypothesis not in (0, 1):
         raise ValidationError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
-    state = np.array(np.broadcast_arrays(*components), dtype=np.complex128)
-    return state[[3, 2, 1, 0, 4]] if hypothesis else state
+    state = tuple(map(complex, components))
+    return state[3::-1] + state[4:] if hypothesis else state
 
 
-def _magnitude_gap(exact, approx):
-    import numpy as np
-    return np.max(np.abs(np.abs(exact) - np.abs(approx)), axis=0)
+def _magnitude_gap(exact, approx) -> float:
+    """The largest ||e| - |s|| over the components: NaN where one is NaN, which ``max`` may
+    drop, and inf where a magnitude overflows, where Python's ``abs`` of a complex raises."""
+    try:
+        gaps = [abs(abs(e) - abs(s)) for e, s in zip(exact, approx)]
+    except OverflowError:
+        return math.inf
+    return math.nan if any(map(math.isnan, gaps)) else max(gaps)
 
 
 class FinalStep(NamedTuple):
-    """What the residuals read of every grid point, as columns; all but the first click at k."""
+    """What the residuals read of one grid point; all but the first click at k."""
 
-    params: protocol.Points
-    first_click: np.ndarray  # 0.5 a^2 s^2, the click probability of step 1
-    survival: np.ndarray
-    overlap: np.ndarray
-    survived: np.ndarray  # 5 x n, the states of hypothesis 0, :func:`protocol.survived_state`
+    params: ProtocolParams
+    first_click: float  # 0.5 a^2 s^2, the click probability of step 1
+    survival: float
+    overlap: float
+    survived: tuple[complex, ...]  # the state of hypothesis 0, :func:`protocol.survived_state`
+
+    @classmethod
+    def of(cls, params: ProtocolParams) -> "FinalStep":
+        """The point priced by :func:`protocol.final_step`."""
+        a, bd, x = protocol.normalised(params)
+        _, survival, overlap, _ = protocol.final_step(params)
+        return cls(params, 0.5 * a * a * math.sin(x) ** 2, survival, overlap,
+                   protocol.survived_state(a, bd, x, float(params.k), survival))
 
 
-# Residuals |exact - series| of each column of a FinalStep (the one-step
-# state and the baseline need only its params).
+# Residuals |exact - series| of a FinalStep; the one-step state and the baseline read only its params.
 
-def _residual_click_prob(point: FinalStep) -> np.ndarray:
+def _residual_click_prob(point: FinalStep) -> float:
     p = point.params
     return abs(point.first_click - 0.5 * (p.a * p.a) * (p.delta * p.delta) * (p.dt * p.dt))
 
 
-def _residual_one_step_state(point: FinalStep) -> np.ndarray:
+def _residual_one_step_state(point: FinalStep) -> float:
     # The evolved state's magnitudes: (a, 0, 0, 0, b delta) rotates inside
     # levels 1-2 by delta dt, and e0, e1 enter only phases.
     p = point.params
     x = p.delta * p.dt
-    exact = (p.a * abs(_each(math.cos, x)), p.a * abs(_each(math.sin, x)), 0.0, 0.0, p.b * p.delta)
-    return _magnitude_gap(_state(exact, 0), one_step_state(p, 0))
+    exact = (p.a * abs(math.cos(x)), p.a * abs(math.sin(x)), 0.0, 0.0, p.b * p.delta)
+    return _magnitude_gap(exact, one_step_state(p, 0))
 
 
-def _residual_k_step_state(point: FinalStep) -> np.ndarray:
+def _residual_k_step_state(point: FinalStep) -> float:
     return _magnitude_gap(point.survived, k_step_state(point.params, 0))
 
 
-def _residual_survival_step(point: FinalStep) -> np.ndarray:
+def _residual_survival_step(point: FinalStep) -> float:
     return abs((1.0 - point.first_click) - one_step_survival(point.params))
 
 
-def _residual_survival_k(point: FinalStep) -> np.ndarray:
+def _residual_survival_k(point: FinalStep) -> float:
     return abs(point.survival - survival_k_paper(point.params))
 
 
-def _residual_overlap_vs_series(point: FinalStep) -> np.ndarray:
+def _residual_overlap_vs_series(point: FinalStep) -> float:
     return abs(point.overlap - abs(overlap_k_paper(point.params)))
 
 
-def _residual_final_overlap(point: FinalStep) -> np.ndarray:
+def _residual_final_overlap(point: FinalStep) -> float:
     # Deviation from the claimed exact cancellation to zero.
     return point.overlap
 
 
-def _residual_baseline(point: FinalStep) -> np.ndarray:
+def _residual_baseline(point: FinalStep) -> float:
     bd = point.params.b * point.params.delta
     return abs(baseline_paper_convention(point.params) - 0.25 * (bd * bd))
 
@@ -260,7 +270,7 @@ class Expression:
     evaluate: Callable
     stated_error_order: int
     suspect: str | None = None
-    residuals: dict[str, Callable[[FinalStep], np.ndarray]] = field(default_factory=dict)
+    residuals: dict[str, Callable[[FinalStep], float]] = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -314,32 +324,21 @@ def scaling_fits(quantities, deltas, templates, auto_dt: bool = False) -> list[S
     """The fit of each quantity over the delta grid for each template, template-major.
 
     Each template moves across the grid with b, k and the prior held (a re-derived) and dt
-    held or, with auto_dt, re-solved per point. One :func:`protocol.derive_points` call
-    validates the grid (the first failing point raises), one :func:`protocol.tree` and one
-    :func:`protocol.survived_state` call evaluate it, and each residual is one pass of its form;
-    the first that is not finite, by template, quantity and delta, raises. One
-    :func:`fit_power_laws` fits every column."""
-    import numpy as np
-    for q in quantities:
-        _tested_expression(q)  # rejects an unknown name before any evaluation
-    grid = [(t.b, d, None if auto_dt else t.dt, t.k, t.prior) for t in templates for d in deltas]
-    if not grid:
-        return fit_power_laws(deltas, [])
-    points, errors = protocol.derive_points("b", *zip(*grid))
-    if any(errors):
-        raise ValidationError(next(filter(None, errors)))
-    n = len(deltas)
-    with np.errstate(all="ignore"):  # an overflowing residual is non-finite, and reported as such
-        a, bd, x = protocol.normalised(points)
-        _, survival, overlap, _ = protocol.tree(a, bd, x, points.k)
-        final = FinalStep(points, 0.5 * a * a * _each(lambda v: math.sin(v) ** 2, x), survival, overlap,
-                          protocol.survived_state(a, bd, x, points.k, survival))
-        # The residuals by (template, quantity, delta).
-        res = np.stack([SCALING_QUANTITIES[q].residuals[q](final).reshape(-1, n) for q in quantities],
-                       axis=1)
-    if not np.isfinite(res).all():
-        t, q, j = np.argwhere(~np.isfinite(res))[0].tolist()
-        raise ValidationError(f"{quantities[q]} overflows at b={templates[t].b!r}, delta={deltas[j]!r}, "
-                              f"dt={points.dt[t * n + j].item()!r}, k={shown(templates[t].k)}")
-    return fit_power_laws(deltas, res.reshape(-1, n))
-
+    held or, with auto_dt, re-solved per point. Every point's ProtocolParams is built first
+    (the first failing point raises), then each is priced by :func:`protocol.final_step` and
+    :func:`protocol.survived_state` and its residuals taken in floats; the first that is not
+    finite, by template, quantity and delta, raises. One :func:`fit_power_laws` fits every
+    column."""
+    residuals = [_tested_expression(q).residuals[q] for q in quantities]  # rejects unknown names
+    grids = [[ProtocolParams.from_b(t.b, d, t.k, None if auto_dt else t.dt, prior=t.prior) for d in deltas]
+             for t in templates]
+    columns = []
+    for grid in grids:
+        finals = [FinalStep.of(p) for p in grid]
+        for q, residual in zip(quantities, residuals):
+            columns.append([residual(final) for final in finals])
+            for p, value in zip(grid, columns[-1]):
+                if not math.isfinite(value):
+                    raise ValidationError(f"{q} overflows at b={p.b!r}, delta={p.delta!r}, dt={p.dt!r}, "
+                                          f"k={shown(p.k)}")
+    return fit_power_laws(deltas, columns)

@@ -570,9 +570,7 @@ def form_points(draw):
     return points
 
 
-_FORMS = (lambda p: series.one_step_state(p, 0), lambda p: series.one_step_state(p, 1),
-          lambda p: series.k_step_state(p, 0), lambda p: series.k_step_state(p, 1),
-          series.one_step_survival, series.survival_k_paper, series.overlap_k_paper,
+_FORMS = (series.one_step_survival, series.survival_k_paper, series.overlap_k_paper,
           series.baseline_paper_convention)
 
 
@@ -582,17 +580,10 @@ _FORMS = (lambda p: series.one_step_state(p, 0), lambda p: series.one_step_state
 def test_series_forms_of_columns_are_the_forms_of_each_point(points):
     columns = protocol.Points(*(np.array([float(getattr(p, name)) for p in points])
                                 for name in protocol.Points._fields))
-    with np.errstate(all="ignore"):  # past the float range k_step_state is inf or NaN
-        for form in _FORMS:
-            got = form(columns)
-            for i, p in enumerate(points):
-                assert _same_entries(got[..., i], form(p)), (form, p)
-    a, bd, x = protocol.normalised(columns)
-    survival = protocol.tree(a, bd, x, columns.k)[1]
-    got = protocol.survived_state(a, bd, x, columns.k, survival)
-    for i, p in enumerate(points):
-        want = protocol.survived_state(a[i].item(), bd[i].item(), x[i].item(), p.k, survival[i].item())
-        assert _same_entries(got[:, i], want), p
+    for form in _FORMS:
+        got = form(columns)
+        for i, p in enumerate(points):
+            assert _same_entries(got[..., i], form(p)), (form, p)
 
 
 # `zenodisc run` prints what the per-leaf reference prints, under either ledger.

@@ -29,7 +29,7 @@ def test_one_step_state_mirror_symmetry():
     p = params(k=1, dt=1.3)
     h0 = series.one_step_state(p, 0)
     h1 = series.one_step_state(p, 1)
-    assert np.allclose(h1, h0[[3, 2, 1, 0, 4]], atol=0)
+    assert np.allclose(h1, np.asarray(h0)[[3, 2, 1, 0, 4]], atol=0)
 
 
 def test_one_step_state_tracks_exact_evolution():
@@ -79,7 +79,18 @@ def test_k_step_state_mirror():
     p = params(k=4)
     h0 = series.k_step_state(p, 0)
     h1 = series.k_step_state(p, 1)
-    assert np.allclose(np.abs(h1), np.abs(h0[[3, 2, 1, 0, 4]]), atol=0)
+    assert np.allclose(np.abs(h1), np.abs(np.asarray(h0)[[3, 2, 1, 0, 4]]), atol=0)
+
+
+def test_magnitude_gap_is_not_finite_where_a_component_is_not():
+    # A NaN in a middle component makes the gap NaN, as numpy's max did; Python's max
+    # would return the largest of the others. The parts of 1.5e308 (1 + i) are finite and
+    # its magnitude is not, where Python's abs raises: the gap is inf.
+    exact = (1.0, 0.5j, complex(math.nan, 0.0), 0.25, 0.0)
+    approx = (0.5, 0.0, 0.0, 0.0, 2.0)
+    assert math.isnan(series._magnitude_gap(exact, approx))
+    assert series._magnitude_gap(exact[:2] + exact[3:], approx[:2] + approx[3:]) == 2.0
+    assert series._magnitude_gap((1.5e308 + 1.5e308j, 0.0), (0.0, 0.0)) == math.inf
 
 
 # ---------------------------------------------------------------- survival
