@@ -256,9 +256,10 @@ def derive_points(amplitude: str, ab, delta, dt, k, prior) -> tuple[Points, list
     return points, errors
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LeafRecord:
-    """One terminal branch of the outcome tree.
+    """One terminal branch of the outcome tree, a plain slotted record like ``cli.ReportRow``:
+    nothing hashes or mutates a leaf, and a frozen one costs several times as much to build.
 
     kind is "click" (with step in 1..k) or "survived" (step is None).
     p_given_h0 / p_given_h1 are the leaf probabilities conditioned on each
