@@ -13,7 +13,9 @@ tests/test_corpus.py replays every entry through `cli.main` and compares.
 A change that moves output regenerates the corpus and names the entries
 that moved; this script prints them. Digests assume the numpy and libm
 rounding of the machine that made them; the corpus records the numpy
-version. Run from the repository root:
+version. Only regeneration imports numpy, to record its version: replaying an
+entry of a command that imports none (baseline, optimize, run, scaling)
+runs without numpy installed. Run from the repository root:
 
     PYTHONPATH=src python scripts/corpus.py
 """
@@ -28,8 +30,6 @@ import random
 import sys
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 from zenodisc import cli
 
@@ -206,6 +206,7 @@ def invocations() -> list[dict]:
 
 
 def main() -> int:
+    import numpy as np  # for the version the corpus records; replay imports no numpy
     old = {}
     if CORPUS.exists():
         old = {e["name"]: e for e in json.loads(CORPUS.read_text(encoding="utf-8"))["entries"]}
