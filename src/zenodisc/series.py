@@ -139,10 +139,12 @@ def fit_power_laws(deltas, columns) -> list[ScalingFit]:
     :class:`ScalingFit` for the flooring rules).
 
     With u = log delta and y = log of the floored residual (``math.log`` per entry), the
-    least-squares slope is p = sum (u - mean u)(y - mean y) / sum (u - mean u)^2 and the
-    intercept mean y - p mean u. Every sum is ``math.fsum``'s, correctly rounded on every Python
-    version (``sum`` compensates only from Python 3.12 on, adding left to right before). A column
-    with a non-finite log fits NaN; one whose every entry is floored is indeterminate.
+    least-squares slope is p = (n sum uy - sum u sum y) / (n sum u^2 - (sum u)^2) and the
+    intercept (sum y sum u^2 - sum u sum uy) / (n sum u^2 - (sum u)^2). Each float is an exact
+    rational with a power-of-2 denominator, so the sums are taken exactly in ints, and each
+    coefficient is one correctly rounded int division: the exact line of the float logs, to
+    half an ulp. A column with a non-finite log fits NaN; one whose every entry is floored is
+    indeterminate.
     """
     ds = tuple(map(float, deltas))
     # Rows of a 2-D array (as a sweep passes them) or of sequences; a float keeps its object.
@@ -158,21 +160,29 @@ def fit_power_laws(deltas, columns) -> list[ScalingFit]:
     if any(r < 0.0 for rs in cols for r in rs):
         raise ValidationError("residuals must be nonnegative")
     n = len(ds)
-    us = [math.log(d) for d in ds]
-    u_mean = math.fsum(us) / n
-    du = [u - u_mean for u in us]
-    spread = math.fsum(map(mul, du, du))
+    us, u_scale = _integers([math.log(d) for d in ds])
+    su, suu = sum(us), sum(map(mul, us, us))
+    det = n * suu - su * su  # > 0: the grid spans a decade
     fits = []
     for rs in cols:
         n_floored = len([r for r in rs if r < NOISE_FLOOR])
         ys = [math.log(r if not r < NOISE_FLOOR else NOISE_FLOOR) for r in rs]  # a NaN stays NaN
         slope = intercept = math.nan
         if n_floored < n and all(map(math.isfinite, ys)):
-            y_mean = math.fsum(ys) / n
-            slope = math.fsum([d * (y - y_mean) for d, y in zip(du, ys)]) / spread
-            intercept = y_mean - slope * u_mean
+            ys, y_scale = _integers(ys)
+            sy, suy = sum(ys), sum(map(mul, us, ys))
+            slope = (n * suy - su * sy) * u_scale / (det * y_scale)
+            intercept = (sy * suu - su * suy) / (det * y_scale)
         fits.append(ScalingFit(slope, intercept, ds, rs, n_floored, n_floored == n))
     return fits
+
+
+def _integers(values: list[float]) -> tuple[list[int], int]:
+    """The finite floats ``values`` times D, their least common denominator (a power of 2), as
+    ints, and D."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(d for _, d in ratios)
+    return [m * (scale // d) for m, d in ratios], scale
 
 
 def _power(base: float, exponent: float):
