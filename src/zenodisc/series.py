@@ -60,7 +60,7 @@ def k_step_state(params: ProtocolParams, hypothesis: int) -> tuple[complex, ...]
     are sign-blind.
     """
     a, b, d, dt, k = params.a, params.b, params.delta, params.dt, params.k * 1.0
-    pref = _power(1.0 - 0.5 * (a * a) * (d * d) * (dt * dt), -k / 2.0)
+    pref = _or_inf(pow, 1.0 - 0.5 * (a * a) * (d * d) * (dt * dt), -k / 2.0)
     lead = a * (1.0 - 0.25 * k * (k + 1.0) * (dt * dt) * (d * d))
     off = 0.5j * k * d * a * dt
     fourth = -0.25 * k * (k - 1.0) * (d * d) * a * (dt * dt)
@@ -138,13 +138,12 @@ def fit_power_laws(deltas, columns) -> list[ScalingFit]:
     """Fit residual ~ C delta^p to each residual column on one delta grid, in closed form (see
     :class:`ScalingFit` for the flooring rules).
 
-    With u = log delta and y = log of the floored residual (``math.log`` per entry), the
-    least-squares slope is p = (n sum uy - sum u sum y) / (n sum u^2 - (sum u)^2) and the
-    intercept (sum y sum u^2 - sum u sum uy) / (n sum u^2 - (sum u)^2). Each float is an exact
-    rational with a power-of-2 denominator, so the sums are taken exactly in ints, and each
-    coefficient is one correctly rounded int division: the exact line of the float logs, to
-    half an ulp. A column with a non-finite log fits NaN; one whose every entry is floored is
-    indeterminate.
+    With u = log delta, y = log of the floored residual (``math.log`` per entry) and
+    D = n sum u^2 - (sum u)^2, the slope is (n sum uy - sum u sum y) / D and the intercept
+    (sum y sum u^2 - sum u sum uy) / D. The logs are scaled to ints by their power-of-2
+    denominators, so every sum is exact and each coefficient is one correctly rounded int
+    division: the exact least-squares line of the float logs, to half an ulp. A column with a
+    non-finite log fits NaN; one whose every entry is floored is indeterminate.
     """
     ds = tuple(map(float, deltas))
     # Rows of a 2-D array (as a sweep passes them) or of sequences; a float keeps its object.
@@ -178,17 +177,17 @@ def fit_power_laws(deltas, columns) -> list[ScalingFit]:
 
 
 def _integers(values: list[float]) -> tuple[list[int], int]:
-    """The finite floats ``values`` times D, their least common denominator (a power of 2), as
-    ints, and D."""
+    """Finite floats as ints times their least common denominator, a power of 2, and it."""
     ratios = [v.as_integer_ratio() for v in values]
     scale = max(d for _, d in ratios)
     return [m * (scale // d) for m, d in ratios], scale
 
 
-def _power(base: float, exponent: float):
-    """Python's ``base ** exponent``, inf where it overflows."""
+def _or_inf(fn, *args):
+    """``fn(*args)``, inf where it overflows: Python's ``**`` raises there, and so does ``abs``
+    of a complex whose parts are finite but whose magnitude is not."""
     try:
-        return base ** exponent
+        return fn(*args)
     except OverflowError:
         return math.inf
 
@@ -202,12 +201,8 @@ def _state(components, hypothesis: int) -> tuple[complex, ...]:
 
 
 def _magnitude_gap(exact, approx) -> float:
-    """The largest ||e| - |s|| over the components: NaN where one is NaN, which ``max`` may
-    drop, and inf where a magnitude overflows, where Python's ``abs`` of a complex raises."""
-    try:
-        gaps = [abs(abs(e) - abs(s)) for e, s in zip(exact, approx)]
-    except OverflowError:
-        return math.inf
+    """The largest ||e| - |s|| over the components, NaN where one is NaN (``max`` may drop it)."""
+    gaps = [abs(_or_inf(abs, e) - _or_inf(abs, s)) for e, s in zip(exact, approx)]
     return math.nan if any(map(math.isnan, gaps)) else max(gaps)
 
 
