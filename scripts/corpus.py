@@ -2,13 +2,16 @@
 """Regenerate the byte-identity corpus, tests/corpus.json.
 
 The corpus is a fixed, seeded list of `zenodisc` invocations: baselines,
-runs (`--mode both`, auto and explicit dt, priors 0 and 1, k up to 3000),
-sweeps (a and b grids, delta = -0, k up to 10^18 and a k of 400 digits,
-digits 6 to 17, failing points), every scaling quantity, optimize brackets
-(some reaching past pi/delta) and error exits. Each entry holds its argv,
-the text of its config file (written as `cfg`) and what the call gave:
-the exit code and the sha256 of stdout, stderr and every file it wrote.
-tests/test_corpus.py replays every entry through `cli.main` and compares.
+runs (`--mode both`, auto and explicit dt, priors 0 and 1, k up to 3000,
+one step past the cap), sweeps (a and b grids, delta = -0, k up to 10^18,
+10^300 and a k of 400 digits, digits 6 to 17, failing points), every scaling
+quantity, optimize brackets (some reaching past pi/delta) and error exits.
+Each entry holds its argv, the text of its config file (written as `cfg`)
+and what the call gave: the exit code and the sha256 of stdout, stderr and
+every file it wrote.
+tests/test_corpus.py replays every entry through `cli.main` and compares;
+`replay(entry, command)` runs it through a command instead, an installed
+`zenodisc` say, in a subprocess.
 
 A change that moves output regenerates the corpus and names the entries
 that moved; this script prints them. Digests assume the numpy and libm
@@ -27,6 +30,7 @@ import json
 import math
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -41,24 +45,36 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def replay(entry: dict) -> dict:
+def replay(entry: dict, command: list[str] | None = None) -> dict:
     """Run one invocation in a fresh temporary directory: its exit code, and the sha256
-    of its stdout, its stderr and each file it wrote, by path in that directory."""
-    out, err = io.StringIO(), io.StringIO()
+    of its stdout, its stderr and each file it wrote, by path in that directory. The
+    call is ``cli.main`` in this process or, with ``command`` given, ``[*command, *argv]``
+    in a subprocess, whose stdout and stderr bytes are hashed as it wrote them."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             if entry["config"] is not None:
                 Path("cfg").write_text(entry["config"], encoding="utf-8", newline="")
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(entry["argv"])
+            if command is None:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(entry["argv"])
+                stdout, stderr = out.getvalue().encode(), err.getvalue().encode()
+            else:
+                proc = subprocess.run([*command, *entry["argv"]], capture_output=True)
+                code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
             files = {path.as_posix(): _sha256(path.read_bytes())
                      for path in sorted(Path(".").rglob("*")) if path.is_file() and path.name != "cfg"}
         finally:
             os.chdir(cwd)
-    return {"exit": code, "stdout": _sha256(out.getvalue().encode()),
-            "stderr": _sha256(err.getvalue().encode()), "files": files}
+    return {"exit": code, "stdout": _sha256(stdout), "stderr": _sha256(stderr), "files": files}
+
+
+def moved(entries: list[dict], command: list[str] | None = None) -> list[str]:
+    """The names of the entries whose :func:`replay` differs from what they record."""
+    return [e["name"] for e in entries
+            if replay(e, command) != {key: e[key] for key in ("exit", "stdout", "stderr", "files")}]
 
 
 def _config(**keys) -> str:
@@ -110,6 +126,12 @@ def invocations() -> list[dict]:
                     digits=rng.randint(6, 17)))
     add("run-huge-k", ["run", "--b", "10", "--delta", "0.01", "--dt", "1e-12", "--k",
                        "1000000000000000000"])
+    # One step past the cap on the per-step views: rejected before a byte is written.
+    add("run-past-step-cap", ["run", "--b", "10", "--delta", "0.01", "--dt", "1e-12", "--k", "1000001"])
+    # The click mass is ~3e-13: the exact-ledger verdict M g(M) keeps its digits,
+    # 4.68438859384...e-13, where total - baseline_exact printed 4.68444727452777e-13.
+    add("run-verdict-digits", ["run", "--b", "88.85074653873919", "--delta", "0.00934590131528339",
+                               "--dt", "0.00016620039754226847", "--k", "17", "--xi", "0.3045145664658649"])
     add("run-bad-value", ["run", "--b", "10", "--delta", "abc", "--k", "1", "--dt", "1"])
 
     # sweep
@@ -123,6 +145,10 @@ def invocations() -> list[dict]:
         _config(b=10, delta=0.01, dt="auto", k="1,5" + "0" * 400, mode="both"))
     add("sweep-overflow", ["sweep", "--config", "cfg"],
         _config(b=1, delta=0.01, dt="1e200", k=1, mode="both"))
+    # paper_new_cost, k (a delta dt)^2 / 4 = 2.5e297, is finite where the product
+    # k a^2 dt^2 delta^2 overflows.
+    add("sweep-paper-new-cost-k300", ["sweep", "--config", "cfg"],
+        _config(b=10, delta="1e-6", dt="1e5", k="1" + "0" * 300, mode="paper"))
     for i in range(14):
         amplitude = rng.choice("ab")
         delta = [rng.choice((-0.0, 0.0)) if rng.random() < 0.1 else 10 ** rng.uniform(-4.0, -1.0)
@@ -165,6 +191,13 @@ def invocations() -> list[dict]:
     # b = 20 fails at delta = 0.1 though b = 1 overflows first in template order.
     add("scaling-failing-template", ["scaling", "--config", "cfg"],
         _config(b="1,20", delta="0.1,0.03,0.01", dt=1, k=10000000))
+    # A study of every quantity on an a grid with explicit dt.
+    add("scaling-a-grid", ["scaling", "--config", "cfg", "--out", "out/scaling_a", "--quiet"],
+        _config(a="0.99,0.999", delta="0.01,0.0031622776601683794,0.001", dt="0.5,1.0", k="1,7,50",
+                xi=0.5))
+    # A k of 5000 digits, past what Python reads into an int: an error with its line number.
+    add("scaling-k5000", ["scaling", "--config", "cfg"],
+        _config(b=10, delta="0.01,0.0031622776601683794,0.001", dt="auto", k="1,5" + "0" * 5000))
     add("scaling-short-grid", ["scaling", "--config", "cfg"], _config(b=10, delta="0.01,0.001"))
     add("scaling-unknown", ["scaling", "--config", "cfg", "--quantity", "nope"],
         _config(b=10, delta="0.01,0.0031622776601683794,0.001"))
