@@ -298,7 +298,7 @@ def _rows(columns, modes: tuple[Mode, ...], auto_dt: bool) -> list[ReportRow]:
     a, bd, x = protocol.normalised(evaluated)
     mass, survival, overlap, gap = protocol.tree(a, bd, x, evaluated.k)
     # The first n entries are the points, the rest the fit grids.
-    fits = series.fit_power_laws(deltas, overlap[n:].reshape(-1, len(deltas)))
+    fits = series.fit_power_laws(deltas, overlap[n:].reshape(-1, len(deltas)).tolist())
     exponents = {key: fit.exponent for key, fit in zip(fitted, fits)}
     priced = protocol.costs(modes, points.prior, *(v[:n] for v in (a, bd, mass, survival, overlap, gap)))
     # The columns every ledger shares, the baselines among them.
@@ -672,9 +672,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    csv_text, txt_text = render_report(run_sweep(cfg), cfg.digits)
-    _emit((csv_text,), cfg.out, ".csv", args.quiet)
-    return _emit((txt_text,), cfg.out, ".txt", args.quiet)
+    rows, summary = run_sweep(cfg), []
+
+    def csv_chunks():  # the CSV streams; the summary, printed after it, is kept
+        for csv_text, txt_text in _report(rows, cfg.digits):
+            summary.append(txt_text)
+            yield csv_text
+
+    _emit(csv_chunks(), cfg.out, ".csv", args.quiet)
+    return _emit(summary, cfg.out, ".txt", args.quiet)
 
 
 def _cmd_scaling(args) -> int:

@@ -9,13 +9,12 @@ Overall e^{i E t} phase factors are dropped from the state forms
 imaginary units between components are kept.
 
 The delta-scaling fits measure |exact - series| on a small delta grid and
-report the log-log slope, the empirical truncation order. The state forms
-take one point and return 5-tuples of complex; the scalar forms take one
-point or :class:`protocol.Points` columns in one body (squares as products,
-k a float), so a column entry is its point's value bit for bit.
-:func:`scaling_fits` evaluates a study point by point in floats, from
-:func:`protocol.final_step`, and :func:`fit_power_laws` fits each residual
-column in closed form through ``math``, so a scaling study imports no numpy.
+report the log-log slope, the empirical truncation order. The forms take one
+point: the state forms return 5-tuples of complex, the scalar forms a float
+(squares as products, k a float). :func:`scaling_fits` evaluates a study
+point by point in floats, from :func:`protocol.final_step`, and
+:func:`fit_power_laws` fits each residual sequence in closed form through
+``math``, so a scaling study imports no numpy.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import protocol
-from .helstrom import _numpy, helstrom_cost
+from .helstrom import helstrom_cost
 from .protocol import ProtocolParams, shown
 from .qcore import ValidationError
 
@@ -135,8 +134,8 @@ class ScalingFit:
 
 
 def fit_power_laws(deltas, columns) -> list[ScalingFit]:
-    """Fit residual ~ C delta^p to each residual column on one delta grid, in closed form (see
-    :class:`ScalingFit` for the flooring rules).
+    """Fit residual ~ C delta^p to each residual column, a sequence of floats, on one delta
+    grid, in closed form (see :class:`ScalingFit` for the flooring rules).
 
     With u = log delta, y = log of the floored residual (``math.log`` per entry) and
     D = n sum u^2 - (sum u)^2, the slope is (n sum uy - sum u sum y) / D and the intercept
@@ -146,8 +145,7 @@ def fit_power_laws(deltas, columns) -> list[ScalingFit]:
     non-finite log fits NaN; one whose every entry is floored is indeterminate.
     """
     ds = tuple(map(float, deltas))
-    # Rows of a 2-D array (as a sweep passes them) or of sequences; a float keeps its object.
-    cols = [tuple(map(float, rs)) for rs in (columns.tolist() if _numpy(columns) else columns)]
+    cols = [tuple(map(float, rs)) for rs in columns]  # a float keeps its object
     if any(len(rs) != len(ds) for rs in cols):
         raise ValidationError("deltas and residuals must have equal length")
     if len(ds) < 3:

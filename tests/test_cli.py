@@ -339,6 +339,31 @@ def test_emit_report_holds_neither_whole_text(tmp_path):
     assert peak(rows) - peak(one_point) < 64 * 1024
 
 
+def test_sweep_streams_its_csv_and_holds_only_the_summary(tmp_path):
+    # `zenodisc sweep` writes each CSV chunk as it is made and keeps the summary, which it
+    # prints after the CSV: its peak is about that of making the rows and the summary alone.
+    # Joining both whole texts peaked 1.3 MB higher here, 3.4 times the CSV's 0.38 MB.
+    text = ("b=10\ndelta=0.001,0.002,0.004\ndt=0.1,0.2,0.3,0.5,1\nk=1,2,3,5,8,13,21,34,55,89\n"
+            "xi=0.1,0.3,0.5,0.7,0.9\nmode=both\n")
+    (tmp_path / "sweep.cfg").write_text(text, encoding="utf-8")
+    (tmp_path / "warm.cfg").write_text("b=10\ndelta=0.01\n", encoding="utf-8")
+    cfg = parse_config(text)
+
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    args = ["sweep", "--config", str(tmp_path / "sweep.cfg"), "--out", str(tmp_path / "s"), "--quiet"]
+    assert cli.main(["sweep", "--config", str(tmp_path / "warm.cfg"), "--quiet"]) == 0
+    held = peak(lambda: [txt for _, txt in cli._report(run_sweep(cfg), cfg.digits)])
+    streamed = peak(lambda: cli.main(args))
+    assert streamed - held < (tmp_path / "s.csv").stat().st_size // 2
+
+
 def test_run_lists_its_leaves_in_bounded_memory(tmp_path):
     # Each leaf's line is written to <out>.txt as it is made, so the peak of a run with
     # 10^4 leaves per ledger, 1.9 MB of text, is that of a run with 10: no listing is held.

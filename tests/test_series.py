@@ -276,18 +276,6 @@ def test_fit_power_laws_rejects_ragged_columns():
         series.fit_power_laws((1e-2, 10**-2.5, 1e-3), [[1e-3, 1e-4, 1e-5], [1e-3, 1e-4]])
 
 
-def test_fit_power_laws_of_a_2d_array_are_the_fits_of_its_rows():
-    # A sweep passes its residual columns as the rows of one 2-D array.
-    deltas = (1e-2, 10**-2.5, 1e-3)
-    columns = [[0.7 * d**3 for d in deltas], [3e-7, 2e-15, 4e-9], [0.0, 1e-15, 0.0], [1.0, math.nan, 0.1]]
-    got, want = series.fit_power_laws(deltas, np.array(columns)), series.fit_power_laws(deltas, columns)
-    assert len(got) == len(want) == len(columns)
-    for fit, ref in zip(got, want):
-        for name in ("exponent", "intercept", "sample_deltas", "residuals", "n_floored", "indeterminate"):
-            assert _same(getattr(fit, name), getattr(ref, name)), name
-        assert all(type(r) is float for r in fit.residuals)
-
-
 def test_fit_power_law_rejects_a_zero_delta():
     with pytest.raises(ValidationError, match="positive"):
         series.fit_power_laws((0.0, 1e-2, 1e-1), [(1.0, 1.0, 1.0)])
