@@ -20,7 +20,7 @@ from .protocol import (
     solve_orthogonality,
     total_cost_paper_mode,
 )
-from .qcore import PureState, ValidationError
+from .qcore import ValidationError
 from .series import (
     EXPRESSIONS,
     SUSPECT_FLAGS,
@@ -41,7 +41,7 @@ __all__ = [
     "guess_only_cost", "helstrom_cost",
     "LeafRecord", "Mode", "ProtocolParams", "ProtocolReport", "amplitudes",
     "run", "solve_orthogonality", "total_cost_paper_mode",
-    "PureState", "ValidationError",
+    "ValidationError",
     "EXPRESSIONS", "SUSPECT_FLAGS", "ScalingFit",
     "baseline_paper_convention", "k_step_state",
     "one_step_state", "one_step_survival", "original_cost", "overlap_k_paper",

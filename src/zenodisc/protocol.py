@@ -46,7 +46,7 @@ from operator import itemgetter, mul
 from typing import Any, ClassVar, NamedTuple
 
 from .helstrom import _math, _numpy, guess_only_cost, helstrom_cost
-from .qcore import PureState, ValidationError
+from .qcore import ValidationError
 
 # Candidate-state normalization a^2 + (b delta)^2 = 1 is enforced to this
 # tolerance; construction helpers hit it to machine precision anyway.
@@ -279,20 +279,21 @@ class LeafRecord:
     leaf_cost: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class ProtocolReport:
-    """The outcome tree of one experiment at its final step k; the rest are views.
+    """The outcome tree of one experiment at its final step k; the rest are views. A plain record,
+    as a leaf is: nothing hashes or mutates a report, and a frozen one costs more to build.
 
     It stores :func:`final_step`: the click mass M_k, the survival 1 - M_k of either hypothesis,
     the survived overlap O_k and the gap 1 - O_k^2 in closed form, which keeps its digits as the
     pair nears parallel. total_cost, both baselines and the verdicts (total_cost minus each
     baseline, but M_k g(M_k) over baseline_exact in the exact ledger) are :func:`costs` under
     params.mode, a sweep row's cells bit for bit, priced in one call on the first read; another
-    ledger's are those of :func:`run` with that mode. The leaves and per-step values are made step
-    by step in floats on each read and never kept: clicks[j - 1] is the click at step j under either
-    hypothesis, overlap_trajectory[i] is |<s0|s1>| of the survival states after i steps (entry 0 is
-    b^2 delta^2), survival[i] the cumulative survival (survival_trajectory pairs it up), and
-    survived_pair, the one view built of arrays, the survived leaf's states without e0, e1 phases."""
+    ledger's are those of :func:`run` with that mode. first_click, the click (a^2 / 2) s^2 of step 1,
+    and survived, hypothesis 0's survived state (:func:`survived_state`; its mirror is hypothesis
+    1's), are computed together on the first read. The leaves and per-step values are made step by
+    step in floats on each read and never kept: overlap_trajectory[i] is |<s0|s1>| of the survival
+    states after i steps (entry 0 is b^2 delta^2), survival[i] the cumulative survival."""
 
     params: ProtocolParams
     click_mass: float
@@ -312,16 +313,18 @@ class ProtocolReport:
         step = partial(_closed_forms, math.expm1, math.exp, half_a2, bd * bd, log_decay)
         return map(partial(mul, half_a2 * s2), map(itemgetter(0), map(step, range(k)))), map(step, range(k + 1))
 
-    clicks = property(lambda self: tuple(self._steps()[0]))
     survival = property(lambda self: tuple(map(itemgetter(2), self._steps()[1])))
     overlap_trajectory = property(lambda self: tuple(map(itemgetter(3), self._steps()[1])))
     survival_trajectory = property(lambda self: tuple((s, s) for s in self.survival))
     leaves = property(lambda self: tuple(self.iter_leaves()))
 
-    @property
-    def survived_pair(self) -> tuple[PureState, PureState]:
-        s0 = survived_state(*normalised(self.params), self.params.k, self.final_survival)
-        return PureState(s0), PureState(s0[3::-1] + s0[4:])
+    @cached_property
+    def _survivor(self) -> tuple[float, tuple[complex, ...]]:
+        a, bd, x = normalised(self.params)
+        return 0.5 * a * a * math.sin(x) ** 2, survived_state(a, bd, x, self.params.k, self.final_survival)
+
+    first_click = property(lambda self: self._survivor[0])
+    survived = property(lambda self: self._survivor[1])
 
     @cached_property
     def _costs(self) -> tuple[float, float, float, float, float]:
@@ -416,12 +419,15 @@ def _closed_forms(expm1, exp, half_a2, beta, log_decay, steps):
 def tree(a, bd, x, steps):
     """M_j, 1 - M_j, O_j and the gap 1 - O_j^2, the survived pair's Helstrom complement, at
     j = ``steps`` of one point of floats, as floats, or entry by entry over broadcast arrays of
-    :func:`normalised` values (see :func:`run`). log c^2, expm1 and exp take ``math`` per entry
-    (:func:`_each`), so an entry is the float call on it bit for bit, and floats import no numpy.
-    The gap a^2 (2 b^2 delta^2 + a^2 c^(2 j)) / (1 - M_j)^2 adds nonnegative terms, where
+    :func:`normalised` values (see :func:`run`). log c^2, expm1 and exp are ``math``'s, per entry
+    over arrays (:func:`_each`), so an entry is the float call on it bit for bit, and floats import
+    no numpy. The gap a^2 (2 b^2 delta^2 + a^2 c^(2 j)) / (1 - M_j)^2 adds nonnegative terms, where
     a^2 (1 + b^2 delta^2 - 2 M_j) / (1 - M_j)^2 cancels as b -> 0."""
-    decay, mass, survival, overlap = _closed_forms(partial(_each, math.expm1), partial(_each, math.exp),
-                                                   0.5 * a * a, bd * bd, _each(lambda v: _decay(v)[1], x), steps)
+    if _numpy(x, steps):  # the arguments of the math functions
+        expm1, exp, log_decay = partial(_each, math.expm1), partial(_each, math.exp), _each(lambda v: _decay(v)[1], x)
+    else:
+        expm1, exp, log_decay = math.expm1, math.exp, _decay(x)[1]
+    decay, mass, survival, overlap = _closed_forms(expm1, exp, 0.5 * a * a, bd * bd, log_decay, steps)
     a2 = a * a
     return mass, survival, overlap, a2 * (2.0 * bd * bd + a2 * decay) / (survival * survival)
 
@@ -476,8 +482,8 @@ def survived_state(a, bd, x, k, survival) -> tuple[complex, ...]:
     # c^k with its sign: the even amplitude flips at every step when c < 0.
     ck = math.exp(0.5 * (k * _decay(x)[1])) * math.copysign(1.0, math.cos(x)) ** k
     cos_kx, sin_kx, scale = math.cos(k * x), math.sin(k * x), 1.0 / math.sqrt(survival)
-    return tuple(complex(c) * scale for c in (0.5 * a * (ck + cos_kx), -0.5j * a * sin_kx, 0.5j * a * sin_kx,
-                                              0.5 * a * (ck - cos_kx), bd))
+    return tuple([complex(c) * scale for c in (0.5 * a * (ck + cos_kx), -0.5j * a * sin_kx, 0.5j * a * sin_kx,
+                                               0.5 * a * (ck - cos_kx), bd)])
 
 
 def run(params: ProtocolParams) -> ProtocolReport:
@@ -486,6 +492,5 @@ def run(params: ProtocolParams) -> ProtocolReport:
     The report holds :func:`final_step` and computes its costs and per-step values when read,
     by the closed forms of the module docstring with c^(2 j) = exp(j log1p(-s^2)) and the click
     mass M_j = -(a^2 / 2) expm1(j log1p(-s^2)); expm1 keeps M_j accurate where the clicks are far
-    below the rounding of 1, as in the Zeno regime of many close probes. The survived pair is
-    :func:`survived_state` and its mirror."""
+    below the rounding of 1, as in the Zeno regime of many close probes."""
     return ProtocolReport(params, *final_step(params))

@@ -1,11 +1,11 @@
-"""The package's validation error and its one state type.
+"""The package's validation error, and a state type that the package no longer builds.
 
-Every layer raises :class:`ValidationError` on bad input. A
-:class:`PureState` holds one state of the survived pair, built when a
-``protocol.ProtocolReport``'s ``survived_pair`` is read. The outcome tree has
-a closed form (see ``protocol``), so nothing here evolves or measures a
-state; the dense step-by-step walk is an independent oracle of the test
-suite. Neither needs numpy to be imported; a PureState imports it when built.
+Every layer raises :class:`ValidationError` on bad input. The outcome tree has
+a closed form (see ``protocol``), so nothing here evolves or measures a state,
+and a report holds its survived state as a tuple of complex; the dense
+step-by-step walk is an independent oracle of the test suite. :class:`PureState`
+stays for the benchmark's tracer, which hooks its construction; it imports
+numpy when built.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ The delta-scaling fits measure |exact - series| on a small delta grid and
 report the log-log slope, the empirical truncation order. The forms take one
 point: the state forms return 5-tuples of complex, the scalar forms a float
 (squares as products, k a float). :func:`scaling_fits` evaluates a study
-point by point in floats, from :func:`protocol.final_step`, and
+point by point in floats, from one :func:`protocol.run` report each, and
 :func:`fit_power_laws` fits each residual sequence in closed form through
 ``math``, so a scaling study imports no numpy.
 """
@@ -23,11 +23,10 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import mul
-from typing import NamedTuple
 
 from . import protocol
 from .helstrom import helstrom_cost
-from .protocol import ProtocolParams, shown
+from .protocol import ProtocolParams, ProtocolReport, shown
 from .qcore import ValidationError
 
 # Residuals below this are double-precision noise, not series error.
@@ -204,76 +203,58 @@ def _magnitude_gap(exact, approx) -> float:
     return math.nan if any(map(math.isnan, gaps)) else max(gaps)
 
 
-class FinalStep(NamedTuple):
-    """What the residuals read of one grid point; all but the first click at k."""
+# Residuals |exact - series| of a run report; the one-step state and the baseline read only its params.
 
-    params: ProtocolParams
-    first_click: float  # 0.5 a^2 s^2, the click probability of step 1
-    survival: float
-    overlap: float
-    survived: tuple[complex, ...]  # the state of hypothesis 0, :func:`protocol.survived_state`
-
-    @classmethod
-    def of(cls, params: ProtocolParams) -> "FinalStep":
-        """The point priced by :func:`protocol.final_step`."""
-        a, bd, x = protocol.normalised(params)
-        _, survival, overlap, _ = protocol.final_step(params)
-        return cls(params, 0.5 * a * a * math.sin(x) ** 2, survival, overlap,
-                   protocol.survived_state(a, bd, x, float(params.k), survival))
+def _residual_click_prob(report: ProtocolReport) -> float:
+    p = report.params
+    return abs(report.first_click - 0.5 * (p.a * p.a) * (p.delta * p.delta) * (p.dt * p.dt))
 
 
-# Residuals |exact - series| of a FinalStep; the one-step state and the baseline read only its params.
-
-def _residual_click_prob(point: FinalStep) -> float:
-    p = point.params
-    return abs(point.first_click - 0.5 * (p.a * p.a) * (p.delta * p.delta) * (p.dt * p.dt))
-
-
-def _residual_one_step_state(point: FinalStep) -> float:
+def _residual_one_step_state(report: ProtocolReport) -> float:
     # The evolved state's magnitudes: (a, 0, 0, 0, b delta) rotates inside
     # levels 1-2 by delta dt, and e0, e1 enter only phases.
-    p = point.params
+    p = report.params
     x = p.delta * p.dt
     exact = (p.a * abs(math.cos(x)), p.a * abs(math.sin(x)), 0.0, 0.0, p.b * p.delta)
     return _magnitude_gap(exact, one_step_state(p, 0))
 
 
-def _residual_k_step_state(point: FinalStep) -> float:
-    return _magnitude_gap(point.survived, k_step_state(point.params, 0))
+def _residual_k_step_state(report: ProtocolReport) -> float:
+    return _magnitude_gap(report.survived, k_step_state(report.params, 0))
 
 
-def _residual_survival_step(point: FinalStep) -> float:
-    return abs((1.0 - point.first_click) - one_step_survival(point.params))
+def _residual_survival_step(report: ProtocolReport) -> float:
+    return abs((1.0 - report.first_click) - one_step_survival(report.params))
 
 
-def _residual_survival_k(point: FinalStep) -> float:
-    return abs(point.survival - survival_k_paper(point.params))
+def _residual_survival_k(report: ProtocolReport) -> float:
+    return abs(report.final_survival - survival_k_paper(report.params))
 
 
-def _residual_overlap_vs_series(point: FinalStep) -> float:
-    return abs(point.overlap - abs(overlap_k_paper(point.params)))
+def _residual_overlap_vs_series(report: ProtocolReport) -> float:
+    return abs(report.final_overlap - abs(overlap_k_paper(report.params)))
 
 
-def _residual_final_overlap(point: FinalStep) -> float:
+def _residual_final_overlap(report: ProtocolReport) -> float:
     # Deviation from the claimed exact cancellation to zero.
-    return point.overlap
+    return report.final_overlap
 
 
-def _residual_baseline(point: FinalStep) -> float:
-    bd = point.params.b * point.params.delta
-    return abs(baseline_paper_convention(point.params) - 0.25 * (bd * bd))
+def _residual_baseline(report: ProtocolReport) -> float:
+    bd = report.params.b * report.params.delta
+    return abs(baseline_paper_convention(report.params) - 0.25 * (bd * bd))
 
 
 @dataclass(frozen=True)
 class Expression:
     """One literal series expression, named by its function, with its doubt, if any, and the
-    scaling quantities whose series side it is (name -> residual of a FinalStep).
+    scaling quantities whose series side it is (name -> residual of a run report).
     """
 
     evaluate: Callable
     stated_error_order: int
     suspect: str | None = None
-    residuals: dict[str, Callable[[FinalStep], float]] = field(default_factory=dict)
+    residuals: dict[str, Callable[[ProtocolReport], float]] = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -328,20 +309,19 @@ def scaling_fits(quantities, deltas, templates, auto_dt: bool = False) -> list[S
 
     Each template moves across the grid with b, k and the prior held (a re-derived) and dt
     held or, with auto_dt, re-solved per point. Every point's ProtocolParams is built first
-    (the first failing point raises), then each is priced by :func:`protocol.final_step` and
-    :func:`protocol.survived_state` and its residuals taken in floats; the first that is not
-    finite, by template, quantity and delta, raises. One :func:`fit_power_laws` fits every
-    column."""
+    (the first failing point raises), then each is priced by :func:`protocol.run` and its
+    residuals read off the report in floats; the first that is not finite, by template, quantity
+    and delta, raises. One :func:`fit_power_laws` fits every column."""
     residuals = [_tested_expression(q).residuals[q] for q in quantities]  # rejects unknown names
     grids = [[ProtocolParams.from_b(t.b, d, t.k, None if auto_dt else t.dt, prior=t.prior) for d in deltas]
              for t in templates]
     columns = []
     for grid in grids:
-        finals = [FinalStep.of(p) for p in grid]
+        reports = [protocol.run(p) for p in grid]
         for q, residual in zip(quantities, residuals):
-            columns.append([residual(final) for final in finals])
-            for p, value in zip(grid, columns[-1]):
-                if not math.isfinite(value):
-                    raise ValidationError(f"{q} overflows at b={p.b!r}, delta={p.delta!r}, dt={p.dt!r}, "
-                                          f"k={shown(p.k)}")
+            columns.append([residual(report) for report in reports])
+            if not all(map(math.isfinite, columns[-1])):
+                p = grid[list(map(math.isfinite, columns[-1])).index(False)]
+                raise ValidationError(f"{q} overflows at b={p.b!r}, delta={p.delta!r}, dt={p.dt!r}, "
+                                      f"k={shown(p.k)}")
     return fit_power_laws(deltas, columns)

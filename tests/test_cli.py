@@ -230,38 +230,32 @@ def test_run_sweep_walks_each_point_once(monkeypatch):
 
 def test_scaling_study_walks_each_delta_once(monkeypatch):
     # 3 templates (k = 1, 5, 20) times 3 deltas: each (template, delta) point is built
-    # once and priced once, by one final_step and one survived_state call, with no walk,
+    # once and priced once, by one protocol.run report whose survived state is made once,
     # and every (template, quantity) column is fitted in one call.
     walked = _count_walks(monkeypatch)
     fitted = _count_fits(monkeypatch)
-    priced, survived, built = [], [], []
-    final_step, survived_state = protocol.final_step, protocol.survived_state
+    survived, built = [], []
+    survived_state = protocol.survived_state
     post_init = protocol.ProtocolParams.__post_init__
-
-    def counting_final_step(params):
-        priced.append((params.b, params.delta, params.dt, params.k))
-        return final_step(params)
 
     def counting_survived_state(a, bd, x, k, survival):
         survived.append(k)
         return survived_state(a, bd, x, k, survival)
 
     def counting_post_init(params):
-        built.append((params.b, params.delta, params.dt, params.k))
+        built.append(params)
         post_init(params)
 
-    monkeypatch.setattr(protocol, "final_step", counting_final_step)
     monkeypatch.setattr(protocol, "survived_state", counting_survived_state)
     monkeypatch.setattr(protocol.ProtocolParams, "__post_init__", counting_post_init)
     fits = cli.scaling_study(parse_config(ADJUDICATE["SCALING"]), "all")
     monkeypatch.undo()
     assert len(fits) == 3 * len(cli.series.SCALING_QUANTITIES)
-    assert walked == []
     assert len(fitted) == 1 and len(fitted[0]) == len(fits)
-    assert len(priced) == len(set(priced)) == 9
-    assert sorted(survived) == [1.0] * 3 + [5.0] * 3 + [20.0] * 3
+    assert len(walked) == len(set(walked)) == 9
+    assert sorted(survived) == [1] * 3 + [5] * 3 + [20] * 3
     # The 3 templates, then each grid point once.
-    assert len(built) == 3 + 9 and built[3:] == priced
+    assert len(built) == 3 + 9 and built[3:] == walked
 
 
 def test_scaling_study_rejects_unknown_quantity():

@@ -8,6 +8,11 @@ import zenodisc
 REPO = Path(__file__).resolve().parent.parent
 HEADLINE = "b=10\ndelta=0.01,0.001\ndt=auto\nk=1,5,20\nxi=0.5\nmode=both\n"
 SCALING = "b=10\ndelta=0.01,0.0031622776601683794,0.001\ndt=auto\nk=1,5,20\nxi=0.5\n"
+# Every public name of a run report: its stored tree, its priced views and its per-step views.
+REPORT_VIEWS = ["baseline_exact", "baseline_paper", "click_mass", "final_gap", "final_overlap",
+                "final_survival", "first_click", "iter_leaves", "leaves", "overlap_trajectory",
+                "paper_new_cost", "params", "survival", "survival_trajectory", "survived", "total_cost",
+                "verdict_vs_exact", "verdict_vs_paper"]
 
 
 def test_every_export_resolves():
@@ -28,10 +33,10 @@ def _fresh_python(code: str, cwd: Path) -> str:
 
 def test_one_point_pipelines_never_import_numpy(tmp_path):
     # A baseline, an optimize search (with its exponent fit, and its one rendering pass
-    # written through --out), a run listing its leaves under both ledgers, a run at
-    # k = 10^4 priced in every view and a scaling study of the headline grid: floats all
-    # the way, through math. No point fails, so no CSV writer is built and csv is not
-    # imported.
+    # written through --out), a run listing its leaves under both ledgers, a run report at
+    # k = 10^4 read in every view, the survived state among them, and a scaling study of
+    # the headline grid: floats all the way, through math. No point fails, so no CSV writer
+    # is built and csv is not imported.
     (tmp_path / "optimize.cfg").write_text("b=10\ndelta=0.001\ndt=0.1,0.2,0.3\nk=1,5,20\nxi=0.3\n"
                                            "mode=exact\n")
     (tmp_path / "scaling.cfg").write_text(SCALING)
@@ -43,7 +48,9 @@ def test_one_point_pipelines_never_import_numpy(tmp_path):
         "assert cli.main(['run', '--b', '10', '--delta', '0.001', '--k', '20', '--dt', 'auto',\n"
         "                 '--mode', 'both']) == 0\n"
         "report = protocol.run(protocol.ProtocolParams.from_b(10.0, 0.001, 10**4))\n"
-        "print(report.total_cost, report.baseline_exact, report.verdict_vs_exact, report.paper_new_cost)\n"
+        "views = sorted(name for name in dir(report) if not name.startswith('_'))\n"
+        "assert views == " + repr(REPORT_VIEWS) + ", views\n"
+        "values = [getattr(report, name) for name in views] + list(report.iter_leaves())\n"
         "assert cli.main(['scaling', '--config', 'scaling.cfg', '--quiet']) == 0\n"
         "print('numpy imported:', 'numpy' in sys.modules)\n"
         "print('csv imported:', 'csv' in sys.modules)\n", tmp_path)

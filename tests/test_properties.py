@@ -404,18 +404,18 @@ def test_report_has_the_bytes_of_the_cell_by_cell_reference(config, digits):
 _REPORT_RESIDUALS = {
     "baseline": lambda r: abs(series.baseline_paper_convention(r.params)
                               - 0.25 * ((r.params.b * r.params.delta) * (r.params.b * r.params.delta))),
-    "click_prob": lambda r: abs(r.clicks[0] - 0.5 * (r.params.a * r.params.a)
+    "click_prob": lambda r: abs(r.leaves[0].p_given_h0 - 0.5 * (r.params.a * r.params.a)
                                 * (r.params.delta * r.params.delta) * (r.params.dt * r.params.dt)),
     "final_overlap": lambda r: r.final_overlap,
-    "k_step_state": lambda r: float(np.max(np.abs(np.abs(r.survived_pair[0].amplitudes)
+    "k_step_state": lambda r: float(np.max(np.abs(np.abs(r.survived)
                                                   - np.abs(series.k_step_state(r.params, 0))))),
     "one_step_state": lambda r: float(np.max(np.abs(
         np.array([r.params.a * abs(math.cos(r.params.delta * r.params.dt)),
                   r.params.a * abs(math.sin(r.params.delta * r.params.dt)), 0.0, 0.0,
                   r.params.b * r.params.delta]) - np.abs(series.one_step_state(r.params, 0))))),
     "overlap_vs_series": lambda r: abs(r.final_overlap - abs(series.overlap_k_paper(r.params))),
-    "survival_k": lambda r: abs(r.survival[-1] - series.survival_k_paper(r.params)),
-    "survival_step": lambda r: abs((1.0 - r.clicks[0]) - series.one_step_survival(r.params)),
+    "survival_k": lambda r: abs(r.survival_trajectory[-1][0] - series.survival_k_paper(r.params)),
+    "survival_step": lambda r: abs((1.0 - r.leaves[0].p_given_h0) - series.one_step_survival(r.params)),
 }
 
 

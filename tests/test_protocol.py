@@ -145,11 +145,11 @@ def test_step_click_probability_closed_form():
 
 def test_step_survivor_transverse_components():
     p = ProtocolParams.from_b(10.0, 1e-3, k=1, dt=1.0)
-    survivor = protocol.run(p).survived_pair[0]
+    survivor = protocol.run(p).survived
     expected = 0.5 * p.a * p.delta * p.dt
     for idx in (1, 2):
-        assert abs(abs(survivor.amplitudes[idx]) - expected) <= 10 * p.delta**3
-    assert abs(survivor.amplitudes[1]) == pytest.approx(abs(survivor.amplitudes[2]), abs=1e-15)
+        assert abs(abs(survivor[idx]) - expected) <= 10 * p.delta**3
+    assert abs(survivor[1]) == pytest.approx(abs(survivor[2]), abs=1e-15)
 
 
 # -------------------------------------------------------------------- run
@@ -195,8 +195,9 @@ def test_run_matches_independent_walk_at_the_edges():
                 assert abs(leaf.p_given_h1 - q1) <= 1e-12
                 assert all(math.isfinite(v) for v in (leaf.marginal, leaf.posterior,
                                                       leaf.leaf_cost))
-            for got, want in zip(report.survived_pair, ref["survived_pair"]):
-                assert np.max(np.abs(np.abs(got.amplitudes) - np.abs(want))) <= 1e-12
+            s = report.survived
+            for got, want in zip((s, s[3::-1] + s[4:]), ref["survived_pair"], strict=True):
+                assert np.max(np.abs(np.abs(got) - np.abs(want))) <= 1e-12
 
 
 # The two ends where the Helstrom cost can lose its digits: a nearly certain
@@ -319,7 +320,7 @@ def test_run_rejects_a_k_past_the_step_cap(k):
     report = protocol.run(p)
     tracemalloc.start()
     try:
-        for view in ("clicks", "survival", "overlap_trajectory", "survival_trajectory", "leaves"):
+        for view in ("survival", "overlap_trajectory", "survival_trajectory", "leaves"):
             with pytest.raises(ValidationError, match=f"^k = {k}: per-step values are listed for k up to 1000000$"):
                 getattr(report, view)
         peak = tracemalloc.get_traced_memory()[1]

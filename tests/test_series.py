@@ -68,8 +68,7 @@ def test_k_step_state_transverse_amplitude_linear_in_k():
 def test_k_step_state_matches_survivor_magnitudes():
     p = params(k=5)
     report = protocol.run(p)
-    survivor = report.survived_pair[0].amplitudes
-    gap = np.max(np.abs(np.abs(survivor) - np.abs(series.k_step_state(p, 0))))
+    gap = np.max(np.abs(np.abs(report.survived) - np.abs(series.k_step_state(p, 0))))
     assert gap <= 100 * p.delta**3
     fit = series.scaling_fits(["k_step_state"], DELTAS, [p], auto_dt=True)[0]
     assert fit.exponent >= 2.5
