@@ -191,6 +191,10 @@ def invocations() -> list[dict]:
     # b = 20 fails at delta = 0.1 though b = 1 overflows first in template order.
     add("scaling-failing-template", ["scaling", "--config", "cfg"],
         _config(b="1,20", delta="0.1,0.03,0.01", dt=1, k=10000000))
+    # (a delta dt)^2 = 2 at delta = 0.0625: the k-step prefactor's base is exactly 0, a pole
+    # where Python's ** raises; the series form is inf there, and the study names the point.
+    add("scaling-prefactor-pole", ["scaling", "--config", "cfg"],
+        _config(b=5.333333333333333, delta="0.00625,0.01976423537605237,0.0625", dt=24, k=1, xi=0))
     # A study of every quantity on an a grid with explicit dt.
     add("scaling-a-grid", ["scaling", "--config", "cfg", "--out", "out/scaling_a", "--quiet"],
         _config(a="0.99,0.999", delta="0.01,0.0031622776601683794,0.001", dt="0.5,1.0", k="1,7,50",

@@ -9,7 +9,7 @@ forms verbatim and adjudicates how the two cost ledgers relate to the
 Helstrom baselines.
 """
 
-from .helstrom import guess_only_cost, helstrom_cost
+from .helstrom import ValidationError, guess_only_cost, helstrom_cost
 from .protocol import (
     LeafRecord,
     Mode,
@@ -20,7 +20,6 @@ from .protocol import (
     solve_orthogonality,
     total_cost_paper_mode,
 )
-from .qcore import ValidationError
 from .series import (
     EXPRESSIONS,
     SUSPECT_FLAGS,

@@ -30,17 +30,15 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
-from itertools import chain, compress, groupby, product
+from collections import namedtuple
+from itertools import chain, compress, groupby, product, repeat
 from operator import attrgetter, not_
-from pathlib import Path
 
 from . import protocol, series
-from .helstrom import guess_only_cost
+from .helstrom import ValidationError, guess_only_cost
 from .protocol import Mode, ProtocolParams, shown
-from .qcore import ValidationError
 
 DEFAULT_DIGITS = 17
 
@@ -55,54 +53,22 @@ SCALING_COLUMNS = (
     "deltas", "residuals",
 )
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(namedtuple("SweepConfig", "amplitude ab delta dt k xi modes digits out",
+                             defaults=(DEFAULT_DIGITS, None))):
     """Validated sweep definition; every grid is a sorted, repeat-free tuple,
     ``ab`` is the grid of ``amplitude`` ("a" or "b"), dt == (None,) means auto.
     """
 
-    amplitude: str
-    ab: tuple[float, ...]
-    delta: tuple[float, ...]
-    dt: tuple[float | None, ...]
-    k: tuple[int, ...]
-    xi: tuple[float, ...]
-    modes: tuple[Mode, ...]
-    digits: int = DEFAULT_DIGITS
-    out: str | None = None
-
-    @property
-    def auto_dt(self) -> bool:
-        return self.dt == (None,)
+    __slots__ = ()
+    auto_dt = property(lambda self: self.dt == (None,))
 
 
-@dataclass(slots=True)
-class ReportRow:
-    """One protocol evaluation, or one failed point with its error message.
+ReportRow = namedtuple("ReportRow", "a b delta dt k xi mode total_cost baseline_exact baseline_paper "
+                       "paper_new_cost final_overlap overlap_exponent verdict_vs_baseline_exact "
+                       "verdict_vs_baseline_paper error", defaults=(None,) * 8 + ("",))
+ReportRow.__doc__ = "One protocol evaluation, or one failed point with its error message."
 
-    A plain slotted record, built positionally: nothing hashes or mutates a row,
-    and a frozen one costs several times as much to build.
-    """
-
-    a: float
-    b: float
-    delta: float
-    dt: float
-    k: int
-    xi: float
-    mode: str
-    total_cost: float | None = None
-    baseline_exact: float | None = None
-    baseline_paper: float | None = None
-    paper_new_cost: float | None = None
-    final_overlap: float | None = None
-    overlap_exponent: float | None = None
-    verdict_vs_baseline_exact: float | None = None
-    verdict_vs_baseline_paper: float | None = None
-    error: str = ""
-
-
-CSV_COLUMNS = tuple(field.name for field in fields(ReportRow))
+CSV_COLUMNS = ReportRow._fields
 
 
 def _where(lineno: int) -> str:
@@ -301,15 +267,13 @@ def _rows(columns, modes: tuple[Mode, ...], auto_dt: bool) -> list[ReportRow]:
     fits = series.fit_power_laws(deltas, overlap[n:].reshape(-1, len(deltas)).tolist())
     exponents = {key: fit.exponent for key, fit in zip(fitted, fits)}
     priced = protocol.costs(modes, points.prior, *(v[:n] for v in (a, bd, mass, survival, overlap, gap)))
-    # The columns every ledger shares, the baselines among them.
-    shared = (*columns, priced[0][1].tolist(), priced[0][2].tolist(),
-              protocol.total_cost_paper_mode(points).tolist(), overlap[:n].tolist(),
-              [exponents.get(key) for key in keys])
+    # The cells every ledger shares between its total and its verdicts, the baselines among them.
+    shared = (priced[0][1].tolist(), priced[0][2].tolist(), protocol.total_cost_paper_mode(points).tolist(),
+              overlap[:n].tolist(), [exponents.get(key) for key in keys])
     rows = []
     for mode, (total, _, _, verdict_exact, verdict_paper) in zip(modes, priced):
-        rows += [ReportRow(a, b, delta, dt, k, xi, mode.value, t, be, bp, new, fo, exponent, ve, vp)
-                 for a, b, delta, dt, k, xi, be, bp, new, fo, exponent, t, ve, vp
-                 in zip(*shared, total.tolist(), verdict_exact.tolist(), verdict_paper.tolist())]
+        rows += map(ReportRow._make, zip(*columns, repeat(mode.value), total.tolist(), *shared,
+                                         verdict_exact.tolist(), verdict_paper.tolist(), repeat("")))
     return rows
 
 
@@ -444,22 +408,27 @@ def render_report(rows: list[ReportRow], digits: int = DEFAULT_DIGITS) -> tuple[
     return "".join(csv_texts), "".join(txt_texts)
 
 
-def emit_report(rows: list[ReportRow], out: str, digits: int = DEFAULT_DIGITS
-                ) -> tuple[Path, Path]:
+def _create(path: str):
+    """``path`` opened to write UTF-8 text with LF endings, its directory made first
+    where it is not one yet."""
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        os.makedirs(parent, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def emit_report(rows: list[ReportRow], out: str, digits: int = DEFAULT_DIGITS):
     """Write <out>.csv and <out>.txt in one rendering pass, each point's text to its
-    file as soon as it is made, so neither whole text is held; returns the two paths.
-    The bytes are those of :func:`render_report`."""
+    file as soon as it is made, so neither whole text is held; returns the two paths
+    as ``pathlib.Path``. The bytes are those of :func:`render_report`."""
+    from pathlib import Path
     if not rows:
         raise ValidationError("no rows to report")
-    csv_path = Path(out + ".csv")
-    txt_path = Path(out + ".txt")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with (open(csv_path, "w", encoding="utf-8", newline="") as csv_file,
-          open(txt_path, "w", encoding="utf-8", newline="") as txt_file):
+    with _create(out + ".csv") as csv_file, _create(out + ".txt") as txt_file:
         for csv_text, txt_text in _report(rows, digits):
             csv_file.write(csv_text)
             txt_file.write(txt_text)
-    return csv_path, txt_path
+    return Path(out + ".csv"), Path(out + ".txt")
 
 
 def scaling_study(config: SweepConfig, quantity: str = "all") -> list[dict]:
@@ -601,8 +570,8 @@ def _add_common(sub: argparse.ArgumentParser, point_flags: tuple[str, ...]):
 
 def _config_from_args(args) -> SweepConfig:
     if args.config is not None:
-        text = Path(args.config).read_text(encoding="utf-8")
-        cfg = parse_config(text)
+        with open(args.config, encoding="utf-8") as file:
+            cfg = parse_config(file.read())
     else:
         entries: dict[str, tuple[str, int]] = {}
         for key in _POINT_FLAGS:
@@ -615,7 +584,7 @@ def _config_from_args(args) -> SweepConfig:
         overrides["modes"] = _parse_modes(args.mode)
     if args.out is not None:
         overrides["out"] = args.out
-    return replace(cfg, **overrides) if overrides else cfg
+    return cfg._replace(**overrides) if overrides else cfg
 
 
 def _require_singletons(cfg: SweepConfig, command: str) -> tuple[float, float, float]:
@@ -628,12 +597,13 @@ def _require_singletons(cfg: SweepConfig, command: str) -> tuple[float, float, f
 def _emit(chunks, out: str | None, suffix: str, quiet: bool) -> int:
     """Write each of ``chunks`` as it comes to <out><suffix> when out is set, and to stdout
     unless quiet, so a caller that streams its text never holds it whole."""
-    if out:
-        Path(out + suffix).parent.mkdir(parents=True, exist_ok=True)
-    with open(out + suffix, "w", encoding="utf-8", newline="") if out else nullcontext() as file:
+    if not out:
+        if not quiet:
+            sys.stdout.writelines(chunks)
+        return 0
+    with _create(out + suffix) as file:
         for chunk in chunks:
-            if file:
-                file.write(chunk)
+            file.write(chunk)
             if not quiet:
                 sys.stdout.write(chunk)
     return 0
@@ -664,7 +634,7 @@ def _cmd_run(args) -> int:
     if len(cfg.k) != 1:
         raise ValidationError("run requires a single k")
     params = _point_params(cfg, ab, delta, cfg.dt[0], cfg.k[0], xi, cfg.modes[0])
-    first, *rest = [_render_run_report(protocol.run(replace(params, mode=mode)), cfg.digits)
+    first, *rest = [_render_run_report(protocol.run(params._replace(mode=mode)), cfg.digits)
                     for mode in cfg.modes]
     # Every check has run before a line is written; a blank line parts two ledgers.
     return _emit(chain(first, *(chain(("\n",), lines) for lines in rest)), cfg.out, ".txt", args.quiet)

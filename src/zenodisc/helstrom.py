@@ -18,7 +18,8 @@ squared-cosine slot with the overlap magnitude itself lives in
 print both so the conventions are never silently merged.
 
 Floats go through ``math`` and never import numpy; only arrays, which exist
-once their caller has imported numpy, go through it.
+once their caller has imported numpy, go through it. This lowest layer defines
+:class:`ValidationError`, which every layer raises.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import math
 import sys
 from types import SimpleNamespace
 
-from .qcore import ValidationError
+
+class ValidationError(ValueError):
+    """An input violates a documented precondition."""
 
 
 def _numpy(*values):

@@ -39,14 +39,12 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, partial
 from itertools import chain
 from operator import itemgetter, mul
-from typing import Any, ClassVar, NamedTuple
 
-from .helstrom import _math, _numpy, guess_only_cost, helstrom_cost
-from .qcore import ValidationError
+from .helstrom import ValidationError, _math, _numpy, guess_only_cost, helstrom_cost
 
 # Candidate-state normalization a^2 + (b delta)^2 = 1 is enforced to this
 # tolerance; construction helpers hit it to machine precision anyway.
@@ -60,8 +58,7 @@ class Mode(enum.Enum):
     PAPER = "paper"
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
+class ProtocolParams(namedtuple("ProtocolParams", "a b delta dt k prior mode")):
     """One complete experiment definition.
 
     a and b parameterize the candidate pair (a, 0, 0, 0, b*delta) and
@@ -77,21 +74,22 @@ class ProtocolParams:
     define.
     """
 
-    e0: ClassVar[float] = 1.0
-    e1: ClassVar[float] = 2.0
+    __slots__ = ()
+    e0 = 1.0
+    e1 = 2.0
 
-    a: float
-    b: float
-    delta: float
-    dt: float
-    k: int
-    prior: float = 0.5
-    mode: Mode = Mode.EXACT
+    def __new__(cls, a, b, delta, dt, k, prior=0.5, mode=Mode.EXACT):
+        params = tuple.__new__(cls, (a, b, delta, dt, k, prior, mode))
+        _enforce(_PARAM_CHECKS, params)
+        if not isinstance(mode, Mode):
+            raise ValidationError(f"mode must be a Mode, got {mode!r}")
+        return params
 
-    def __post_init__(self):
-        _enforce(_PARAM_CHECKS, self)
-        if not isinstance(self.mode, Mode):
-            raise ValidationError(f"mode must be a Mode, got {self.mode!r}")
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the checks of ``__new__``, as ``_replace`` does: a namedtuple's own
+        ``_make`` calls ``tuple.__new__``, which skips them."""
+        return cls(*iterable)
 
     @classmethod
     def from_b(cls, b: float, delta: float, k: int, dt: float | None = None, **kwargs) -> "ProtocolParams":
@@ -113,17 +111,10 @@ class ProtocolParams:
         return cls(a=a, b=b, delta=delta, dt=float(dt), k=k, **kwargs)
 
 
-class Points(NamedTuple):
-    """The fields of :class:`ProtocolParams` that its checks and the closed forms read,
-    as floats of one point or as equal-length float arrays of many (k as floats, inf
-    past the float range). A ProtocolParams reads as one point too."""
-
-    a: Any = None
-    b: Any = None
-    delta: Any = None
-    dt: Any = None
-    k: Any = None
-    prior: Any = None
+Points = namedtuple("Points", "a b delta dt k prior", defaults=(None,) * 6)
+Points.__doc__ = """The fields of :class:`ProtocolParams` that its checks and the closed forms read,
+as floats of one point or as equal-length float arrays of many (k as floats, inf
+past the float range). A ProtocolParams reads as one point too."""
 
 
 _MAX = sys.float_info.max
@@ -256,33 +247,21 @@ def derive_points(amplitude: str, ab, delta, dt, k, prior) -> tuple[Points, list
     return points, errors
 
 
-@dataclass(slots=True)
-class LeafRecord:
-    """One terminal branch of the outcome tree, a plain slotted record like ``cli.ReportRow``:
-    nothing hashes or mutates a leaf, and a frozen one costs several times as much to build.
+LeafRecord = namedtuple("LeafRecord", "kind step p_given_h0 p_given_h1 marginal posterior leaf_cost")
+LeafRecord.__doc__ = """One terminal branch of the outcome tree.
 
-    kind is "click" (with step in 1..k) or "survived" (step is None).
-    p_given_h0 / p_given_h1 are the leaf probabilities conditioned on each
-    hypothesis; marginal mixes them with the prior; posterior is the
-    Bayes-updated weight of hypothesis 0 at this leaf and leaf_cost is the
-    expected 0-1 cost charged there under the active ledger. Click leaves
-    hold no states: a click leaves either hypothesis on the probe direction
-    up to a phase.
-    """
-
-    kind: str
-    step: int | None
-    p_given_h0: float
-    p_given_h1: float
-    marginal: float
-    posterior: float
-    leaf_cost: float
+kind is "click" (with step in 1..k) or "survived" (step is None).
+p_given_h0 / p_given_h1 are the leaf probabilities conditioned on each
+hypothesis; marginal mixes them with the prior; posterior is the
+Bayes-updated weight of hypothesis 0 at this leaf and leaf_cost is the
+expected 0-1 cost charged there under the active ledger. Click leaves
+hold no states: a click leaves either hypothesis on the probe direction
+up to a phase.
+"""
 
 
-@dataclass
 class ProtocolReport:
-    """The outcome tree of one experiment at its final step k; the rest are views. A plain record,
-    as a leaf is: nothing hashes or mutates a report, and a frozen one costs more to build.
+    """The outcome tree of one experiment at its final step k; the rest are views.
 
     It stores :func:`final_step`: the click mass M_k, the survival 1 - M_k of either hypothesis,
     the survived overlap O_k and the gap 1 - O_k^2 in closed form, which keeps its digits as the
@@ -295,11 +274,12 @@ class ProtocolReport:
     step in floats on each read and never kept: overlap_trajectory[i] is |<s0|s1>| of the survival
     states after i steps (entry 0 is b^2 delta^2), survival[i] the cumulative survival."""
 
-    params: ProtocolParams
-    click_mass: float
-    final_survival: float
-    final_overlap: float
-    final_gap: float
+    def __init__(self, params, click_mass, final_survival, final_overlap, final_gap):
+        self.params = params
+        self.click_mass = click_mass
+        self.final_survival = final_survival
+        self.final_overlap = final_overlap
+        self.final_gap = final_gap
 
     def _steps(self):
         """The clicks (a^2 s^2 / 2) c^(2 (j - 1)) at j = 1..k and :func:`_closed_forms` at j = 0..k,

@@ -1,26 +1,25 @@
-"""The package's validation error, and a state type that the package no longer builds.
+"""A state type that the package no longer builds or imports.
 
-Every layer raises :class:`ValidationError` on bad input. The outcome tree has
-a closed form (see ``protocol``), so nothing here evolves or measures a state,
-and a report holds its survived state as a tuple of complex; the dense
-step-by-step walk is an independent oracle of the test suite. :class:`PureState`
-stays for the benchmark's tracer, which hooks its construction; it imports
-numpy when built.
+The outcome tree has a closed form (see ``protocol``), so nothing here evolves
+or measures a state, and a report holds its survived state as a tuple of
+complex; the dense step-by-step walk is an independent oracle of the test
+suite. :class:`PureState` stays for the benchmark's tracer, which imports this
+module to hook its construction; it imports numpy when built. It raises
+:class:`ValidationError`, which ``helstrom`` defines and this module re-imports,
+so ``zenodisc.qcore.ValidationError`` is ``zenodisc.ValidationError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .helstrom import ValidationError
+
 # Absolute tolerance for unit-norm checks: comfortable double-precision
 # headroom at d = 5.
 ATOL = 1e-12
 # Dense-matrix guard; this laboratory never needs large spaces.
 MAX_DIM = 64
-
-
-class ValidationError(ValueError):
-    """An input violates a documented precondition."""
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,13 @@ point by point in floats, from one :func:`protocol.run` report each, and
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import mul
+from types import MappingProxyType
 
 from . import protocol
-from .helstrom import helstrom_cost
+from .helstrom import ValidationError, helstrom_cost
 from .protocol import ProtocolParams, ProtocolReport, shown
-from .qcore import ValidationError
 
 # Residuals below this are double-precision noise, not series error.
 NOISE_FLOOR = 1e-14
@@ -53,7 +52,8 @@ def k_step_state(params: ProtocolParams, hypothesis: int) -> tuple[complex, ...]
     """Null-branch state after k evolve-and-ask iterations, truncated series form.
 
     Carries the compound renormalization prefactor (1 - a^2 delta^2 dt^2 / 2)^(-k/2),
-    Python's ``**`` (complex for a negative base at odd k), inf where it overflows.
+    Python's ``**`` (complex for a negative base at odd k), inf where it overflows or the
+    base is 0.
     The fourth component is written with the sign it is written with; magnitude comparisons
     are sign-blind.
     """
@@ -115,21 +115,13 @@ def original_cost(params: ProtocolParams) -> float:
     return params.a**2 * params.k**2 * params.dt**2 * params.delta**2
 
 
-@dataclass(frozen=True)
-class ScalingFit:
-    """Least-squares slope of log residual against log delta.
+ScalingFit = namedtuple("ScalingFit", "exponent intercept sample_deltas residuals n_floored indeterminate")
+ScalingFit.__doc__ = """Least-squares slope of log residual against log delta.
 
-    residuals holds the raw values; entries below NOISE_FLOOR are floored
-    before fitting and counted in n_floored. When every point sits at the
-    floor the fit is indeterminate and exponent/intercept are NaN.
-    """
-
-    exponent: float
-    intercept: float
-    sample_deltas: tuple[float, ...]
-    residuals: tuple[float, ...]
-    n_floored: int
-    indeterminate: bool
+residuals holds the raw values; entries below NOISE_FLOOR are floored
+before fitting and counted in n_floored. When every point sits at the
+floor the fit is indeterminate and exponent/intercept are NaN.
+"""
 
 
 def fit_power_laws(deltas, columns) -> list[ScalingFit]:
@@ -182,10 +174,11 @@ def _integers(values: list[float]) -> tuple[list[int], int]:
 
 def _or_inf(fn, *args):
     """``fn(*args)``, inf where it overflows: Python's ``**`` raises there, and so does ``abs``
-    of a complex whose parts are finite but whose magnitude is not."""
+    of a complex whose parts are finite but whose magnitude is not. ``**`` also raises at
+    +0 to a negative power, which is +inf in IEEE 754; a base 1.0 - x is never -0."""
     try:
         return fn(*args)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
@@ -245,20 +238,14 @@ def _residual_baseline(report: ProtocolReport) -> float:
     return abs(baseline_paper_convention(report.params) - 0.25 * (bd * bd))
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(namedtuple("Expression", "evaluate stated_error_order suspect residuals",
+                            defaults=(None, MappingProxyType({})))):
     """One literal series expression, named by its function, with its doubt, if any, and the
     scaling quantities whose series side it is (name -> residual of a run report).
     """
 
-    evaluate: Callable
-    stated_error_order: int
-    suspect: str | None = None
-    residuals: dict[str, Callable[[ProtocolReport], float]] = field(default_factory=dict)
-
-    @property
-    def name(self) -> str:
-        return self.evaluate.__name__
+    __slots__ = ()
+    name = property(lambda self: self.evaluate.__name__)
 
 
 # The one table of series expressions; coverage tests enumerate it.

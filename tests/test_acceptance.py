@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines on the terminal. Every tolerance is pinned here, not configurable.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -113,7 +112,7 @@ def test_criterion_5_and_6_branch_tree_soundness_and_optimality_floor():
         floor_ok &= report.verdict_vs_exact >= 0.0
 
         # Relabelling: the oracle walk from the swapped candidate pair.
-        even = dataclasses.replace(p, prior=0.5)
+        even = p._replace(prior=0.5)
         swapped = oracles.candidate_pair(even.b, even.delta)[::-1]
         swap_gap = abs(protocol.run(even).total_cost
                        - oracles.naive_run(even.b, even.delta, even.k, even.dt, *energies,

@@ -5,16 +5,14 @@ import random
 import runpy
 import tracemalloc
 import warnings
-from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from zenodisc import cli, protocol
+from zenodisc import ValidationError, cli, protocol
 from zenodisc.cli import parse_config, render_report, run_sweep
 from zenodisc.protocol import Mode
-from zenodisc.qcore import ValidationError
 
 import oracles
 
@@ -236,18 +234,18 @@ def test_scaling_study_walks_each_delta_once(monkeypatch):
     fitted = _count_fits(monkeypatch)
     survived, built = [], []
     survived_state = protocol.survived_state
-    post_init = protocol.ProtocolParams.__post_init__
+    new = protocol.ProtocolParams.__new__
 
     def counting_survived_state(a, bd, x, k, survival):
         survived.append(k)
         return survived_state(a, bd, x, k, survival)
 
-    def counting_post_init(params):
-        built.append(params)
-        post_init(params)
+    def counting_new(cls, *args, **kwargs):
+        built.append(new(cls, *args, **kwargs))
+        return built[-1]
 
     monkeypatch.setattr(protocol, "survived_state", counting_survived_state)
-    monkeypatch.setattr(protocol.ProtocolParams, "__post_init__", counting_post_init)
+    monkeypatch.setattr(protocol.ProtocolParams, "__new__", counting_new)
     fits = cli.scaling_study(parse_config(ADJUDICATE["SCALING"]), "all")
     monkeypatch.undo()
     assert len(fits) == 3 * len(cli.series.SCALING_QUANTITIES)
@@ -376,7 +374,7 @@ def test_run_lists_its_leaves_in_bounded_memory(tmp_path):
     assert text.count("\n  click ") == 2 * 10**4 and text.count("\n  survived ") == 2
     p = protocol.ProtocolParams.from_b(10.0, 0.001, 10, dt=2e-6)
     assert (tmp_path / "run10.txt").read_text(encoding="utf-8") == "\n".join(
-        "".join(cli._render_run_report(protocol.run(replace(p, mode=mode)), 17)) for mode in Mode)
+        "".join(cli._render_run_report(protocol.run(p._replace(mode=mode)), 17)) for mode in Mode)
 
 
 def test_render_scaling_csv_holds_no_record_buffer():
@@ -465,7 +463,7 @@ def test_main_optimize_renders_its_row_in_one_pass(tmp_path, monkeypatch, capsys
 
 def _sweep_of_the_optimum(cfg, params) -> list:
     """The rows of a one-point sweep at the optimum's (k, dt or auto)."""
-    return run_sweep(replace(cfg, dt=cfg.dt if cfg.auto_dt else (params.dt,), k=(params.k,)))
+    return run_sweep(cfg._replace(dt=cfg.dt if cfg.auto_dt else (params.dt,), k=(params.k,)))
 
 
 @pytest.mark.parametrize("text", [

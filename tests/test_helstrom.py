@@ -5,8 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from zenodisc import helstrom
-from zenodisc.qcore import ValidationError
+from zenodisc import ValidationError, helstrom
 
 import oracles
 

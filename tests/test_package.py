@@ -21,11 +21,17 @@ def test_every_export_resolves():
     exec("from zenodisc import *", {})
 
 
-def _fresh_python(code: str, cwd: Path) -> str:
+def test_validation_error_is_one_class():
+    # helstrom, the lowest layer that raises it, defines it; qcore re-imports it.
+    from zenodisc import helstrom, qcore
+    assert zenodisc.ValidationError is helstrom.ValidationError is qcore.ValidationError
+
+
+def _fresh_python(code: str, cwd: Path, *flags: str) -> str:
     """Run ``code`` in a fresh interpreter, which has not imported numpy as this one has,
-    with the package's src first on its path; return its stdout."""
+    with ``flags`` and the package's src first on its path; return its stdout."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", code], cwd=cwd, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -52,11 +58,23 @@ def test_one_point_pipelines_never_import_numpy(tmp_path):
         "assert views == " + repr(REPORT_VIEWS) + ", views\n"
         "values = [getattr(report, name) for name in views] + list(report.iter_leaves())\n"
         "assert cli.main(['scaling', '--config', 'scaling.cfg', '--quiet']) == 0\n"
-        "print('numpy imported:', 'numpy' in sys.modules)\n"
-        "print('csv imported:', 'csv' in sys.modules)\n", tmp_path)
+        "for name in ('numpy', 'csv', 'dataclasses', 'inspect', 'zenodisc.qcore'):\n"
+        "    print(name, 'imported:', name in sys.modules)\n", tmp_path)
     assert out.startswith("overlap |<psi0|psi1>|")
-    assert out.endswith("numpy imported: False\ncsv imported: False\n")
+    assert out.endswith("numpy imported: False\ncsv imported: False\ndataclasses imported: False\n"
+                        "inspect imported: False\nzenodisc.qcore imported: False\n")
     assert (tmp_path / "optimum.csv").is_file() and (tmp_path / "optimum.txt").is_file()
+
+
+def test_the_command_line_module_loads_no_typing_or_pathlib(tmp_path):
+    # Under -S, since a .pth file that site runs may import typing and pathlib itself.
+    # A record is a namedtuple, and a file is written through open and os.makedirs.
+    out = _fresh_python(
+        "import sys\n"
+        "import zenodisc.cli\n"
+        "print([name for name in ('dataclasses', 'typing', 'inspect', 'pathlib', 'zenodisc.qcore')\n"
+        "       if name in sys.modules])\n", tmp_path, "-S")
+    assert out == "[]\n"
 
 
 def test_a_sweep_imports_numpy_and_writes_the_committed_headline(tmp_path):

@@ -1,14 +1,12 @@
-import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from zenodisc import protocol
+from zenodisc import ValidationError, protocol
 from zenodisc.cli import parse_config, run_sweep
 from zenodisc.protocol import Mode, ProtocolParams
-from zenodisc.qcore import ValidationError
 
 import oracles
 
@@ -52,13 +50,33 @@ def test_params_validation():
         ProtocolParams(a=1.0, b=0.0, delta=0.0, dt=1.0, k=1, mode="exact")
 
 
+def test_params_validate_on_every_way_they_are_built():
+    # A namedtuple's own _make, which _replace calls, builds through tuple.__new__ and so
+    # would skip the checks of ProtocolParams.__new__.
+    p = ProtocolParams.from_b(10.0, 0.01, k=5, dt=1.0)
+    builds = {
+        "constructor": lambda: ProtocolParams(p.a, p.b, p.delta, -1.0, p.k),
+        "from_b": lambda: ProtocolParams.from_b(p.b, p.delta, p.k, dt=-1.0),
+        "from_a": lambda: ProtocolParams.from_a(p.a, p.delta, p.k, dt=-1.0),
+        "_make": lambda: ProtocolParams._make([p.a, p.b, p.delta, -1.0, p.k, p.prior, p.mode]),
+        "_replace": lambda: p._replace(dt=-1.0),
+    }
+    for name, build in builds.items():
+        with pytest.raises(ValidationError, match=r"^dt must be positive, got -1\.0$"):
+            build()
+    with pytest.raises(ValidationError, match="^mode must be a Mode, got 'paper'$"):
+        p._replace(mode="paper")
+    assert type(ProtocolParams._make(p)) is ProtocolParams and ProtocolParams._make(p) == p
+    assert p._replace(prior=0.25) == (*p[:5], 0.25, p.mode)
+
+
 def test_params_hash_and_compare_by_value():
     p = ProtocolParams.from_b(10.0, 0.01, k=5, dt=1.0)
     q = ProtocolParams.from_b(10.0, 0.01, k=5, dt=1.0)
     assert p is not q
     assert p == q and hash(p) == hash(q)
     assert len({p, q}) == 1
-    assert p != dataclasses.replace(p, mode=Mode.PAPER)
+    assert p != p._replace(mode=Mode.PAPER)
 
 
 def test_from_b_normalizes():
@@ -184,7 +202,7 @@ def test_run_matches_independent_walk_at_the_edges():
     assert math.cos(edges[2].delta * edges[2].dt) < 0.0
     for p in edges:
         for mode in Mode:
-            report = protocol.run(dataclasses.replace(p, mode=mode))
+            report = protocol.run(p._replace(mode=mode))
             ref = oracles.naive_run(p.b, p.delta, p.k, p.dt, xi=p.prior,
                                     paper_ledger=mode is Mode.PAPER)
             assert abs(report.total_cost - ref["total"]) <= 1e-12
@@ -253,7 +271,7 @@ def test_run_symmetric_scenario_properties():
     # identical: posteriors stay at 1/2 and both ledgers charge clicks 1/2.
     p = ProtocolParams.from_b(10.0, 0.001, k=5)
     exact = protocol.run(p)
-    paper = protocol.run(dataclasses.replace(p, mode=Mode.PAPER))
+    paper = protocol.run(p._replace(mode=Mode.PAPER))
     for le, lp in zip(exact.leaves, paper.leaves):
         assert le.posterior == pytest.approx(0.5, abs=1e-12)
         if le.kind == "click":
@@ -339,7 +357,7 @@ def test_run_keeps_no_per_step_data():
     tracemalloc.start()
     try:
         for mode in Mode:
-            protocol.run(dataclasses.replace(p, mode=mode))
+            protocol.run(p._replace(mode=mode))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -379,6 +397,6 @@ def test_decimal_reference_keeps_a_tiny_click_mass_and_helstrom_cost(params):
                                 params.prior)
     got = {"final_overlap": report.final_overlap, "baseline_exact": report.baseline_exact,
            "baseline_paper": report.baseline_paper, "total_exact": report.total_cost,
-           "total_paper": protocol.run(dataclasses.replace(params, mode=Mode.PAPER)).total_cost}
+           "total_paper": protocol.run(params._replace(mode=Mode.PAPER)).total_cost}
     for name, value in got.items():
         assert abs(value - float(ref[name])) <= 2e-15 * float(ref[name]), name

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from zenodisc import protocol, series
+from zenodisc import ValidationError, protocol, series
 from zenodisc.protocol import ProtocolParams
-from zenodisc.qcore import ValidationError
 
 import oracles
 
