@@ -16,9 +16,10 @@ tests/test_corpus.py replays every entry through `cli.main` and compares;
 A change that moves output regenerates the corpus and names the entries
 that moved; this script prints them. Digests assume the numpy and libm
 rounding of the machine that made them; the corpus records the numpy
-version. Only regeneration imports numpy, to record its version: replaying an
-entry of a command that imports none (baseline, optimize, run, scaling)
-runs without numpy installed. Run from the repository root:
+version and the platform (:func:`platform_info`). Only regeneration imports
+numpy, to record its version: replaying an entry of a command that imports
+none (baseline, optimize, run, scaling) runs without numpy installed. Run
+from the repository root:
 
     PYTHONPATH=src python scripts/corpus.py
 """
@@ -77,6 +78,14 @@ def moved(entries: list[dict], command: list[str] | None = None) -> list[str]:
             if replay(e, command) != {key: e[key] for key in ("exit", "stdout", "stderr", "files")}]
 
 
+def platform_info() -> dict:
+    """What the digests depend on beside the code and numpy: the machine, its C library,
+    whose libm rounds ``math``'s exp, log, sin and cos, and the Python version."""
+    import platform
+    return {"machine": platform.machine(), "libc": " ".join(platform.libc_ver()),
+            "python": platform.python_version()}
+
+
 def _config(**keys) -> str:
     return "".join(f"{key}={value}\n" for key, value in keys.items())
 
@@ -109,6 +118,8 @@ def invocations() -> list[dict]:
                            "--xi", "0.3556961698229455"])
     add("baseline-fails", ["baseline", "--b", "200", "--delta", "0.01"])
     add("baseline-grid", ["baseline", "--config", "cfg"], _config(b=10, delta="0.01,0.001"))
+    # No baseline depends on the ledger, so baseline takes no --mode.
+    add("baseline-mode-flag", ["baseline", "--b", "10", "--delta", "0.01", "--mode", "paper"])
 
     # run
     add("run-both-auto", ["run", "--b", "10", "--delta", "0.001", "--k", "5", "--dt", "auto",
@@ -133,6 +144,8 @@ def invocations() -> list[dict]:
     add("run-verdict-digits", ["run", "--b", "88.85074653873919", "--delta", "0.00934590131528339",
                                "--dt", "0.00016620039754226847", "--k", "17", "--xi", "0.3045145664658649"])
     add("run-bad-value", ["run", "--b", "10", "--delta", "abc", "--k", "1", "--dt", "1"])
+    # A flag replaces the config key of its name: k=7, not the file's 3.
+    add("run-flags-over-config", ["run", "--config", "cfg", "--k", "7"], _config(b=10, delta=0.01, k=3))
 
     # sweep
     add("sweep-headline", ["sweep", "--config", "cfg", "--out", "out/headline", "--quiet"],
@@ -248,8 +261,8 @@ def main() -> int:
     if CORPUS.exists():
         old = {e["name"]: e for e in json.loads(CORPUS.read_text(encoding="utf-8"))["entries"]}
     entries = [{**entry, **replay(entry)} for entry in invocations()]
-    CORPUS.write_text(json.dumps({"numpy": np.__version__, "entries": entries}, indent=1) + "\n",
-                      encoding="utf-8")
+    CORPUS.write_text(json.dumps({"numpy": np.__version__, "platform": platform_info(), "entries": entries},
+                                 indent=1) + "\n", encoding="utf-8")
     moved = [e["name"] for e in entries if e["name"] in old and e != old[e["name"]]]
     added = [e["name"] for e in entries if e["name"] not in old]
     print(f"wrote {len(entries)} entries to {CORPUS.name}")

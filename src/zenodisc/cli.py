@@ -17,6 +17,8 @@ cancellation spacing b / (2 k a) per point.
 
 The keys ``e0`` and ``e1`` (the level energies, fixed at 1 and 2) are
 rejected: they enter only phases, so no reported number depends on them.
+Each flag of a command but ``--config``, ``--quiet`` and ``--quantity``
+replaces the config key of its name, whose value in the file is not read.
 
 Reports are a CSV (fixed header, LF endings) plus a plain-text adjudication
 summary; identical configs produce byte-identical files. Numbers are printed
@@ -42,7 +44,6 @@ from .protocol import Mode, ProtocolParams, shown
 
 DEFAULT_DIGITS = 17
 
-_GRID_KEYS = ("a", "b", "delta", "dt", "k", "xi")
 _SCALAR_KEYS = ("mode", "digits", "out")
 # The fixed level energies: no reported number depends on them.
 _NO_EFFECT_KEYS = ("e0", "e1")
@@ -86,7 +87,7 @@ def _parse_float(raw: str, key: str, lineno: int) -> float:
     return val
 
 
-def _parse_grid(entry: tuple[str, int], key: str, ok, rule: str, parse=_parse_float) -> tuple:
+def _parse_grid(entry: tuple[str, int], key: str, parse, ok, rule: str) -> tuple:
     """Read a comma-separated grid with ``parse`` into a sorted, repeat-free tuple."""
     raw, lineno = entry
     vals = []
@@ -116,8 +117,20 @@ def _parse_int(raw: str, key: str, lineno: int) -> int:
         raise ValidationError(f"{_where(lineno)}'{shown(raw)}' has too many digits for '{key}'") from None
 
 
-def parse_config(text: str) -> SweepConfig:
-    """Parse and validate the flat key=value sweep format."""
+# Each grid key, in the order its errors are raised: its value reader, the rule of its values and
+# the rule's text, and its default; a or b, and delta, must be given, and dt's (None,) is auto.
+_GRIDS = {
+    "a": (_parse_float, lambda v: 0.0 <= v <= 1.0, "outside [0, 1]", None),
+    "b": (_parse_float, lambda v: v >= 0.0, "must be nonnegative", None),
+    "delta": (_parse_float, lambda v: v >= 0.0, "must be nonnegative", None),
+    "dt": (_parse_float, lambda v: v > 0.0, "must be positive", (None,)),
+    "k": (_parse_int, lambda v: v >= 1, "must be >= 1", (1,)),
+    "xi": (_parse_float, lambda v: 0.0 <= v <= 1.0, "outside [0, 1]", (0.5,)),
+}
+
+
+def _entries(text: str) -> dict[str, tuple[str, int]]:
+    """The (raw value, line number) of each key of a config text, every line checked."""
     seen: dict[str, tuple[str, int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -131,69 +144,56 @@ def parse_config(text: str) -> SweepConfig:
         if key in _NO_EFFECT_KEYS:
             raise ValidationError(f"line {lineno}: key '{key}' has no effect: the level "
                                   "energies enter only phases, so no number depends on them")
-        if key not in _GRID_KEYS and key not in _SCALAR_KEYS:
+        if key not in _GRIDS and key not in _SCALAR_KEYS:
             raise ValidationError(f"line {lineno}: unknown key '{shown(key)}'")
         if key in seen:
             raise ValidationError(f"line {lineno}: duplicate key '{key}'")
         if not raw:
             raise ValidationError(f"line {lineno}: empty value for '{key}'")
         seen[key] = (raw, lineno)
-    return _build_config(seen)
+    return seen
+
+
+def parse_config(text: str) -> SweepConfig:
+    """Parse and validate the flat key=value sweep format."""
+    return _build_config(_entries(text))
 
 
 def _build_config(seen: dict[str, tuple[str, int]]) -> SweepConfig:
-    def take(key):
-        return seen.pop(key, None)
-
-    a_entry, b_entry = take("a"), take("b")
-    if (a_entry is None) == (b_entry is None):
+    """The config of each key's (raw value, line number), line 0 for a flag; the grids are read
+    in the order of :data:`_GRIDS`, then mode, digits and out, and the first error wins."""
+    if ("a" in seen) == ("b" in seen):
         raise ValidationError("exactly one of 'a' or 'b' must be given")
-    if a_entry is not None:
-        amplitude, ab = "a", _parse_grid(a_entry, "a", lambda v: 0.0 <= v <= 1.0, "outside [0, 1]")
-    else:
-        amplitude, ab = "b", _parse_grid(b_entry, "b", lambda v: v >= 0.0, "must be nonnegative")
+    grids = {}
+    for key, (parse, ok, rule, default) in _GRIDS.items():
+        entry = seen.get(key)
+        if entry is None or (key == "dt" and entry[0].strip() == "auto"):
+            if key == "delta":
+                raise ValidationError("missing required key 'delta'")
+            grids[key] = default
+        elif key == "dt" and "auto" in (p.strip() for p in entry[0].split(",")):
+            raise ValidationError(f"{_where(entry[1])}dt grid cannot mix 'auto' with numbers")
+        else:
+            grids[key] = _parse_grid(entry, key, parse, ok, rule)
 
-    delta_entry = take("delta")
-    if delta_entry is None:
-        raise ValidationError("missing required key 'delta'")
-    delta = _parse_grid(delta_entry, "delta", lambda v: v >= 0.0, "must be nonnegative")
-
-    dt_entry = take("dt")
-    dt: tuple[float | None, ...] = (None,)
-    if dt_entry is not None and dt_entry[0] != "auto":
-        if "auto" in (p.strip() for p in dt_entry[0].split(",")):
-            raise ValidationError(f"{_where(dt_entry[1])}dt grid cannot mix 'auto' with numbers")
-        dt = _parse_grid(dt_entry, "dt", lambda v: v > 0.0, "must be positive")
-
-    k_entry = take("k")
-    k_grid = (1,)
-    if k_entry is not None:
-        k_grid = _parse_grid(k_entry, "k", lambda v: v >= 1, "must be >= 1", parse=_parse_int)
-
-    xi_entry = take("xi")
-    xi = (0.5,)
-    if xi_entry is not None:
-        xi = _parse_grid(xi_entry, "xi", lambda v: 0.0 <= v <= 1.0, "outside [0, 1]")
-
-    mode_entry = take("mode")
     modes = (Mode.EXACT,)
-    if mode_entry is not None:
-        modes = _parse_modes(mode_entry[0], lineno=mode_entry[1])
+    if "mode" in seen:
+        modes = _parse_modes(*seen["mode"])
 
-    digits_entry = take("digits")
     digits = DEFAULT_DIGITS
-    if digits_entry is not None:
-        digits = _parse_int(digits_entry[0], "digits", digits_entry[1])
+    if "digits" in seen:
+        raw, lineno = seen["digits"]
+        digits = _parse_int(raw, "digits", lineno)
         if not 6 <= digits <= 17:
-            raise ValidationError(f"{_where(digits_entry[1])}digits must be an integer in [6, 17]")
-    out_entry = take("out")
-    out = out_entry[0] if out_entry is not None else None
+            raise ValidationError(f"{_where(lineno)}digits must be an integer in [6, 17]")
+    out = seen["out"][0] if "out" in seen else None
 
-    return SweepConfig(amplitude=amplitude, ab=ab, delta=delta, dt=dt, k=k_grid,
-                       xi=xi, modes=modes, digits=digits, out=out)
+    amplitude = "a" if "a" in seen else "b"
+    return SweepConfig(amplitude=amplitude, ab=grids[amplitude], delta=grids["delta"], dt=grids["dt"],
+                       k=grids["k"], xi=grids["xi"], modes=modes, digits=digits, out=out)
 
 
-def _parse_modes(raw: str, lineno: int = 0) -> tuple[Mode, ...]:
+def _parse_modes(raw: str, lineno: int) -> tuple[Mode, ...]:
     name = raw.strip().lower()
     if name == "both":
         return (Mode.EXACT, Mode.PAPER)
@@ -550,41 +550,32 @@ def _render_run_report(report, digits: int):
     return chain((head,), lines())
 
 
-# The point flags of baseline and run, each read as the config key of its name.
-_POINT_FLAGS = ("a", "b", "delta", "xi", "dt", "k")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; keep 1 for validation
         raise ValidationError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser, point_flags: tuple[str, ...]):
-    sub.add_argument("--config", help="path to a key=value config file")
+def _add_common(sub: argparse.ArgumentParser, keys: tuple[str, ...]):
+    """The flags every command takes, then one flag for each config key of ``keys``."""
+    sub.add_argument("--config", help="path to a key=value config file; a flag replaces the key of its name")
     sub.add_argument("--out", help="output path prefix (.csv/.txt appended)")
-    sub.add_argument("--mode", help="cost ledger: exact, paper or both (overrides config)")
     sub.add_argument("--quiet", action="store_true", help="suppress stdout")
-    for key in point_flags:
-        sub.add_argument(f"--{key}")
+    for key in keys:
+        sub.add_argument(f"--{key}", help="cost ledger: exact, paper or both" if key == "mode" else None)
 
 
 def _config_from_args(args) -> SweepConfig:
+    """The config of the --config file's entries, if given, where each flag given replaces
+    the key of its name with line number 0; flags the command does not take are absent."""
+    entries: dict[str, tuple[str, int]] = {}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as file:
-            cfg = parse_config(file.read())
-    else:
-        entries: dict[str, tuple[str, int]] = {}
-        for key in _POINT_FLAGS:
-            val = getattr(args, key, None)
-            if val is not None:
-                entries[key] = (val, 0)
-        cfg = _build_config(entries)
-    overrides = {}
-    if args.mode is not None:
-        overrides["modes"] = _parse_modes(args.mode)
-    if args.out is not None:
-        overrides["out"] = args.out
-    return cfg._replace(**overrides) if overrides else cfg
+            entries = _entries(file.read())
+    for key in (*_GRIDS, *_SCALAR_KEYS):
+        val = getattr(args, key, None)
+        if val is not None:
+            entries[key] = (val, 0)
+    return _build_config(entries)
 
 
 def _require_singletons(cfg: SweepConfig, command: str) -> tuple[float, float, float]:
@@ -609,8 +600,7 @@ def _emit(chunks, out: str | None, suffix: str, quiet: bool) -> int:
     return 0
 
 
-def _cmd_baseline(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_baseline(cfg: SweepConfig, args) -> int:
     ab, delta, xi = _require_singletons(cfg, "baseline")
     # dt and k enter neither baseline, so the run of any valid pair prints them.
     report = protocol.run(_point_params(cfg, ab, delta, 1.0, 1, xi, Mode.EXACT))
@@ -626,8 +616,7 @@ def _cmd_baseline(args) -> int:
     return _emit((text,), cfg.out, ".txt", args.quiet)
 
 
-def _cmd_run(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_run(cfg: SweepConfig, args) -> int:
     ab, delta, xi = _require_singletons(cfg, "run")
     if len(cfg.dt) != 1:
         raise ValidationError("run requires a single dt (or auto)")
@@ -640,8 +629,7 @@ def _cmd_run(args) -> int:
     return _emit(chain(first, *(chain(("\n",), lines) for lines in rest)), cfg.out, ".txt", args.quiet)
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_sweep(cfg: SweepConfig, args) -> int:
     rows, summary = run_sweep(cfg), []
 
     def csv_chunks():  # the CSV streams; the summary, printed after it, is kept
@@ -653,14 +641,12 @@ def _cmd_sweep(args) -> int:
     return _emit(summary, cfg.out, ".txt", args.quiet)
 
 
-def _cmd_scaling(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_scaling(cfg: SweepConfig, args) -> int:
     rows = scaling_study(cfg, args.quantity)
     return _emit((render_scaling_csv(rows, cfg.digits),), cfg.out, ".csv", args.quiet)
 
 
-def _cmd_optimize(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_optimize(cfg: SweepConfig, args) -> int:
     if len(cfg.modes) != 1:
         raise ValidationError("optimize requires a single mode (exact or paper)")
     params, row = optimize(cfg, cfg.modes[0])
@@ -678,17 +664,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="zenodisc",
                      description="Exact laboratory for repeated-null-measurement state discrimination.")
     sub = parser.add_subparsers(dest="command", required=True)
+    point = ("a", "b", "delta", "xi")
     handlers = {
-        "baseline": (_cmd_baseline, ("a", "b", "delta", "xi"),
-                     "print both Helstrom baselines for a candidate pair"),
-        "run": (_cmd_run, _POINT_FLAGS, "evaluate one protocol configuration"),
-        "sweep": (_cmd_sweep, (), "evaluate a parameter grid and emit CSV + summary"),
+        "baseline": (_cmd_baseline, point, "print both Helstrom baselines for a candidate pair"),
+        "run": (_cmd_run, ("mode", *point, "dt", "k"), "evaluate one protocol configuration"),
+        "sweep": (_cmd_sweep, ("mode",), "evaluate a parameter grid and emit CSV + summary"),
         "scaling": (_cmd_scaling, (), "fit delta-scaling exponents of series residuals"),
-        "optimize": (_cmd_optimize, (), "search k and dt for the lowest total cost"),
+        "optimize": (_cmd_optimize, ("mode",), "search k and dt for the lowest total cost"),
     }
-    for name, (handler, point_flags, help_text) in handlers.items():
+    for name, (handler, keys, help_text) in handlers.items():
         cmd = sub.add_parser(name, help=help_text)
-        _add_common(cmd, point_flags=point_flags)
+        _add_common(cmd, keys)
         if name == "scaling":
             cmd.add_argument("--quantity", default="all",
                              help="one of %s, or all" % ", ".join(sorted(series.SCALING_QUANTITIES)))
@@ -700,7 +686,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        return args.handler(_config_from_args(args), args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -672,12 +672,47 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
 
 
 def test_main_rejects_flags_that_change_nothing(capsys):
-    # No baseline depends on k or dt, and no reported number on e0 or e1.
+    # No baseline depends on k or dt, no reported number on e0 or e1, and no number that
+    # baseline or scaling prints on the ledger. The flag is rejected before a file is read.
     for argv in (["baseline", "--b", "10", "--delta", "0.01", "--k", "5"],
                  ["baseline", "--b", "10", "--delta", "0.01", "--dt", "0.5"],
-                 ["run", "--b", "10", "--delta", "0.001", "--k", "1", "--e0", "1.0"]):
+                 ["run", "--b", "10", "--delta", "0.001", "--k", "1", "--e0", "1.0"],
+                 ["baseline", "--b", "10", "--delta", "0.01", "--mode", "paper"],
+                 ["scaling", "--config", "missing.cfg", "--mode", "paper"]):
         assert cli.main(argv) == 1
-        assert "unrecognized arguments" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: unrecognized arguments: ") and err.count("\n") == 1
+
+
+def _main_output(argv, capsys):
+    code = cli.main(argv)
+    return code, *capsys.readouterr()
+
+
+def test_main_flags_replace_config_keys(tmp_path, monkeypatch, capsys):
+    # A flag replaces the config key of its name; the file's value is not read.
+    monkeypatch.chdir(tmp_path)
+    Path("c.cfg").write_text("b=10\ndelta=0.01\nk=3\n")
+    flagged = _main_output(["run", "--config", "c.cfg", "--k", "7"], capsys)
+    assert flagged == _main_output(["run", "--b", "10", "--delta", "0.01", "--k", "7"], capsys)
+    assert flagged[0] == 0 and " k=7 " in flagged[1]
+    flagged = _main_output(["baseline", "--config", "c.cfg", "--b", "3"], capsys)
+    assert flagged == _main_output(["baseline", "--b", "3", "--delta", "0.01"], capsys)
+    assert flagged[0] == 0 and flagged[1] != _main_output(["baseline", "--config", "c.cfg"], capsys)[1]
+    # a given as a flag over a file holding b: both keys are given.
+    assert _main_output(["run", "--config", "c.cfg", "--a", "0.9"], capsys) == \
+        (1, "", "error: exactly one of 'a' or 'b' must be given\n")
+    # --mode over a file whose mode= would fail: each command that takes it runs.
+    Path("bogus.cfg").write_text("b=10\ndelta=0.01\nmode=bogus\n")
+    Path("paper.cfg").write_text("b=10\ndelta=0.01\nmode=paper\n")
+    assert _main_output(["run", "--config", "bogus.cfg"], capsys)[2].startswith("error: line 3: mode must be")
+    for command in ("run", "sweep", "optimize"):
+        flagged = _main_output([command, "--config", "bogus.cfg", "--mode", "paper"], capsys)
+        assert flagged == _main_output([command, "--config", "paper.cfg"], capsys)
+        assert flagged[0] == 0 and flagged[2] == ""
+    # A flag's value reads as a file's, which is stripped: ' auto' is auto.
+    assert _main_output(["run", "--b", "10", "--delta", "0.01", "--dt", " auto"], capsys) == \
+        _main_output(["run", "--b", "10", "--delta", "0.01", "--dt", "auto"], capsys)
 
 
 def test_main_quiet_silences_stdout(capsys):
